@@ -127,6 +127,10 @@ class Ordinal:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a finite ordinal hashes as its int, so that == and hash agree
+        t = self.terms
+        if len(t) < 2 and (not t or not t[0][0]):
+            return hash(t[0][1]) if t else 0
         return hash(("Ordinal", self.terms))
 
     # -- usual arithmetic (non-commutative) -----------------------------

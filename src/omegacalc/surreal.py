@@ -54,6 +54,10 @@ class Number:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational hashes as its Fraction, so that == and hash agree
+        t = self.terms
+        if len(t) < 2 and (not t or not t[0][0]):
+            return hash(t[0][1]) if t else 0
         return hash(("Number", self.terms))
 
     def cmp(self, other) -> int:
@@ -156,34 +160,26 @@ def _cmp_atom_number(atom: EpsilonAtom, t: Number) -> int:
         return LT
     if r1 < 1:
         return GT
-    rest = Number(t.terms[1:])
-    s = sign(rest)
-    if s > 0:
-        return LT
-    if s < 0:
-        return GT
-    return EQ
+    return -sign(Number(t.terms[1:]))
 
 
 def nf_cmp(a: Number, b: Number) -> int:
     """Lexicographic comparison of normal forms (sign of a - b)."""
-    i = j = 0
-    while i < len(a.terms) or j < len(b.terms):
-        if i < len(a.terms) and j < len(b.terms):
-            c = exp_cmp(a.terms[i][0], b.terms[j][0])
-            if c == EQ:
-                ca, cb = a.terms[i][1], b.terms[j][1]
-                if ca != cb:
-                    return GT if ca > cb else LT
-                i += 1
-                j += 1
-                continue
-            if c == GT:
-                return GT if a.terms[i][1] > 0 else LT
-            return LT if b.terms[j][1] > 0 else GT
-        if i < len(a.terms):
-            return GT if a.terms[i][1] > 0 else LT
-        return LT if b.terms[j][1] > 0 else GT
+    if a is b:
+        return EQ
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = exp_cmp(ea, eb)
+        if c == GT:
+            return GT if ca > 0 else LT
+        if c == LT:
+            return LT if cb > 0 else GT
+        if ca != cb:
+            return GT if ca > cb else LT
+    na, nb = len(a.terms), len(b.terms)
+    if na > nb:
+        return GT if a.terms[nb][1] > 0 else LT
+    if nb > na:
+        return LT if b.terms[na][1] > 0 else GT
     return EQ
 
 
@@ -194,22 +190,24 @@ def sign(x: Number) -> int:
 
 
 def from_terms(pairs) -> Number:
-    """Build a Number from (exponent, coefficient) pairs, merging and sorting."""
+    """Build a Number from (exponent, coefficient) pairs in any order.
+
+    Exponents are canonical (built here, with _norm_exp collapsing a Number
+    equal to eps_a to the atom), so equal exponents are structurally equal
+    and lie side by side after one sort by exp_cmp.  The sort merges the
+    sorted runs callers pass: two for add, one row a_i*b per term for mul
+    (Monagan & Pearce's row merge, without a heap).  Hashing the exponents
+    instead would re-hash every Fraction in them, which costs more.
+    """
+    terms = [(_norm_exp(e), c if type(c) is Fraction else Fraction(c))
+             for e, c in pairs if c]
+    terms.sort(key=cmp_to_key(lambda p, q: exp_cmp(p[0], q[0])), reverse=True)
     merged = []
-    for e, c in pairs:
-        c = Fraction(c)
-        if not c:
-            continue
-        e = _norm_exp(e)
-        for k, (f, d) in enumerate(merged):
-            if exp_cmp(e, f) == EQ:
-                merged[k] = (f, d + c)
-                break
-        else:
-            merged.append((e, c))
-    merged = [(e, c) for e, c in merged if c]
-    merged.sort(key=cmp_to_key(lambda p, q: exp_cmp(p[0], q[0])), reverse=True)
-    return Number(tuple(merged))
+    for e, c in terms:
+        if merged and merged[-1][0] == e:
+            c += merged.pop()[1]
+        merged.append((e, c))
+    return Number(tuple(p for p in merged if p[1]))
 
 
 # -- embeddings ---------------------------------------------------------
@@ -364,10 +362,6 @@ def birthday(d) -> int:
     return int(a) + 1 + a.denominator.bit_length() - 1
 
 
-def dyadic_to_number(d) -> Number:
-    return from_rational(Fraction(d))
-
-
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     """Smallest-denominator rational strictly inside (lo, hi)."""
     if not lo < hi:
@@ -380,6 +374,8 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     if lo < n < hi:
         return Fraction(n)
     k = floor(lo)
+    if lo == k:
+        return k + Fraction(1, floor(1 / (hi - k)) + 1)
     inner = simplest_rational_between(1 / (hi - k), 1 / (lo - k))
     return k + 1 / inner
 

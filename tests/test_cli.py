@@ -60,6 +60,10 @@ def test_leftright():
     assert out[1] == "R: 1, 3/4, 11/16"
     data = json.loads(run_line("leftright 6", OJ))
     assert data["limit"] == "2/3"
+    # too few steps to pin the limit: a CalcError, not ZeroDivisionError
+    for steps in (1, 2, 3):
+        with pytest.raises(CalcError):
+            run_line("leftright %d" % steps, OJ)
 
 
 def test_skand_verbs():

@@ -8,7 +8,8 @@ import pytest
 from omegacalc import (Dyadic, birthday, real_limit_from_sequences,
                        simplest_dyadic_game)
 from omegacalc.errors import IllFormedGame, NoConvergenceDetected
-from omegacalc.surreal import game_geq, numbers_born_by
+from omegacalc.surreal import (game_geq, numbers_born_by,
+                               simplest_rational_between)
 
 
 def first_day(x, table):
@@ -112,3 +113,27 @@ def test_dyadic_validation():
     assert Dyadic(Fraction(3, 8)) == Fraction(3, 8)
     with pytest.raises(ValueError):
         Dyadic(Fraction(1, 3))
+
+
+def brute_simplest_rational(lo, hi):
+    """Smallest denominator in (lo, hi), then smallest absolute numerator."""
+    q = 1
+    while True:
+        inside = [p for p in range(int(lo * q) - 1, int(hi * q) + 2)
+                  if lo < Fraction(p, q) < hi]
+        if inside:
+            return Fraction(min(inside, key=abs), q)
+        q += 1
+
+
+def test_simplest_rational_between_matches_brute_force():
+    assert simplest_rational_between(Fraction(1, 3), Fraction(1, 2)) == \
+        Fraction(2, 5)
+    assert simplest_rational_between(Fraction(0), Fraction(1, 3)) == \
+        Fraction(1, 4)
+    values = sorted({Fraction(a, b) for a in range(-6, 7)
+                     for b in range(1, 7)})
+    for i, lo in enumerate(values):
+        for hi in values[i + 1:]:
+            assert simplest_rational_between(lo, hi) == \
+                brute_simplest_rational(lo, hi), (lo, hi)

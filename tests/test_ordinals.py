@@ -185,3 +185,11 @@ def test_render_parse_round_trip():
     for _ in range(200):
         a = random_ordinal(rng)
         assert parse_ordinal(render_ordinal(a)) == a
+
+
+def test_finite_ordinals_hash_as_ints():
+    for k in (0, 1, 7, 2 ** 70):
+        assert Ordinal.from_int(k) == k
+        assert hash(Ordinal.from_int(k)) == hash(k)
+    assert len({Ordinal.from_int(3), 3}) == 1
+    assert hash(OMEGA) != hash(1)

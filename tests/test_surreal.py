@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from omegacalc import surreal
 from omegacalc import (Number, add, divide, epsilon, from_ordinal,
                        from_rational, invert, mul, negate, nf_cmp, omega_pow,
                        ord_cmp, ord_nat_add, parse_number, parse_ordinal,
                        render_number, sub)
 from omegacalc.errors import DivisionByZero
-from omegacalc.surreal import ZERO, exp_cmp
+from omegacalc.surreal import (ZERO, EpsilonAtom, _norm_exp, exp_as_number,
+                               exp_cmp)
 
 n = parse_number
 W = n("w")
@@ -200,3 +204,114 @@ def test_invert_residual_exponent_law():
             assert lead == mul(from_rational(mt), gap)
         checked += 1
     assert checked > 50
+
+
+def test_rationals_hash_as_fractions():
+    for q in (0, 3, -1, Fraction(2, 3), Fraction(-7, 4), 2 ** 70):
+        assert from_rational(q) == q
+        assert hash(from_rational(q)) == hash(q)
+    assert len({from_rational(3), 3}) == 1
+    assert len({from_rational(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(W) != hash(1)
+
+
+# -- canonical-form properties ------------------------------------------------
+# Numbers are built by a naive quadratic merge that compares every incoming
+# exponent with every kept one by value (exp_cmp).  It never relies on
+# structural equality of exponents, so it can check from_terms, which does.
+
+
+def naive_from_terms(pairs):
+    merged = []
+    for e, c in pairs:
+        c = Fraction(c)
+        if not c:
+            continue
+        e = _norm_exp(e)
+        for k, (f, d) in enumerate(merged):
+            if exp_cmp(e, f) == 0:
+                merged[k] = (f, d + c)
+                break
+        else:
+            merged.append((e, c))
+    merged = [(e, c) for e, c in merged if c]
+    merged.sort(key=cmp_to_key(lambda p, q: exp_cmp(p[0], q[0])),
+                reverse=True)
+    return Number(tuple(merged))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def exponents(depth):
+    """Canonical exponents: Numbers of the given depth and eps atoms over
+    them (a Number equal to eps[a] is collapsed to the atom)."""
+    inner = numbers(depth)
+    return st.one_of(inner, inner.map(EpsilonAtom)).map(_norm_exp)
+
+
+def numbers(depth):
+    if depth == 0:
+        return RATIONALS.map(from_rational)
+    return st.lists(st.tuples(exponents(depth - 1), RATIONALS),
+                    max_size=3).map(naive_from_terms)
+
+
+def rebuilt(e):
+    """A structurally equal copy of e that shares no outer object with it."""
+    if isinstance(e, EpsilonAtom):
+        return EpsilonAtom(rebuilt(e.index))
+    return naive_from_terms([(rebuilt(f), c) for f, c in reversed(e.terms)])
+
+
+@st.composite
+def pair_lists(draw, depth=2):
+    """Pairs over a small pool of exponents, so that exponents repeat; an
+    eps atom may come as the Number w^eps[a] that from_terms must collapse."""
+    pool = draw(st.lists(exponents(depth), min_size=1, max_size=4))
+    spellings = st.sampled_from(pool).flatmap(
+        lambda e: st.sampled_from([rebuilt(e), exp_as_number(rebuilt(e))]))
+    return draw(st.lists(st.tuples(spellings, RATIONALS), max_size=8))
+
+
+@settings(deadline=None)
+@given(exponents(2), st.data())
+def test_exp_cmp_zero_exactly_when_equal(e, data):
+    f = data.draw(st.one_of(exponents(2), st.just(rebuilt(e))))
+    assert (exp_cmp(e, f) == 0) == (e == f)
+    assert exp_cmp(e, f) == -exp_cmp(f, e)
+
+
+@settings(deadline=None)
+@given(pair_lists(), st.randoms(use_true_random=False))
+def test_from_terms_matches_naive_merge_and_ignores_order(pairs, rng):
+    expected = naive_from_terms(pairs)
+    assert surreal.from_terms(pairs) == expected
+    rng.shuffle(pairs)
+    assert surreal.from_terms(pairs) == expected
+
+
+@settings(deadline=None)
+@given(numbers(2), numbers(2), numbers(2))
+def test_add_mul_commute_and_associate(x, y, z):
+    assert add(x, y) == add(y, x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+def test_series_merge_is_not_quadratic(monkeypatch):
+    # a merge that scans every kept term per incoming pair makes ~7*10^5
+    # comparisons here; one run-merging sort makes ~3*10^4
+    calls = [0]
+    inner = surreal.nf_cmp
+
+    def counted(a, b):
+        calls[0] += 1
+        return inner(a, b)
+
+    x = n("w^(1/2) + 1 + w^(-1/3)")
+    monkeypatch.setattr(surreal, "nf_cmp", counted)
+    t = invert(x, 32)
+    assert calls[0] <= 75_000
+    assert len(t.value.terms) == 150
