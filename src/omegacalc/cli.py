@@ -58,6 +58,19 @@ def _split_args(rest: str, n=None):
     return parts
 
 
+def _int_arg(text: str, what: str, minimum: int = 0) -> int:
+    """A decimal integer argument of at least `minimum`; ParseError
+    otherwise."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise ParseError("%s must be an integer, got %r" % (what, text)) \
+            from None
+    if n < minimum:
+        raise ParseError("%s must be >= %d, got %d" % (what, minimum, n))
+    return n
+
+
 _CMP_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
 
 
@@ -102,7 +115,7 @@ def run_line(line: str, options: Options) -> str:
         body = "; ".join("%s: %s" % kv for kv in census.items())
         return "%s\ncensus: %s" % (flags, body)
     if verb == "leftright":
-        steps = int(rest)
+        steps = _int_arg(rest, "leftright steps", 1)
         left, right = gaps.left_right_construct(steps)
         if options.json:
             return _json({"L": [str(x) for x in left],
@@ -191,7 +204,7 @@ def _run_skand(rest, options) -> str:
             r = skands.restrict(s, exprs.parse_ordinal(b))
             return exprs.brace_render(r, options.depth)
         if op == "coords":
-            pairs = skands.brace_coordinates(s, int(b))
+            pairs = skands.brace_coordinates(s, _int_arg(b, "prefix"))
             out = ["(%s, %s)" % (exprs.render_number(lo),
                                  exprs.render_number(hi)) for lo, hi in pairs]
             return "[%s]" % ", ".join(out)
@@ -218,7 +231,7 @@ def _run_coskand(rest, options) -> str:
     if op == "coords":
         a, b = _split_args(body, 2)
         c = _as_coskand(exprs.parse_skand(a))
-        pairs = skands.brace_coordinates(c, int(b))
+        pairs = skands.brace_coordinates(c, _int_arg(b, "prefix"))
         out = ["(%s, %s)" % (exprs.render_number(lo), exprs.render_number(hi))
                for lo, hi in pairs]
         return "[%s]" % ", ".join(out)

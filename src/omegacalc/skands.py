@@ -7,10 +7,17 @@ segments, each a constant or a repeating cycle over an ordinal length.
 Cycle values restart at limit positions: the value at offset limit+m is
 values[m mod n].
 
-Equality of two descriptions, the reflexivity / self-similarity /
-periodicity predicates and a canonical founded-set encoding are all decided
-symbolically on the finite description; nothing is ever enumerated
-transfinitely.
+Every description has one canonical form, computed in a single pass
+(`canonical_segments`).  The positions split into w-blocks [lambda,
+lambda+w), lambda zero or a limit.  A block's components form a word
+h + p^w: h finite, p the cycle the block ends in.  The canonical form takes
+p primitive and h shortest; h is written as constant runs, a block whose p
+is a rotation of the segment's cycle gets a piece of length w of its own,
+and adjacent equal patterns merge.  Two descriptions are equal iff their
+canonical forms are, and the founded-set encoding encodes the canonical
+form.  The reflexivity / self-similarity / periodicity predicates are
+decided symbolically on the finite description too; nothing is ever
+enumerated transfinitely.
 """
 
 from __future__ import annotations
@@ -18,11 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import zip_longest
 
 from .errors import InfiniteLength, InvalidPeriod, OutOfClutchRegion
 from .ordinals import OMEGA, ONE as OONE, ZERO as OZERO, Ordinal, \
     classify_ordinal, divmod_omega_pow
-from .surreal import Number, from_ordinal, from_rational, invert, negate
+from .surreal import from_ordinal, from_rational, invert, negate
 
 # -- founded-set terms ------------------------------------------------------
 
@@ -105,7 +114,7 @@ def _norm_pattern(pat):
         vals = _primitive(tuple(pat.values))
         if len(vals) == 1:
             return Constant(vals[0])
-        return Cycle(vals)
+        return pat if vals == pat.values else Cycle(vals)
     return pat
 
 
@@ -234,189 +243,88 @@ def _cut_pattern_tail(pat, offset: Ordinal, remaining: Ordinal):
     return [(OMEGA, rotated), (remaining.sub_left(OMEGA), pat)]
 
 
-# -- piecewise pointwise-equality decision ---------------------------------
-#
-# A piece is ('c', value) or ('y', values, phase); a cycle piece evaluates
-# to values[(phase+m) % n] at finite offsets m and to values[m % n] at
-# offsets limit+m (phase information dies at the first limit).
-
-
-def _piece_of(pat):
-    if isinstance(pat, Constant):
-        return ('c', pat.value)
-    return ('y', pat.values, 0)
-
-
-def _piece_tail(piece, cut: Ordinal):
-    if piece[0] == 'c':
-        return piece
-    _, values, phase = piece
-    if cut.is_finite():
-        return ('y', values, (phase + cut.as_int()) % len(values))
-    return ('y', values, cut.finite_part() % len(values))
-
-
-def _pieces_equal(pa, pb, length: Ordinal) -> bool:
-    if pa[0] == 'c' and pb[0] == 'c':
-        return pa[1] == pb[1]
-    if pa[0] == 'c':
-        pa, pb = pb, pa
-    if pb[0] == 'c':
-        _, values, phase = pa
-        target = pb[1]
-        if length.is_finite():
-            n = len(values)
-            return all(values[(phase + i) % n] == target
-                       for i in range(length.as_int()))
-        return all(v == target for v in values)
-    _, va, fa = pa
-    _, vb, fb = pb
-    na, nb = len(va), len(vb)
-    if length.is_finite():
-        span = length.as_int()
-        return all(va[(fa + i) % na] == vb[(fb + i) % nb] for i in range(span))
-    span = math.lcm(na, nb)
-    if not all(va[(fa + i) % na] == vb[(fb + i) % nb] for i in range(span)):
-        return False
-    if length.cmp(OMEGA) > 0:
-        # offsets with a limit part reset both phases
-        return all(va[i % na] == vb[i % nb] for i in range(span))
-    return True
-
-
-def map_equal(a: TransfiniteMap, b: TransfiniteMap) -> bool:
-    """Pointwise equality of two maps over the same total length."""
-    if a.total != b.total:
-        return False
-    qa = [(length, _piece_of(pat)) for length, pat in a.segments]
-    qb = [(length, _piece_of(pat)) for length, pat in b.segments]
-    ia = ib = 0
-    while ia < len(qa) and ib < len(qb):
-        la, pa = qa[ia]
-        lb, pb = qb[ib]
-        c = la.cmp(lb)
-        common = la if c <= 0 else lb
-        if not _pieces_equal(pa, pb, common):
-            return False
-        if c == 0:
-            ia += 1
-            ib += 1
-        elif c < 0:
-            ia += 1
-            qb[ib] = (lb.sub_left(common), _piece_tail(pb, common))
-        else:
-            ib += 1
-            qa[ia] = (la.sub_left(common), _piece_tail(pa, common))
-    return ia == len(qa) and ib == len(qb)
-
-
 # -- canonical form ---------------------------------------------------------
 
 
-def normalize_map(m: TransfiniteMap) -> TransfiniteMap:
-    """Rewrite to the canonical description: primitive cycles of limit
-    length, expanded finite runs, merged constants, and cycle phase pushed
-    out into explicit unit prefixes only where unavoidable."""
-    segs = []
+def _extend_runs(runs: list, values: tuple, count: int) -> list:
+    """Append the first `count` values of the cycle `values` to a list of
+    [value, count] runs, and return the list."""
+    n = len(values)
+    if n == 1:
+        added = [(values[0], count)] if count else []
+    else:
+        added = ((values[i % n], 1) for i in range(count))
+    for value, k in added:
+        if runs and runs[-1][0] == value:
+            runs[-1][1] += k
+        else:
+            runs.append([value, k])
+    return runs
+
+
+def _canonical_pieces(m: TransfiniteMap):
+    """The w-block pieces of m, in order, before adjacent equal patterns
+    merge.  `head` holds the open block's finite prefix as [value, count]
+    runs.  An infinite segment closes that block as head + p^w: the head's
+    trailing values that p's rotations absorb are dropped, so the block gets
+    its shortest prefix, and a rotated p covers only the first w positions,
+    because the segment's later blocks restart p at their limits."""
+    head = []
     for length, pat in m.segments:
         pat = _norm_pattern(pat)
-        if isinstance(pat, Cycle):
-            lim, fin = length.limit_part(), length.finite_part()
-            if lim:
-                segs.append((lim, pat))
-            for i in range(fin):
-                segs.append((OONE, Constant(pat.values[i % len(pat.values)])))
+        values = pat.values if isinstance(pat, Cycle) else (pat.value,)
+        n = len(values)
+        if length.is_finite():
+            _extend_runs(head, values, length.as_int())
+            continue
+        period = values
+        while head and head[-1][0] == period[-1]:
+            # a constant absorbs the whole run, a cycle one value per turn
+            head[-1][1] = head[-1][1] - 1 if n > 1 else 0
+            if not head[-1][1]:
+                head.pop()
+            period = period[-1:] + period[:-1]
+        for value, count in head:
+            yield Ordinal.from_int(count), Constant(value)
+        if period == values:
+            yield length.limit_part(), pat
         else:
-            segs.append((length, pat))
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 1000:
-            raise RuntimeError("normalisation failed to stabilise")
-        # merge adjacent equal constants / equal cycles
-        merged = []
-        for length, pat in segs:
-            if merged:
-                plen, ppat = merged[-1]
-                if isinstance(pat, Constant) and ppat == pat:
-                    merged[-1] = (plen + length, pat)
-                    changed = True
-                    continue
-                if isinstance(pat, Cycle) and ppat == pat:
-                    merged[-1] = (plen + length, pat)
-                    changed = True
-                    continue
-            merged.append((length, pat))
-        segs = merged
-        # rotation shift: an exactly-w cycle followed by a rotation of the
-        # same cycle re-expresses as a unit prefix plus the later cycle
-        for i in range(len(segs) - 1):
-            (l1, p1), (l2, p2) = segs[i], segs[i + 1]
-            if (isinstance(p1, Cycle) and isinstance(p2, Cycle)
-                    and l1 == OMEGA and len(p1.values) == len(p2.values)
-                    and p1 != p2):
-                n = len(p2.values)
-                for r in range(1, n):
-                    if p2.values[n - r:] + p2.values[:n - r] == p1.values:
-                        units = [(OONE, Constant(v))
-                                 for v in p2.values[n - r:]]
-                        segs[i:i + 2] = units + [(l1 + l2, p2)]
-                        changed = True
-                        break
-            if changed:
-                break
-        if changed:
-            continue
-        # a full aligned period written as finite constants before a cycle
-        # of limit length folds back into the cycle (n + L = L)
-        for i in range(1, len(segs)):
-            length, pat = segs[i]
-            if not (isinstance(pat, Cycle) and length.is_limit()):
-                continue
-            need = list(pat.values)
-            j = i
-            while need and j > 0:
-                plen, ppat = segs[j - 1]
-                if not (isinstance(ppat, Constant) and plen.is_finite()):
-                    break
-                take = min(plen.as_int(), len(need))
-                if any(v != ppat.value for v in need[-take:]):
-                    break
-                del need[-take:]
-                j -= 1
-            if not need:
-                consumed = len(pat.values)
-                k = i - 1
-                while consumed:
-                    plen, ppat = segs[k]
-                    avail = plen.as_int()
-                    if avail <= consumed:
-                        consumed -= avail
-                        del segs[k]
-                        i -= 1
-                        k -= 1
-                    else:
-                        segs[k] = (Ordinal.from_int(avail - consumed), ppat)
-                        consumed = 0
-                changed = True
-                break
-        if changed:
-            continue
-        # absorb a matching unit constant into a following exactly-w cycle
-        for i in range(len(segs) - 1):
-            (l1, p1), (l2, p2) = segs[i], segs[i + 1]
-            if (isinstance(p1, Constant) and isinstance(p2, Cycle)
-                    and l1.is_finite() and l2 == OMEGA
-                    and p1.value == p2.values[-1]):
-                rot = Cycle((p2.values[-1],) + p2.values[:-1])
-                k = l1.as_int()
-                repl = ([(Ordinal.from_int(k - 1), p1)] if k > 1 else [])
-                segs[i:i + 2] = repl + [(OMEGA, rot)]
-                changed = True
-                break
-    return TransfiniteMap(tuple(segs))
+            yield OMEGA, Cycle(period)
+            yield length.sub_left(OMEGA).limit_part(), pat
+        head = _extend_runs([], values, length.finite_part())
+    for value, count in head:
+        yield Ordinal.from_int(count), Constant(value)
+
+
+def canonical_segments(m: TransfiniteMap):
+    """Yield the canonical description of m (see the module docstring) in
+    one pass.  Merging adjacent equal patterns is sound because every cycle
+    piece has limit length, so the next piece starts at a limit, where
+    cycles restart.  The form depends only on the component map, so two
+    maps are equal iff their canonical segments are."""
+    last = None
+    for length, pat in _canonical_pieces(m):
+        if last and last[1] == pat:
+            last = (last[0] + length, pat)
+        elif length:
+            if last:
+                yield last
+            last = (length, pat)
+    if last:
+        yield last
+
+
+def normalize_map(m: TransfiniteMap) -> TransfiniteMap:
+    """The canonical description of m (see canonical_segments)."""
+    return TransfiniteMap(tuple(canonical_segments(m)))
+
+
+def map_equal(a: TransfiniteMap, b: TransfiniteMap) -> bool:
+    """Pointwise equality: equal canonical segments, compared lazily so
+    that the first difference stops both passes.  The segments sum to the
+    total, so unequal totals need no separate check."""
+    return all(x == y for x, y in zip_longest(canonical_segments(a),
+                                              canonical_segments(b)))
 
 
 # -- skand / coskand values --------------------------------------------------
@@ -510,12 +418,12 @@ def normalize(s):
 
 def skand_equal(x: Skand, y: Skand) -> bool:
     """Equal iff the clutch regions have the same order type and the
-    components agree under the unique isomorphism between them."""
+    components agree under the unique isomorphism between them, that is,
+    iff the canonical forms are equal.  Also decides coskand equality."""
     return map_equal(x.mapping, y.mapping)
 
 
-def coskand_equal(x: Coskand, y: Coskand) -> bool:
-    return map_equal(x.mapping, y.mapping)
+coskand_equal = skand_equal
 
 
 def is_reflexive(s: Skand) -> bool:
@@ -584,12 +492,9 @@ def is_weakly_periodic(s: Skand, tau) -> bool:
         return _word_is_tau_periodic(m.word(), tau.as_int())
     cuts = [b for b in m.boundaries() if b.cmp(window) < 0]
     k = _stable_multiplier(tau, cuts) + 2
-    for sigma in range(k):
-        a = m.sub(tau * sigma, tau * (sigma + 1))
-        b = m.sub(tau * (sigma + 1), tau * (sigma + 2))
-        if not map_equal(a, b):
-            return False
-    return True
+    first = normalize_map(m.sub(OZERO, tau))
+    return all(normalize_map(m.sub(tau * sigma, tau * (sigma + 1))) == first
+               for sigma in range(1, k + 1))
 
 
 def _critical_block_starts(m: TransfiniteMap):
@@ -613,39 +518,29 @@ def _critical_window_multiples(m: TransfiniteMap, exp_plus_one: Ordinal):
     representative past the last boundary.  All other multiples land inside
     a single trailing segment and repeat the generic one."""
     window = Ordinal.omega_pow(exp_plus_one)
-    quots = {OZERO, OONE, Ordinal.from_int(2)}
+    quots = [OZERO, OONE, Ordinal.from_int(2)]
     for b in m.boundaries():
         q, _ = divmod_omega_pow(b, exp_plus_one)
-        quots.update((q, q + 1, q + 2))
-    out = []
-    for q in quots:
-        lam = window * q
-        if lam.cmp(m.total) < 0 and lam not in out:
-            out.append(lam)
-    return out
+        quots += (q, q + 1, q + 2)
+    total = m.total
+    return [lam for lam in dict.fromkeys(window * q for q in quots)
+            if lam.cmp(total) < 0]
 
 
 def _critical_shift_points(m: TransfiniteMap, tau: Ordinal):
-    """Positions P whose tails can behave differently under a +tau shift:
-    window multiples and segment landmarks, each with a spread of finite
-    offsets to exercise every cycle phase."""
-    span = 2
-    for _, pat in m.segments:
-        if isinstance(pat, Cycle):
-            span = max(span, 2 * len(pat.values))
-    if tau.is_finite():
-        span += tau.as_int()
-    bases = list(_critical_window_multiples(m, tau.leading_exp + 1))
+    """Positions P whose tails can behave differently under a +tau shift,
+    tau infinite: window multiples and segment landmarks, each with a spread
+    of finite offsets to exercise every cycle phase."""
+    span = max([2] + [2 * len(pat.values) for _, pat in m.segments
+                      if isinstance(pat, Cycle)])
+    bases = _critical_window_multiples(m, tau.leading_exp + 1)
     for b in m.boundaries():
-        for extra in (OZERO, OMEGA, OMEGA * 2):
-            bases.append(b + extra)
-    out = []
-    for base in bases:
-        for j in range(span + 1):
-            p = base + Ordinal.from_int(j)
-            if p.cmp(m.total) < 0 and p not in out:
-                out.append(p)
-    return out
+        bases += (b, b + OMEGA, b + OMEGA * 2)
+    total = m.total
+    return [p for p in dict.fromkeys(base + Ordinal.from_int(j)
+                                     for base in bases
+                                     for j in range(span + 1))
+            if p.cmp(total) < 0]
 
 
 def is_periodic(s: Skand, tau) -> bool:
@@ -666,10 +561,11 @@ def is_periodic(s: Skand, tau) -> bool:
             if not _word_is_tau_periodic(m.slice_from(lam).word(), t):
                 return False
         return True
-    for p in _critical_shift_points(m, tau):
-        if not map_equal(m.slice_from(p), m.slice_from(p + tau)):
-            return False
-    return True
+    # b + j + tau = b + tau for finite j, so many shifted tails coincide:
+    # canonicalize each tail once
+    tail = cache(lambda p: normalize_map(m.slice_from(p)))
+    return all(tail(p) == tail(p + tau)
+               for p in _critical_shift_points(m, tau))
 
 
 def is_strictly_periodic(s: Skand, tau) -> bool:
@@ -682,12 +578,9 @@ def is_strictly_periodic(s: Skand, tau) -> bool:
         return False
     xi1 = tau.leading_exp
     m = s.mapping
-    for lam in _critical_window_multiples(m, xi1 + 1):
-        if not lam:
-            continue
-        if not map_equal(m.slice_from(lam), m):
-            return False
-    return True
+    whole = normalize_map(m)
+    return all(normalize_map(m.slice_from(lam)) == whole
+               for lam in _critical_window_multiples(m, xi1 + 1) if lam)
 
 
 def min_finite_period(s: Skand):
@@ -715,8 +608,9 @@ def _pattern_code(pat) -> Fset:
 
 
 def encode_skand(s: Skand) -> Fset:
-    """Injective founded encoding of the normalized description: one ordered
-    pair (pattern, (start offset, length)) per segment."""
+    """Injective founded encoding of the canonical description: one ordered
+    pair (pattern, (start offset, length)) per segment, so equal skands get
+    equal codes."""
     n = normalize(s)
     elems = []
     for off, (length, pat) in zip(n.mapping.boundaries(), n.mapping.segments):

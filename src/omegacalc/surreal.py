@@ -47,6 +47,9 @@ class Number:
 
     # equality is structural; canonical construction makes it semantic
     def __eq__(self, other):
+        # a finite ordinal equals its int; an infinite one equals no Number
+        if isinstance(other, Ordinal) and other.is_finite():
+            other = other.as_int()
         if isinstance(other, (int, Fraction)):
             other = from_rational(other)
         if not isinstance(other, Number):

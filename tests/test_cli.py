@@ -81,6 +81,35 @@ def test_skand_verbs():
         "[(-1, 1), (-1/2, 1/2)]"
 
 
+def test_equal_skands_normalize_and_encode_alike():
+    pairs = [("const(a):w;const(a):1;cycle(b,a):w;cycle(a,b) @ [0,w^2)",
+              "const(a):w;cycle(a,b) @ [0,w^2)"),
+             ("cycle(b,a):w;cycle(a,b) @ [0,w^2)",
+              "const(b):1;cycle(a,b) @ [0,w^2)")]
+    for x, y in pairs:
+        assert run_line("skand eq %s ;; %s" % (x, y), O) == "true"
+        for op in ("normalize", "encode"):
+            assert run_line("skand %s %s" % (op, x), O) == \
+                run_line("skand %s %s" % (op, y), O), (op, x, y)
+
+
+def test_leftright_zero_is_a_parse_error():
+    with pytest.raises(ParseError):
+        run_line("leftright 0", O)
+
+
+def test_leftright_non_integer_is_a_parse_error():
+    with pytest.raises(ParseError):
+        run_line("leftright abc", O)
+
+
+def test_coords_non_integer_prefix_is_a_parse_error():
+    with pytest.raises(ParseError):
+        run_line("skand coords const({a}) @ [1,w) ;; x", O)
+    with pytest.raises(ParseError):
+        run_line("coskand coords const({a}) @ [1,w) ;; x", O)
+
+
 def test_coskand_verbs():
     assert run_line("coskand kind const({}) @ [0,w)", O) == "individual"
     assert run_line("coskand kind const({}) @ [0,w+2)", O) == "founded-set"

@@ -1,6 +1,9 @@
 """Skands and coskands: predicates cross-validated against definitional
-restriction-equality oracles on randomized finite descriptions."""
+restriction-equality oracles on randomized finite descriptions, and the
+canonical form against a pointwise value_at oracle on every small
+description."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +20,7 @@ from omegacalc import (Atom, Constant, Coskand, Cycle, Extraordinary, Fset,
                        prepend_component, restrict, skand_equal,
                        solve_mirimanoff, value_at)
 from omegacalc.errors import InfiniteLength, InvalidPeriod, OutOfClutchRegion
-from omegacalc.skands import EMPTY, map_equal
+from omegacalc.skands import EMPTY, map_equal, normalize_map
 
 o = parse_ordinal
 W = o("w")
@@ -545,44 +548,82 @@ def test_skand_json_round_trip():
     assert isinstance(back, Coskand) and coskand_equal(back, c)
 
 
+# -- pointwise oracle --------------------------------------------------------
+#
+# Every description of at most two segments with lengths in GRID_LENGTHS and
+# patterns in GRID_PATTERNS, judged by component values alone.
+
+GRID_LENGTHS = [o(t) for t in ("1", "2", "w", "w+1", "w*2", "w^2")]
+GRID_PATTERNS = [Constant(A), Constant(B)] + \
+    [Cycle(vs) for k in (1, 2) for vs in itertools.product((A, B), repeat=k)]
+GRID_SEGMENTS = [(length, pat) for length in GRID_LENGTHS
+                 for pat in GRID_PATTERNS]
+GRID_MAPS = [TransfiniteMap.from_segments(segs) for segs in
+             [[s] for s in GRID_SEGMENTS]
+             + [[s, t] for s in GRID_SEGMENTS for t in GRID_SEGMENTS]]
+# m runs to 2 * lcm(cycle lengths) + the longest finite run = 2*2 + (2+2)
+GRID = [o("w^2*%d + w*%d + %d" % (a, b, m))
+        for a in range(2) for b in range(4) for m in range(9)]
+
+
+def grid_signature(m):
+    """The total and the components of m on GRID, found with value_at only.
+
+    The grid is complete for GRID_MAPS: two of them with equal signatures
+    are equal at every position.  A position is lam + m with lam zero or a
+    limit, and [lam, lam+w) is a w-block.
+    - Within one block a description's components form a word h + p^w with
+      |p| dividing a cycle length (so |p| <= 2) and |h| at most the sum of
+      the finite parts of the segment lengths (at most 4): the block's
+      prefix is the finite tail of an earlier segment plus finite segments.
+      Two such words are equal iff they agree on their first
+      max |h| + lcm(|p|, |p'|) letters, which m < 9 covers.  A last,
+      partial block is a finite word of at most 4 letters.
+    - Across blocks: let [lam, lam+w) contain no segment boundary of either
+      description, and let c be the last boundary before it.  From the
+      block after c's block on, each description stays inside one segment
+      whose cycle restarts at every limit, so block lam has the word of
+      block lp(c) + w (lp: the limit part), or of block c itself when c is
+      a limit.  A map in GRID_MAPS has boundaries 0 and a length in
+      GRID_LENGTHS, with limit parts 0, w, w*2 and w^2; its canonical form
+      adds boundaries only inside those blocks or at the limit ending one.
+      So every block that can differ starts at a*w^2 + b*w, a <= 1, b <= 3.
+    """
+    total = m.total
+    return total, tuple(m.value_at(p) for p in GRID if p.cmp(total) < 0)
+
+
 def test_normalize_preserves_semantics():
-    from omegacalc.skands import map_equal as me
-    rng = random.Random(53)
-    for _ in range(400):
-        s = random_skand(rng)
-        ns = normalize(s)
-        assert ns.start == o("0")
-        assert ns.length == s.length
-        assert me(ns.mapping, s.mapping)
-        # canonical form is a fixpoint
-        assert normalize(ns).mapping == ns.mapping
+    for m in GRID_MAPS:
+        canon = normalize_map(m)
+        assert grid_signature(canon) == grid_signature(m), (m, canon)
+        # the canonical form is a fixpoint
+        assert normalize_map(canon) == canon, m
+        assert normalize(Skand(o("w+3"), m)) == Skand(o("0"), canon)
 
 
-def test_map_equal_agrees_with_pointwise_sampling():
-    from omegacalc.skands import map_equal as me
-    rng = random.Random(54)
-    agree = 0
-    for _ in range(300):
-        x = random_skand(rng, False)
-        if rng.random() < 0.5:
-            y = Skand(o("0"), equivalent_variant(rng, x).mapping)
-        else:
-            y = random_skand(rng, False)
-        if x.length != y.length:
-            continue
-        if me(x.mapping, y.mapping):
-            agree += 1
-            for p in sample_positions(rng, x) + sample_positions(rng, y):
-                assert value_at(x, p) == value_at(y, p)
-    # make sure the positive branch was actually exercised
-    assert agree >= 50
+def test_map_equal_agrees_with_pointwise_grid():
+    # grouping by grid signature and grouping by canonical form give the
+    # same partition: each signature has one canonical form and vice versa
+    pairs = {(grid_signature(m), normalize_map(m)) for m in GRID_MAPS}
+    assert len({sig for sig, _ in pairs}) == len(pairs)
+    assert len({canon for _, canon in pairs}) == len(pairs)
+    # map_equal decides the same relation: equal within a signature class,
+    # unequal between classes of the same total
+    reps = {}
+    for m in GRID_MAPS:
+        assert map_equal(m, reps.setdefault(grid_signature(m), m))
+    reps = list(reps.items())
+    assert len(reps) < len(GRID_MAPS) / 4
+    for i, (sig, x) in enumerate(reps):
+        for other, y in reps[i + 1:]:
+            assert sig[0] != other[0] or not map_equal(x, y)
 
 
 def test_normalize_identifies_adversarial_redescriptions():
-    from omegacalc.skands import normalize_map
     one, two = Atom("1"), Atom("2")
     cases = [
-        # a rotated w-block followed by the base cycle is a unit prefix
+        # a unit prefix is absorbed into a rotated w-block
         ([(W, Cycle((two, one))), (W, Cycle((one, two)))],
          [(o("1"), Constant(two)), (o("w*2"), Cycle((one, two)))]),
         # an aligned full period folds into the cycle
@@ -600,6 +641,12 @@ def test_normalize_identifies_adversarial_redescriptions():
         # a misaligned unit must NOT fold
         ([(o("1"), Constant(one)), (o("w*2"), Cycle((one, two)))],
          [(o("1"), Constant(one)), (o("w*2"), Cycle((one, two)))]),
+        # a unit that a rotation absorbs, after a constant block and alone
+        ([(W, Constant(A)), (o("1"), Constant(A)), (W, Cycle((B, A))),
+          (o("w^2"), Cycle((A, B)))],
+         [(W, Constant(A)), (o("w^2"), Cycle((A, B)))]),
+        ([(W, Cycle((B, A))), (o("w^2"), Cycle((A, B)))],
+         [(o("1"), Constant(B)), (o("w^2"), Cycle((A, B)))]),
     ]
     for left, right in cases:
         lm = normalize_map(TransfiniteMap.from_segments(left))

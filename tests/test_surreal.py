@@ -215,6 +215,18 @@ def test_rationals_hash_as_fractions():
     assert hash(W) != hash(1)
 
 
+def test_equality_with_ordinals_is_transitive():
+    from omegacalc import OMEGA, Ordinal
+    for k in (0, 1, 3, 2 ** 70):
+        assert from_rational(k) == Ordinal.from_int(k)
+        assert Ordinal.from_int(k) == from_rational(k)
+        assert len({from_rational(k), Ordinal.from_int(k), k}) == 1
+    # an infinite ordinal equals no Number, so hash needs no agreement
+    assert from_ordinal(OMEGA) != OMEGA and OMEGA != from_ordinal(OMEGA)
+    assert len({from_ordinal(OMEGA), OMEGA}) == 2
+    assert from_rational(Fraction(1, 2)) != Ordinal.from_int(1)
+
+
 # -- canonical-form properties ------------------------------------------------
 # Numbers are built by a naive quadratic merge that compares every incoming
 # exponent with every kept one by value (exp_cmp).  It never relies on
