@@ -361,6 +361,9 @@ def main(argv=None) -> int:
     ap.add_argument("--strict", action="store_true",
                     help="stop a script at its first error")
     ns = ap.parse_args(argv)
+    for flag, value in (("--max-terms", ns.max_terms), ("--depth", ns.depth)):
+        if value < 1:
+            ap.error("%s must be >= 1, got %d" % (flag, value))
     options = Options(max_terms=ns.max_terms, json=ns.json, depth=ns.depth,
                       strict=ns.strict)
     if ns.script is None:

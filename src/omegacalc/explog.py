@@ -18,8 +18,8 @@ from math import factorial
 from .errors import (LeadingCoefficientNotOne, NonPositive, NotInDomain,
                      RealPartNotZero, ZeroInput)
 from .surreal import (MINUS_ONE, ONE, OMEGA, ZERO, Number, TruncatedNumber,
-                      add, exp_as_number, exp_cmp, from_rational, from_terms,
-                      mul, negate, omega_pow, sign)
+                      add, exp_as_number, exp_cmp, from_rational, mul,
+                      negate, omega_pow, sign)
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ def decompose(x: Number) -> Decomposition:
     return Decomposition(Number(tuple(inf)), real, Number(tuple(small)))
 
 
-def _shift_exponents(x: Number, delta: Number) -> Number:
-    return from_terms((add(exp_as_number(e), delta), c) for e, c in x.terms)
-
-
 def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
     """e^x for x with zero real part; exact iff x has no infinitesimal part."""
     if max_terms < 1:
@@ -55,7 +51,7 @@ def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
     if d.real_part:
         raise RealPartNotZero("exp needs a zero exponent-0 coefficient, got %s"
                               % (d.real_part,))
-    factor = omega_pow(_shift_exponents(d.purely_infinite, MINUS_ONE))
+    factor = omega_pow(mul(omega_pow(MINUS_ONE), d.purely_infinite))
     if not d.infinitesimal:
         return TruncatedNumber(factor, True)
     series = ZERO
@@ -91,7 +87,7 @@ def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
     rest = Number(y.terms[1:])
     if not rest:
         return TruncatedNumber(main, True)
-    delta = _shift_exponents(rest, negate(z0))
+    delta = mul(omega_pow(negate(z0)), rest)
     series = ZERO
     power = delta
     for n in range(1, max_terms + 1):

@@ -68,10 +68,17 @@ def tokenize(text):
     return out
 
 
+# Deepest bracket or exponent nesting a parser accepts.  Each level costs up
+# to six Python frames, so this keeps well inside the default recursion
+# limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -101,6 +108,16 @@ class _Parser:
 
     def fail(self, msg):
         raise ParseError(msg, self.peek()[2])
+
+    def nested(self, parse, *args):
+        """parse(self, *args) one nesting level deeper; every recursive
+        descent goes through here, so the depth is bounded in one place."""
+        if self.depth >= MAX_DEPTH:
+            self.fail("nested more than %d deep" % MAX_DEPTH)
+        self.depth += 1
+        value = parse(self, *args)
+        self.depth -= 1
+        return value
 
 
 # -- ordinal expressions ----------------------------------------------------
@@ -143,12 +160,12 @@ def _ofact(p) -> Ordinal:
         p.next()
         if p.accept("^"):
             if p.accept("("):
-                e = _oexpr(p)
+                e = p.nested(_oexpr)
                 p.expect(")")
             elif p.peek()[0] == "int":
                 e = Ordinal.from_int(int(p.next()[1]))
             elif p.at("w"):
-                e = _ofact(p)
+                e = p.nested(_ofact)
             else:
                 p.fail("expected an ordinal exponent")
             return Ordinal.omega_pow(e)
@@ -158,7 +175,7 @@ def _ofact(p) -> Ordinal:
         return Ordinal.from_int(int(text))
     if text == "(":
         p.next()
-        value = _oexpr(p)
+        value = p.nested(_oexpr)
         p.expect(")")
         return value
     raise ParseError("expected an ordinal", pos)
@@ -206,6 +223,8 @@ def _combine(a: TruncatedNumber, b: TruncatedNumber, value) -> TruncatedNumber:
 
 
 def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
+    if max_terms < 1:
+        raise ParseError("max_terms must be >= 1, got %d" % max_terms)
     p = _Parser(text)
     value = _nexpr(p, max_terms)
     if not p.done():
@@ -251,11 +270,14 @@ def _nterm(p, mt) -> TruncatedNumber:
 
 
 def _nfact(p, mt) -> TruncatedNumber:
-    if p.accept("-"):
-        inner = _nfact(p, mt)
-        return TruncatedNumber(negate(inner.value), inner.exact,
-                               inner.dropped_terms_bound)
-    return _nprim(p, mt)
+    neg = False
+    while p.accept("-"):
+        neg = not neg
+    value = _nprim(p, mt)
+    if not neg:
+        return value
+    return TruncatedNumber(negate(value.value), value.exact,
+                           value.dropped_terms_bound)
 
 
 def _nprim(p, mt) -> TruncatedNumber:
@@ -268,7 +290,7 @@ def _nprim(p, mt) -> TruncatedNumber:
     if text == "eps":
         p.next()
         p.expect("[")
-        idx = _nexpr(p, mt)
+        idx = p.nested(_nexpr, mt)
         p.expect("]")
         if not idx.exact:
             raise ParseError("epsilon index must be exact", pos)
@@ -276,7 +298,7 @@ def _nprim(p, mt) -> TruncatedNumber:
     if text in ("exp", "ln"):
         p.next()
         p.expect("(")
-        arg = _nexpr(p, mt)
+        arg = p.nested(_nexpr, mt)
         p.expect(")")
         fn = explog.exp if text == "exp" else explog.ln
         res = fn(arg.value, mt)
@@ -289,14 +311,14 @@ def _nprim(p, mt) -> TruncatedNumber:
         return _exact(from_rational(int(text)))
     if text == "(":
         p.next()
-        value = _nexpr(p, mt)
+        value = p.nested(_nexpr, mt)
         p.expect(")")
         return value
     if text == "{":
         p.next()
-        left = _game_side(p, mt, "|")
+        left = p.nested(_game_side, mt, "|")
         p.expect("|")
-        right = _game_side(p, mt, "}")
+        right = p.nested(_game_side, mt, "}")
         p.expect("}")
         d = simplest_dyadic_game(left, right)
         return _exact(from_rational(Fraction(d)))
@@ -306,7 +328,7 @@ def _nprim(p, mt) -> TruncatedNumber:
 def _nexponent(p, mt) -> Number:
     kind, text, pos = p.peek()
     if p.accept("("):
-        e = _nexpr(p, mt)
+        e = p.nested(_nexpr, mt)
         p.expect(")")
         if not e.exact:
             raise ParseError("exponent must be exact", pos)
@@ -399,7 +421,7 @@ def _setterm(p):
         elems = []
         if not p.at("}"):
             while True:
-                elems.append(_setterm(p))
+                elems.append(p.nested(_setterm))
                 if not p.accept(","):
                     break
         p.expect("}")
@@ -500,7 +522,7 @@ def _brace_tree(p):
             p.next()
             items.append(("leaf", text))
         elif p.at("{"):
-            items.append(_brace_tree(p))
+            items.append(p.nested(_brace_tree))
         else:
             p.fail("expected a set term or nested brace")
         if not p.accept(","):

@@ -195,12 +195,12 @@ def sign(x: Number) -> int:
 def from_terms(pairs) -> Number:
     """Build a Number from (exponent, coefficient) pairs in any order.
 
-    Exponents are canonical (built here, with _norm_exp collapsing a Number
-    equal to eps_a to the atom), so equal exponents are structurally equal
-    and lie side by side after one sort by exp_cmp.  The sort merges the
-    sorted runs callers pass: two for add, one row a_i*b per term for mul
-    (Monagan & Pearce's row merge, without a heap).  Hashing the exponents
-    instead would re-hash every Fraction in them, which costs more.
+    This is the one constructor that sorts: the parser, the embeddings and
+    omega_pow hand it pairs in no particular order.  Exponents are made
+    canonical here (_norm_exp collapses a Number equal to eps_a to the
+    atom), so equal exponents are structurally equal and lie side by side
+    after one sort by exp_cmp.  Hashing the exponents instead would re-hash
+    every Fraction in them, which costs more.
     """
     terms = [(_norm_exp(e), c if type(c) is Fraction else Fraction(c))
              for e, c in pairs if c]
@@ -211,6 +211,39 @@ def from_terms(pairs) -> Number:
             c += merged.pop()[1]
         merged.append((e, c))
     return Number(tuple(p for p in merged if p[1]))
+
+
+def _merge(s, t) -> list:
+    """The sum of two canonical term sequences, as a canonical list.
+
+    A canonical sequence has canonical exponents in strictly decreasing
+    exp_cmp order and nonzero Fraction coefficients, as every Number's
+    terms do.  A single linear pass keeps the invariant: the larger head
+    goes first, equal heads add their coefficients, and a zero sum is
+    dropped.
+    """
+    out = []
+    i = j = 0
+    ns, nt = len(s), len(t)
+    while i < ns and j < nt:
+        e, c = s[i]
+        f, d = t[j]
+        k = exp_cmp(e, f)
+        if k > 0:
+            out.append(s[i])
+            i += 1
+        elif k < 0:
+            out.append(t[j])
+            j += 1
+        else:
+            c += d
+            if c:
+                out.append((e, c))
+            i += 1
+            j += 1
+    out.extend(s[i:])
+    out.extend(t[j:])
+    return out
 
 
 # -- embeddings ---------------------------------------------------------
@@ -242,7 +275,11 @@ def omega_pow(x) -> Number:
 # -- ring operations ------------------------------------------------------
 
 def add(a: Number, b: Number) -> Number:
-    return from_terms(itertools.chain(a.terms, b.terms))
+    if not a.terms:
+        return b
+    if not b.terms:
+        return a
+    return Number(tuple(_merge(a.terms, b.terms)))
 
 
 def negate(a: Number) -> Number:
@@ -254,12 +291,22 @@ def sub(a: Number, b: Number) -> Number:
 
 
 def mul(a: Number, b: Number) -> Number:
-    out = []
+    """Sparse product: one row a_i*b per term of the shorter operand, merged
+    pairwise (Monagan & Pearce's row merge).  Adding a fixed exponent keeps
+    a row strictly decreasing, so no row needs sorting."""
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    if not a.terms:
+        return ZERO
+    other = [(exp_as_number(f), d) for f, d in b.terms]
+    rows = []
     for e, c in a.terms:
-        en = exp_as_number(e)
-        for f, d in b.terms:
-            out.append((add(en, exp_as_number(f)), c * d))
-    return from_terms(out)
+        e = exp_as_number(e)
+        rows.append([(_norm_exp(add(e, f)), c * d) for f, d in other])
+    while len(rows) > 1:
+        odd = rows[-1:] if len(rows) % 2 else []
+        rows = [_merge(s, t) for s, t in zip(rows[::2], rows[1::2])] + odd
+    return Number(tuple(rows[0]))
 
 
 @dataclass(frozen=True)

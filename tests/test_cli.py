@@ -110,6 +110,30 @@ def test_coords_non_integer_prefix_is_a_parse_error():
         run_line("coskand coords const({a}) @ [1,w) ;; x", O)
 
 
+def test_max_terms_below_one_is_a_parse_error(tmp_path, capsys):
+    with pytest.raises(ParseError):
+        run_line("eval 1/(w+1)", Options(max_terms=0))
+    script = tmp_path / "s.calc"
+    script.write_text("eval 1/(w+1)\n")
+    for flag in ("--max-terms", "--depth"):
+        with pytest.raises(SystemExit) as exc:
+            main([str(script), flag, "0"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 3000 + "1" + ")" * 3000
+    for line in ("eval " + deep, "ord " + deep, "eval " + "w^(" * 3000 + "1"
+                 + ")" * 3000, "ord " + "w^" * 3000 + "w",
+                 "skand normalize const(" + "{" * 3000 + "}" * 3000
+                 + ") @ [0,w)"):
+        with pytest.raises(ParseError, match="nested more than"):
+            run_line(line, O)
+    assert run_line("eval " + "(" * 100 + "w" + ")" * 100, O) == "w*1"
+    assert run_line("eval " + "-" * 3001 + "1", O) == "-1"
+
+
 def test_coskand_verbs():
     assert run_line("coskand kind const({}) @ [0,w)", O) == "individual"
     assert run_line("coskand kind const({}) @ [0,w+2)", O) == "founded-set"
