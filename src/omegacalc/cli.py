@@ -71,6 +71,22 @@ def _int_arg(text: str, what: str, minimum: int = 0) -> int:
     return n
 
 
+def _braces(s, options) -> str:
+    """The brace rendering of a skand or coskand at options.depth;
+    ParseError for a depth below 1."""
+    if options.depth < 1:
+        raise ParseError("depth must be >= 1, got %d" % options.depth)
+    return exprs.brace_render(s, options.depth)
+
+
+def _coords(s, text: str) -> str:
+    """The brace coordinates of the first `text` positions of s."""
+    pairs = skands.brace_coordinates(s, _int_arg(text, "prefix"))
+    return "[%s]" % ", ".join("(%s, %s)" % (exprs.render_number(lo),
+                                             exprs.render_number(hi))
+                              for lo, hi in pairs)
+
+
 _CMP_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
 
 
@@ -169,7 +185,7 @@ def _run_skand(rest, options) -> str:
         if not isinstance(s, skands.Skand):
             raise ParseError("expected a skand literal")
         if op == "render":
-            return exprs.brace_render(s, options.depth)
+            return _braces(s, options)
         if op == "normalize":
             n = skands.normalize(s)
             return "%s @ [%s, %s)" % (exprs.render_segments(n.mapping),
@@ -202,12 +218,9 @@ def _run_skand(rest, options) -> str:
                 skands.value_at(s, exprs.parse_ordinal(b)))
         if op == "restrict":
             r = skands.restrict(s, exprs.parse_ordinal(b))
-            return exprs.brace_render(r, options.depth)
+            return _braces(r, options)
         if op == "coords":
-            pairs = skands.brace_coordinates(s, _int_arg(b, "prefix"))
-            out = ["(%s, %s)" % (exprs.render_number(lo),
-                                 exprs.render_number(hi)) for lo, hi in pairs]
-            return "[%s]" % ", ".join(out)
+            return _coords(s, b)
         tau = exprs.parse_ordinal(b)
         fn = {"weakly": skands.is_weakly_periodic,
               "periodic": skands.is_periodic,
@@ -230,14 +243,10 @@ def _run_coskand(rest, options) -> str:
         return exprs.render_setterm(skands.value_at(c, exprs.parse_ordinal(b)))
     if op == "coords":
         a, b = _split_args(body, 2)
-        c = _as_coskand(exprs.parse_skand(a))
-        pairs = skands.brace_coordinates(c, _int_arg(b, "prefix"))
-        out = ["(%s, %s)" % (exprs.render_number(lo), exprs.render_number(hi))
-               for lo, hi in pairs]
-        return "[%s]" % ", ".join(out)
+        return _coords(_as_coskand(exprs.parse_skand(a)), b)
     c = _as_coskand(exprs.parse_skand(body))
     if op == "render":
-        return exprs.brace_render(c, options.depth)
+        return _braces(c, options)
     if op == "kind":
         kind = skands.coskand_kind(c)
         return _json({"result": kind}) if options.json else kind
@@ -284,7 +293,7 @@ def _run_solve(rest, options) -> str:
         return _flag(skands.is_solution(s, eq), options)
     eq = _build_equation(form, _split_args(body))
     witness = skands.solve_mirimanoff(eq)
-    return exprs.brace_render(witness, options.depth)
+    return _braces(witness, options)
 
 
 def _build_equation(form, parts):

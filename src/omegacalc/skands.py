@@ -15,14 +15,16 @@ p primitive and h shortest; h is written as constant runs, a block whose p
 is a rotation of the segment's cycle gets a piece of length w of its own,
 and adjacent equal patterns merge.  Two descriptions are equal iff their
 canonical forms are, and the founded-set encoding encodes the canonical
-form.  The reflexivity / self-similarity / periodicity predicates are
-decided symbolically on the finite description too; nothing is ever
-enumerated transfinitely.
+form.  Finite periods are read off the same form: since h is shortest and
+p primitive, a block is purely periodic exactly when h is empty, that is,
+when it lies in a canonical segment of limit length, and its finite periods
+are then the multiples of |p| (Fine-Wilf).  The reflexivity /
+self-similarity / periodicity predicates are decided symbolically on the
+finite description; nothing is ever enumerated transfinitely.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -200,24 +202,6 @@ class TransfiniteMap:
             t = t + length
         return out
 
-    def word(self):
-        """The first w positions as an ultimately periodic word:
-        (prefix values, period values or None when the map is finite)."""
-        prefix = []
-        for length, pat in self.segments:
-            if length.is_finite():
-                n = length.as_int()
-                if isinstance(pat, Constant):
-                    prefix.extend([pat.value] * n)
-                else:
-                    prefix.extend(pat.values[i % len(pat.values)]
-                                  for i in range(n))
-                continue
-            if isinstance(pat, Constant):
-                return tuple(prefix), (pat.value,)
-            return tuple(prefix), tuple(pat.values)
-        return tuple(prefix), None
-
 
 def _pattern_value(pat, offset: Ordinal):
     if isinstance(pat, Constant):
@@ -262,6 +246,10 @@ def _extend_runs(runs: list, values: tuple, count: int) -> list:
     return runs
 
 
+def _values(pat) -> tuple:
+    return pat.values if isinstance(pat, Cycle) else (pat.value,)
+
+
 def _canonical_pieces(m: TransfiniteMap):
     """The w-block pieces of m, in order, before adjacent equal patterns
     merge.  `head` holds the open block's finite prefix as [value, count]
@@ -272,7 +260,7 @@ def _canonical_pieces(m: TransfiniteMap):
     head = []
     for length, pat in m.segments:
         pat = _norm_pattern(pat)
-        values = pat.values if isinstance(pat, Cycle) else (pat.value,)
+        values = _values(pat)
         n = len(values)
         if length.is_finite():
             _extend_runs(head, values, length.as_int())
@@ -312,6 +300,16 @@ def canonical_segments(m: TransfiniteMap):
             last = (length, pat)
     if last:
         yield last
+
+
+def _leading_period(m: TransfiniteMap):
+    """p when the first w positions of m form the word p^w, else None.
+    Because the canonical h is shortest, h is empty exactly when the first
+    canonical segment is infinite, and its pattern is then the primitive p.
+    Only the segments up to the first infinite one are read."""
+    for length, pat in canonical_segments(m):
+        return None if length.is_finite() else _values(pat)
+    return None
 
 
 def normalize_map(m: TransfiniteMap) -> TransfiniteMap:
@@ -428,12 +426,9 @@ coskand_equal = skand_equal
 
 def is_reflexive(s: Skand) -> bool:
     """Equal to its one-step tail: length >= w and one constant value on the
-    first w positions."""
-    if s.length.cmp(OMEGA) < 0:
-        return False
-    prefix, period = s.mapping.word()
-    vals = set(prefix) | set(period)
-    return len(vals) == 1
+    first w positions, that is, they form p^w with |p| = 1."""
+    p = _leading_period(s.mapping)
+    return p is not None and len(p) == 1
 
 
 def is_self_similar(s: Skand) -> bool:
@@ -450,24 +445,6 @@ def is_self_similar(s: Skand) -> bool:
 # -- periodicity -------------------------------------------------------------
 
 
-def _word_value(word, i: int):
-    prefix, period = word
-    if i < len(prefix):
-        return prefix[i]
-    if period is None:
-        raise IndexError(i)
-    return period[(i - len(prefix)) % len(period)]
-
-
-def _word_is_tau_periodic(word, tau: int) -> bool:
-    prefix, period = word
-    if period is None:
-        return False
-    bound = len(prefix) + len(period) + tau
-    return all(_word_value(word, i) == _word_value(word, i + tau)
-               for i in range(bound))
-
-
 def _stable_multiplier(step: Ordinal, points) -> int:
     """Least k with step*k >= every point (all points < sup step*k)."""
     k = 0
@@ -479,37 +456,25 @@ def _stable_multiplier(step: Ordinal, points) -> int:
 
 def is_weakly_periodic(s: Skand, tau) -> bool:
     """Tails inside the window [0, w^(xi1+1)) repeat under a (+)tau shift,
-    where xi1 is the leading exponent of tau (Cantor normal form)."""
+    where xi1 is the leading exponent of tau (Cantor normal form).  For a
+    finite tau the window is the first w-block: it must be p^w with p
+    primitive, whose finite periods are the multiples of |p| (Fine-Wilf)."""
     tau = _ord(tau)
     if not tau:
         raise InvalidPeriod("period must be a nonzero ordinal")
+    m = s.mapping
+    if tau.is_finite():
+        p = _leading_period(m)
+        return p is not None and tau.as_int() % len(p) == 0
     xi1 = tau.leading_exp
     window = Ordinal.omega_pow(xi1 + 1)
     if s.length.cmp(window) < 0:
         return False
-    m = s.mapping
-    if tau.is_finite():
-        return _word_is_tau_periodic(m.word(), tau.as_int())
     cuts = [b for b in m.boundaries() if b.cmp(window) < 0]
     k = _stable_multiplier(tau, cuts) + 2
     first = normalize_map(m.sub(OZERO, tau))
     return all(normalize_map(m.sub(tau * sigma, tau * (sigma + 1))) == first
                for sigma in range(1, k + 1))
-
-
-def _critical_block_starts(m: TransfiniteMap):
-    """Limit offsets whose w-blocks can differ: blocks containing a segment
-    boundary plus the first interior block of each segment."""
-    out = set()
-    total = m.total
-    for b in m.boundaries():
-        lp = b.limit_part()
-        if lp.cmp(total) < 0:
-            out.add(lp)
-        nxt = lp + OMEGA
-        if nxt.cmp(total) < 0:
-            out.add(nxt)
-    return out
 
 
 def _critical_window_multiples(m: TransfiniteMap, exp_plus_one: Ordinal):
@@ -546,7 +511,9 @@ def _critical_shift_points(m: TransfiniteMap, tau: Ordinal):
 def is_periodic(s: Skand, tau) -> bool:
     """Every tail is weakly periodic with the same period.  Equivalent to:
     every normal-form exponent of the length is > the leading exponent of
-    tau, and tail(P) equals tail(P + tau) at every position P."""
+    tau, and tail(P) equals tail(P + tau) at every position P.  For a finite
+    tau every w-block must be p^w with |p| dividing tau: every canonical
+    segment has limit length (no block has a prefix h) and such a pattern."""
     tau = _ord(tau)
     if not tau:
         raise InvalidPeriod("period must be a nonzero ordinal")
@@ -557,10 +524,8 @@ def is_periodic(s: Skand, tau) -> bool:
     m = s.mapping
     if tau.is_finite():
         t = tau.as_int()
-        for lam in _critical_block_starts(m):
-            if not _word_is_tau_periodic(m.slice_from(lam).word(), t):
-                return False
-        return True
+        return all(length.is_limit() and t % len(_values(pat)) == 0
+                   for length, pat in canonical_segments(m))
     # b + j + tau = b + tau for finite j, so many shifted tails coincide:
     # canonicalize each tail once
     tail = cache(lambda p: normalize_map(m.slice_from(p)))
@@ -584,16 +549,10 @@ def is_strictly_periodic(s: Skand, tau) -> bool:
 
 
 def min_finite_period(s: Skand):
-    """Smallest finite n with is_weakly_periodic(s, n); None when no finite
-    period up to the description-derived bound works."""
-    if s.length.cmp(OMEGA) < 0:
-        return None
-    prefix, period = s.mapping.word()
-    bound = len(prefix) + 2 * max(1, len(period))
-    for n in range(1, bound + 1):
-        if is_weakly_periodic(s, n):
-            return n
-    return None
+    """Smallest finite n with is_weakly_periodic(s, n): |p| when the first
+    w positions form p^w, else None (no finite period works)."""
+    p = _leading_period(s.mapping)
+    return None if p is None else len(p)
 
 
 # -- founded-set encoding -----------------------------------------------------
@@ -732,20 +691,15 @@ def is_solution(s: Skand, eq) -> bool:
     """Checks the defining first-w structure of the equation."""
     if s.length.cmp(OMEGA) < 0:
         return False
-    word = s.mapping.word()
     if isinstance(eq, Reflexive):
-        target = Fset(eq.components)
-        prefix, period = word
-        return all(v == target for v in prefix) and \
-            all(v == target for v in period)
+        return _leading_period(s.mapping) == (Fset(eq.components),)
     if isinstance(eq, Periodic):
+        # two purely periodic words are equal iff their primitive roots are
         vals = tuple(_block_set(b) for b in eq.blocks)
-        n = len(vals)
-        prefix, period = word
-        bound = len(prefix) + math.lcm(max(len(period), 1), n) + n
-        return all(_word_value(word, i) == vals[i % n] for i in range(bound))
+        return _leading_period(s.mapping) == _primitive(vals)
     if isinstance(eq, Extraordinary):
         blocks = [_block_set(b) for i, b in
                   zip(range(eq.prefix_length), eq.blocks)]
-        return all(_word_value(word, i) == b for i, b in enumerate(blocks))
+        return all(s.mapping.value_at(Ordinal.from_int(i)) == b
+                   for i, b in enumerate(blocks))
     raise TypeError("not a Mirimanoff equation: %r" % (eq,))

@@ -454,32 +454,3 @@ def real_limit_from_sequences(left, right, max_iter: int = 64) -> Fraction:
         raise NoConvergenceDetected(
             "no stable pinned rational within %d terms" % max_iter)
     return candidate
-
-
-# -- exhaustive day-by-day game enumeration (kept simple; it is also the
-#    oracle used by the acceptance suite) ---------------------------------
-
-def numbers_born_by(day: int):
-    """List of all numbers (as Fractions) in M_day, constructed day by day
-    with the simplicity rule; day 0 is [0]."""
-    made = [Fraction(0)]
-    for _ in range(day):
-        new = []
-        ext = sorted(made)
-        new.append(ext[0] - 1)
-        new.append(ext[-1] + 1)
-        for a, b in zip(ext, ext[1:]):
-            new.append((a + b) / 2)
-        made = sorted(set(made) | set(new))
-    return made
-
-
-def game_geq(x, y, lr_of) -> bool:
-    """x >= y iff no x^R <= y and x <= no y^L, on explicit game forms."""
-    _, xr = lr_of(x)
-    yl, _ = lr_of(y)
-    if any(game_geq(y, r, lr_of) for r in xr):
-        return False
-    if any(game_geq(l, x, lr_of) for l in yl):
-        return False
-    return True

@@ -23,7 +23,8 @@ from omegacalc import (Atom, Constant, Cycle, Fset, Periodic, Reflexive,
                        cycle_skand, make_skand, normalize)
 from omegacalc.ordinals import OMEGA, Ordinal
 from omegacalc.skands import EMPTY
-from omegacalc.surreal import ZERO, numbers_born_by
+from omegacalc.surreal import ZERO
+from oracles import numbers_born_by
 
 n = parse_number
 o = parse_ordinal

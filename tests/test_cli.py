@@ -122,6 +122,15 @@ def test_max_terms_below_one_is_a_parse_error(tmp_path, capsys):
         assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_depth_below_one_is_a_parse_error():
+    for line in ("skand render cycle({a},{b}) @ [0,w)",
+                 "skand restrict const({a}) @ [0,w*2) ;; w",
+                 "coskand render const({}) @ [0,w)",
+                 "solve reflexive {}"):
+        with pytest.raises(ParseError, match="depth must be >= 1"):
+            run_line(line, Options(depth=0))
+
+
 def test_deep_nesting_is_a_parse_error():
     deep = "(" * 3000 + "1" + ")" * 3000
     for line in ("eval " + deep, "ord " + deep, "eval " + "w^(" * 3000 + "1"

@@ -1,10 +1,11 @@
 """Skands and coskands: predicates cross-validated against definitional
 restriction-equality oracles on randomized finite descriptions, and the
-canonical form against a pointwise value_at oracle on every small
-description."""
+canonical form and the finite-period predicates against pointwise value_at
+oracles on every small description."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from omegacalc import (Atom, Constant, Coskand, Cycle, Extraordinary, Fset,
                        ord_add, parse_number, parse_ordinal,
                        prepend_component, restrict, skand_equal,
                        solve_mirimanoff, value_at)
+from omegacalc import skands
 from omegacalc.errors import InfiniteLength, InvalidPeriod, OutOfClutchRegion
 from omegacalc.skands import EMPTY, map_equal, normalize_map
 
@@ -206,6 +208,38 @@ def test_min_finite_period():
     assert min_finite_period(constant_skand(SA, o("3"))) is None
     s = make_skand(0, [(o("2"), Constant(SA)), (W, Constant(SB))])
     assert min_finite_period(s) is None
+
+
+def test_finite_period_predicates_do_not_expand_a_long_prefix():
+    # a constant run of 10^6 positions is one segment; expanding it into
+    # components position by position allocates about 16 MB
+    for total in ("w", "w^2"):
+        s = make_skand(0, [(10 ** 6, Constant(A)), (o(total), Constant(B))])
+        for check in (is_reflexive, lambda s: is_weakly_periodic(s, 2),
+                      lambda s: is_periodic(s, 2),
+                      lambda s: is_solution(s, Reflexive(frozenset([A])))):
+            tracemalloc.start()
+            try:
+                assert not check(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 ** 6, (total, peak)
+
+
+def test_min_finite_period_does_not_search_candidates(monkeypatch):
+    # trying every n up to the prefix length makes ~10^3 calls here
+    calls = [0]
+    inner = skands.is_weakly_periodic
+
+    def counted(s, tau):
+        calls[0] += 1
+        return inner(s, tau)
+
+    monkeypatch.setattr(skands, "is_weakly_periodic", counted)
+    s = make_skand(0, [(1000, Constant(A)), (W, Constant(B))])
+    assert min_finite_period(s) is None
+    assert calls[0] <= 1
 
 
 def weakly_periodic_oracle(s, tau, rng):
@@ -672,3 +706,59 @@ def test_multi_cut_variants_share_canonical_form():
         v = Skand(o("0"), m)
         assert skand_equal(s, v)
         assert encode_skand(s) == encode_skand(v)
+
+
+# Each block's word is h + p^w with |h| <= 4 and |p| <= 2 (see
+# grid_signature); a shift n <= 6 compares letters up to 6 + 6.
+PERIODS = range(1, 7)
+BLOCK_STARTS = [o("w^2*%d + w*%d" % (a, b)) for a in range(2) for b in range(4)]
+
+
+def finite_period_oracle(m):
+    """Reflexivity, weak periodicity and periodicity for n in PERIODS, and
+    the least finite period, judged from component values read with
+    value_at only.
+
+    A block [lam, lam+w) with components x is n-periodic when x[i] ==
+    x[i+n] for every finite i.  Its word is h + p^w with |h| <= 4 and
+    |p| <= 2 (grid_signature), and past h the comparison repeats with
+    period |p|, so i < |h| + |p| <= 6 decides it.  The tails from P < w and
+    from P + n agree from w on (P + n + a = P + a for a >= w), so weak
+    periodicity is n-periodicity of a complete first block; reflexivity is
+    weak periodicity with n = 1.  Periodicity asks every block to be
+    complete and n-periodic: the length is a limit, and by grid_signature's
+    across-blocks argument every block repeats the word of one starting at
+    a*w^2 + b*w, a <= 1, b <= 3.  The least period of h + p^w, when h is
+    empty, is at most |p| <= 2, so PERIODS covers it.
+    """
+    total = m.total
+    words = [[m.value_at(lam + Ordinal.from_int(i)) for i in range(12)]
+             for lam in BLOCK_STARTS if (lam + W).cmp(total) <= 0]
+
+    def shifts(x, n):
+        return all(x[i] == x[i + n] for i in range(6))
+
+    weakly = {n: bool(words) and shifts(words[0], n) for n in PERIODS}
+    periodic = {n: total.is_limit() and all(shifts(x, n) for x in words)
+                for n in PERIODS}
+    least = next((n for n in PERIODS if weakly[n]), None)
+    return weakly[1], weakly, periodic, least
+
+
+def test_finite_periods_agree_with_pointwise_oracle():
+    seen = [0, 0, 0, 0]
+    for m in GRID_MAPS:
+        s = Skand(o("0"), m)
+        reflexive, weakly, periodic, least = finite_period_oracle(m)
+        assert is_reflexive(s) == reflexive, m
+        assert min_finite_period(s) == least, m
+        for n in PERIODS:
+            assert is_weakly_periodic(s, n) == weakly[n], (m, n)
+            assert is_periodic(s, n) == periodic[n], (m, n)
+        seen[0] += sum(weakly.values())
+        seen[1] += sum(periodic.values())
+        seen[2] += reflexive
+        seen[3] += least is not None
+    # the oracle is not vacuous: true weakly / periodic / reflexive /
+    # least-period verdicts over the grid
+    assert seen == [9360, 4122, 1344, 1776]
