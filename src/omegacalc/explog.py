@@ -33,7 +33,7 @@ def decompose(x: Number) -> Decomposition:
     """Split by exponent sign: positive / zero / negative."""
     inf, real, small = [], Fraction(0), []
     for e, c in x.terms:
-        s = exp_cmp(e, ZERO)
+        s = exp_cmp(e, Fraction(0))
         if s > 0:
             inf.append((e, c))
         elif s == 0:
@@ -68,7 +68,7 @@ def in_ln_domain(y: Number) -> bool:
     if sign(y) <= 0:
         return False
     z0 = exp_as_number(y.terms[0][0])
-    return all(exp_cmp(t, MINUS_ONE) > 0 for t, _ in z0.terms)
+    return all(exp_cmp(t, Fraction(-1)) > 0 for t, _ in z0.terms)
 
 
 def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:

@@ -35,7 +35,6 @@ from .ordinals import ZERO as OZERO
 from .surreal import (Dyadic, EpsilonAtom, Number, TruncatedNumber, add,
                       divide, epsilon, from_rational, from_terms, mul, negate,
                       omega_pow, simplest_dyadic_game)
-from .surreal import ZERO as NZERO
 from . import explog
 from . import skands as sk
 
@@ -351,7 +350,8 @@ def _game_side(p, mt, stop):
         if not v.exact:
             p.fail("game members must be exact")
         q = v.value
-        if q and (len(q.terms) != 1 or q.terms[0][0] != NZERO):
+        if q and (len(q.terms) != 1 or type(q.terms[0][0]) is not Fraction
+                  or q.terms[0][0]):
             p.fail("game members must be dyadic rationals")
         try:
             side.append(Dyadic(q.terms[0][1] if q.terms else 0))
@@ -370,22 +370,26 @@ def render_number(x: Number) -> str:
             base = "eps[%s]" % render_number(e.index)
             parts.append(base if c == 1 else "%s*%s" % (base, c))
             continue
-        if e == NZERO:
-            parts.append(str(c))
-        elif e == from_rational(1):
-            parts.append("w*%s" % c)
-        elif len(e.terms) == 1 and e.terms[0][0] == NZERO \
-                and e.terms[0][1].denominator == 1:
-            parts.append("w^%s*%s" % (e.terms[0][1], c))
-        else:
+        if type(e) is not Fraction:
             parts.append("w^(%s)*%s" % (render_number(e), c))
+        elif not e:
+            parts.append(str(c))
+        elif e == 1:
+            parts.append("w*%s" % c)
+        elif e.denominator == 1:
+            parts.append("w^%s*%s" % (e, c))
+        else:
+            parts.append("w^(%s)*%s" % (e, c))
     return " + ".join(parts)
 
 
 def number_to_json(x: Number):
     out = []
     for e, c in x.terms:
-        if isinstance(e, EpsilonAtom):
+        if type(e) is Fraction:
+            # a real exponent q is written as the Number q, [[0, q]]
+            ej = [[[], [e.numerator, e.denominator]]] if e else []
+        elif isinstance(e, EpsilonAtom):
             ej = {"eps": number_to_json(e.index)}
         else:
             ej = number_to_json(e)

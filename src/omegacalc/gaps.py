@@ -19,8 +19,7 @@ from .errors import NotIndecomposable, NotLimit, UnsupportedDescriptor
 from .ordinals import OMEGA, Ordinal, classify_ordinal, divmod_omega_pow
 from .ordinals import ZERO as OZERO
 from .surreal import (Dyadic, Number, add, exp_as_number, exp_cmp,
-                      from_ordinal, from_rational, from_terms, negate,
-                      nf_cmp, sign)
+                      from_ordinal, from_terms, negate, nf_cmp, sign)
 from .surreal import ZERO as NZERO
 
 
@@ -89,13 +88,11 @@ def _label(index: Number) -> GapLabel:
 
 
 def _exponents_all_above(b: Number, bound: Fraction) -> bool:
-    cut = from_rational(bound)
-    return all(exp_cmp(e, cut) > 0 for e, _ in b.terms)
+    return all(exp_cmp(e, bound) > 0 for e, _ in b.terms)
 
 
 def _exponents_all_at_least(b: Number, bound: Fraction) -> bool:
-    cut = from_rational(bound)
-    return all(exp_cmp(e, cut) >= 0 for e, _ in b.terms)
+    return all(exp_cmp(e, bound) >= 0 for e, _ in b.terms)
 
 
 def gap_of(s) -> GapLabel:
@@ -112,21 +109,21 @@ def gap_of(s) -> GapLabel:
             beta = _as_finite_multiple_of_omega(s.base)
             if beta is None:
                 raise UnsupportedDescriptor("increasing ramp base must be beta*w")
-            return GapLabel(1, from_terms([(from_rational(1), Fraction(beta + 1))]))
+            return GapLabel(1, from_terms([(Fraction(1), Fraction(beta + 1))]))
         # (w/2^beta - alpha) -> +inf_{w/2^(beta+1)}
         frac = _as_dyadic_multiple_of_omega(s.base)
         if frac is None:
             raise UnsupportedDescriptor("decreasing ramp base must be w/2^beta")
-        return GapLabel(1, from_terms([(from_rational(1), frac / 2)]))
+        return GapLabel(1, from_terms([(Fraction(1), frac / 2)]))
     if isinstance(s, DyadicRamp):
         if s.base != NZERO and not _exponents_all_above(s.base, Fraction(-1)):
             raise UnsupportedDescriptor("base outside the 1/w-type family")
-        step = from_terms([(from_rational(-1), Fraction(s.direction))])
+        step = from_terms([(Fraction(-1), Fraction(s.direction))])
         return _label(add(s.base, step))
     if isinstance(s, GeometricRamp):
         if s.base != NZERO and not _exponents_all_at_least(s.base, Fraction(-1, 2)):
             raise UnsupportedDescriptor("base outside the w^(-1/2)-type family")
-        step = from_terms([(from_rational(Fraction(-1, 2)), Fraction(s.direction))])
+        step = from_terms([(Fraction(-1, 2), Fraction(s.direction))])
         return _label(add(s.base, step))
     if isinstance(s, HarmonicRamp):
         if not s.lam.is_limit():
@@ -138,7 +135,7 @@ def gap_of(s) -> GapLabel:
     if isinstance(s, ScaledHarmonic):
         if s.base != NZERO and not _exponents_all_above(s.base, Fraction(-2)):
             raise UnsupportedDescriptor("base outside the 1/w^2-type family")
-        step = from_terms([(from_rational(-2), Fraction(s.direction))])
+        step = from_terms([(Fraction(-2), Fraction(s.direction))])
         return _label(add(s.base, step))
     raise UnsupportedDescriptor("unknown descriptor %r" % (s,))
 
@@ -150,7 +147,7 @@ def _as_finite_multiple_of_omega(b: Number):
     if len(b.terms) != 1:
         return None
     e, c = b.terms[0]
-    if exp_cmp(e, from_rational(1)) == 0 and c.denominator == 1 and c > 0:
+    if type(e) is Fraction and e == 1 and c.denominator == 1 and c > 0:
         return int(c)
     return None
 
@@ -160,7 +157,7 @@ def _as_dyadic_multiple_of_omega(b: Number):
     if len(b.terms) != 1:
         return None
     e, c = b.terms[0]
-    if exp_cmp(e, from_rational(1)) != 0 or not 0 < c <= 1:
+    if not (type(e) is Fraction and e == 1) or not 0 < c <= 1:
         return None
     try:
         return Fraction(Dyadic(c))
@@ -276,7 +273,7 @@ def classify(x: Number) -> str:
     if not x.terms:
         return "zero"
     word = "positive" if sign(x) > 0 else "negative"
-    c = exp_cmp(x.terms[0][0], NZERO)
+    c = exp_cmp(x.terms[0][0], Fraction(0))
     if c > 0:
         return word + " infinite"
     if c == 0:

@@ -1,11 +1,13 @@
 """Exact arithmetic on a computable fragment of the surreal numbers.
 
 A Number is a finite normal form  sum of w^e * r  where the exponents e are
-themselves Numbers (or epsilon atoms) in strictly decreasing order and the
-coefficients r are nonzero rationals.  The empty sum is 0.  Ordinals, reals
-with terminating expansions, w-powers with arbitrary Number exponents and
+in strictly decreasing order and the coefficients r are nonzero rationals.
+The empty sum is 0.  Each exponent has one canonical spelling: a real
+exponent is its Fraction, eps_a is an EpsilonAtom, and any other exponent
+is a non-real Number (itself in normal form).  Ordinals, reals with
+terminating expansions, w-powers with arbitrary Number exponents and
 epsilon-numbers (as atomic leaves) all live in this fragment; arithmetic on
-it is exact except for inversion, which peels a geometric series and is
+it is exact except for inversion, which sums a geometric series and is
 truncated after a caller-chosen number of terms.
 
 Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
@@ -120,39 +122,85 @@ def _coerce(x) -> Number:
     raise TypeError("cannot interpret %r as a Number" % (x,))
 
 
+_Q0 = Fraction(0)
+
+
 def _norm_exp(e):
-    """Canonical exponent: a Number equal to eps_a collapses to the atom."""
-    if isinstance(e, Number) and len(e.terms) == 1:
-        inner, coeff = e.terms[0]
-        if isinstance(inner, EpsilonAtom) and coeff == 1:
-            return inner
+    """Canonical exponent: a real Number (0 or a single w^0 term) collapses
+    to its Fraction, and a Number equal to eps_a collapses to the atom.
+    Every other exponent stays as it is."""
+    if isinstance(e, Number):
+        t = e.terms
+        if not t:
+            return _Q0
+        if len(t) == 1:
+            inner, coeff = t[0]
+            if type(inner) is Fraction:
+                if not inner:
+                    return coeff
+            elif isinstance(inner, EpsilonAtom) and coeff == 1:
+                return inner
     return e
 
 
 def exp_as_number(e) -> Number:
+    """The Number an exponent stands for (a Fraction or an atom lifted)."""
+    if type(e) is Fraction:
+        return Number(((_Q0, e),)) if e else ZERO
     if isinstance(e, EpsilonAtom):
         return Number(((e, Fraction(1)),))
     return e
 
 
 def exp_cmp(e, f) -> int:
-    """Total order on exponents (Numbers and epsilon atoms mixed)."""
-    ea, fa = isinstance(e, EpsilonAtom), isinstance(f, EpsilonAtom)
-    if ea and fa:
-        return nf_cmp(e.index, f.index)
-    if ea:
+    """Total order on canonical exponents: Fractions, epsilon atoms and
+    non-real Numbers mixed.  Two Fractions compare by cross-multiplying
+    their integers; a Fraction against anything else goes through
+    _cmp_real, which allocates nothing."""
+    te, tf = type(e), type(f)
+    if te is Fraction:
+        if tf is Fraction:
+            d = e.numerator * f.denominator - f.numerator * e.denominator
+            return GT if d > 0 else (LT if d else EQ)
+        return _cmp_real(e, f)
+    if tf is Fraction:
+        return -_cmp_real(f, e)
+    if te is EpsilonAtom:
+        if tf is EpsilonAtom:
+            return nf_cmp(e.index, f.index)
         return _cmp_atom_number(e, f)
-    if fa:
+    if tf is EpsilonAtom:
         return -_cmp_atom_number(f, e)
     return nf_cmp(e, f)
 
 
+def _cmp_real(q: Fraction, t) -> int:
+    # the rational q against a non-real exponent t (an atom or a Number):
+    # an atom is infinite; a Number is decided by its leading term, and by
+    # its second one when it leads with q itself.
+    if type(t) is EpsilonAtom:
+        return LT
+    e1, r1 = t.terms[0]
+    # s has the sign of t's leading exponent e1
+    if type(e1) is Fraction:
+        s = e1.numerator
+    else:
+        s = 1 if type(e1) is EpsilonAtom else e1.terms[0][1].numerator
+    if s > 0:
+        return LT if r1 > 0 else GT
+    if s < 0:
+        if q:
+            return GT if q.numerator > 0 else LT
+        return LT if r1 > 0 else GT
+    if q != r1:
+        return GT if q > r1 else LT
+    return LT if t.terms[1][1] > 0 else GT
+
+
 def _cmp_atom_number(atom: EpsilonAtom, t: Number) -> int:
-    # eps_a against an arbitrary normal form t: compare w^(eps_a) with the
+    # eps_a against a non-real normal form t: compare w^(eps_a) with the
     # leading monomial; eps_a beats every exponent not itself reaching an
     # atom of index >= a.
-    if not t.terms:
-        return GT
     e1, r1 = t.terms[0]
     if r1 < 0:
         return GT
@@ -163,7 +211,7 @@ def _cmp_atom_number(atom: EpsilonAtom, t: Number) -> int:
         return LT
     if r1 < 1:
         return GT
-    return -sign(Number(t.terms[1:]))
+    return LT if t.terms[1][1] > 0 else GT
 
 
 def nf_cmp(a: Number, b: Number) -> int:
@@ -197,10 +245,11 @@ def from_terms(pairs) -> Number:
 
     This is the one constructor that sorts: the parser, the embeddings and
     omega_pow hand it pairs in no particular order.  Exponents are made
-    canonical here (_norm_exp collapses a Number equal to eps_a to the
-    atom), so equal exponents are structurally equal and lie side by side
-    after one sort by exp_cmp.  Hashing the exponents instead would re-hash
-    every Fraction in them, which costs more.
+    canonical here (_norm_exp collapses a real Number to its Fraction and a
+    Number equal to eps_a to the atom), so equal exponents are structurally
+    equal and lie side by side after one sort by exp_cmp.  Hashing the
+    exponents instead would re-hash every Fraction in them, which costs
+    more.
     """
     terms = [(_norm_exp(e), c if type(c) is Fraction else Fraction(c))
              for e, c in pairs if c]
@@ -252,12 +301,12 @@ def from_rational(q) -> Number:
     q = Fraction(q)
     if not q:
         return ZERO
-    return Number(((ZERO, q),))
+    return Number(((_Q0, q),))
 
 
 ONE = from_rational(1)
 MINUS_ONE = from_rational(-1)
-OMEGA = Number(((ONE, Fraction(1)),))
+OMEGA = Number(((Fraction(1), Fraction(1)),))
 
 
 def from_ordinal(a: Ordinal) -> Number:
@@ -290,19 +339,30 @@ def sub(a: Number, b: Number) -> Number:
     return add(a, negate(b))
 
 
+def _exp_add(e, f):
+    """The canonical sum of two canonical exponents that are not both
+    real: non-real exponents can sum to a real one or to eps_a."""
+    return _norm_exp(add(exp_as_number(e), exp_as_number(f)))
+
+
 def mul(a: Number, b: Number) -> Number:
     """Sparse product: one row a_i*b per term of the shorter operand, merged
     pairwise (Monagan & Pearce's row merge).  Adding a fixed exponent keeps
-    a row strictly decreasing, so no row needs sorting."""
+    a row strictly decreasing, so no row needs sorting.  Two real exponents
+    add as Fractions, and a row for the exponent 0 (a rational factor)
+    keeps b's exponents as they are."""
     if len(a.terms) > len(b.terms):
         a, b = b, a
     if not a.terms:
         return ZERO
-    other = [(exp_as_number(f), d) for f, d in b.terms]
+    other = b.terms
     rows = []
     for e, c in a.terms:
-        e = exp_as_number(e)
-        rows.append([(_norm_exp(add(e, f)), c * d) for f, d in other])
+        if type(e) is Fraction and not e:
+            rows.append([(f, c * d) for f, d in other])
+            continue
+        rows.append([(e + f if type(e) is type(f) is Fraction
+                      else _exp_add(e, f), c * d) for f, d in other])
     while len(rows) > 1:
         odd = rows[-1:] if len(rows) % 2 else []
         rows = [_merge(s, t) for s, t in zip(rows[::2], rows[1::2])] + odd
@@ -327,20 +387,23 @@ class TruncatedNumber:
 
 def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
     """Inverse by peeling the leading monomial: x = w^e*r*(1+d) with d
-    infinitesimal, 1/x = w^-e/r * sum (-d)^n.  Exact iff d = 0."""
+    infinitesimal, 1/x = w^-e/r * sum (-d)^n for n < max_terms.  Each power
+    is the previous one times -d, so d is only ever multiplied by the
+    newest power, never by the whole partial sum.  Exact iff d = 0."""
     if not x.terms:
         raise DivisionByZero("invert(0)")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     e1, r1 = x.terms[0]
-    inv_lead = from_terms([(negate(exp_as_number(e1)), 1 / r1)])
+    neg_e1 = -e1 if type(e1) is Fraction else negate(exp_as_number(e1))
+    inv_lead = Number(((neg_e1, 1 / r1),))
     if len(x.terms) == 1:
         return TruncatedNumber(inv_lead, True)
-    delta = mul(Number(x.terms[1:]), inv_lead)
-    neg_delta = negate(delta)
-    acc = ONE
+    neg_delta = negate(mul(Number(x.terms[1:]), inv_lead))
+    acc = power = ONE
     for _ in range(max_terms - 1):
-        acc = add(ONE, mul(neg_delta, acc))
+        power = mul(power, neg_delta)
+        acc = add(acc, power)
     return TruncatedNumber(mul(inv_lead, acc), False, max_terms)
 
 

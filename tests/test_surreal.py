@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omegacalc import surreal
 from omegacalc import (Number, add, divide, epsilon, from_ordinal,
@@ -86,7 +86,7 @@ def test_invert_residual_shrinks():
             if not r.terms:
                 break
             # residual is infinitesimal relative to 1
-            assert exp_cmp(r.terms[0][0], ZERO) < 0
+            assert exp_cmp(r.terms[0][0], Fraction(0)) < 0
             lead = r.terms[0][0]
             if prev is not None:
                 from omegacalc.surreal import exp_as_number
@@ -257,7 +257,8 @@ RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 def exponents(depth):
     """Canonical exponents: Numbers of the given depth and eps atoms over
-    them (a Number equal to eps[a] is collapsed to the atom)."""
+    them (a real Number is collapsed to its Fraction, and a Number equal to
+    eps[a] to the atom)."""
     inner = numbers(depth)
     return st.one_of(inner, inner.map(EpsilonAtom)).map(_norm_exp)
 
@@ -271,6 +272,8 @@ def numbers(depth):
 
 def rebuilt(e):
     """A structurally equal copy of e that shares no outer object with it."""
+    if type(e) is Fraction:
+        return Fraction(e.numerator, e.denominator)
     if isinstance(e, EpsilonAtom):
         return EpsilonAtom(rebuilt(e.index))
     return naive_from_terms([(rebuilt(f), c) for f, c in reversed(e.terms)])
@@ -278,8 +281,9 @@ def rebuilt(e):
 
 @st.composite
 def pair_lists(draw, depth=2):
-    """Pairs over a small pool of exponents, so that exponents repeat; an
-    eps atom may come as the Number w^eps[a] that from_terms must collapse."""
+    """Pairs over a small pool of exponents, so that exponents repeat; a
+    real exponent q may come as the Number from_rational(q) and an eps atom
+    as the Number w^eps[a], both of which from_terms must collapse."""
     pool = draw(st.lists(exponents(depth), min_size=1, max_size=4))
     spellings = st.sampled_from(pool).flatmap(
         lambda e: st.sampled_from([rebuilt(e), exp_as_number(rebuilt(e))]))
@@ -299,6 +303,7 @@ def test_exp_cmp_zero_exactly_when_equal(e, data):
 def test_from_terms_matches_naive_merge_and_ignores_order(pairs, rng):
     expected = naive_from_terms(pairs)
     assert surreal.from_terms(pairs) == expected
+    assert_canonical(surreal.from_terms(pairs))
     rng.shuffle(pairs)
     assert surreal.from_terms(pairs) == expected
 
@@ -327,15 +332,32 @@ def oracle_mul(a, b):
         for e, c in a.terms for f, d in b.terms)
 
 
+def is_real_number(e):
+    """True for a Number that spells a rational: 0 or one w^0 term."""
+    t = e.terms
+    return not t or (len(t) == 1 and type(t[0][0]) is Fraction
+                     and not t[0][0])
+
+
 def assert_canonical(x):
-    """Strictly decreasing exponents, nonzero Fraction coefficients, and no
-    Number exponent spelling an eps atom, all the way down."""
+    """Strictly decreasing exponents, nonzero Fraction coefficients, every
+    real exponent a Fraction and no Number exponent spelling an eps atom,
+    all the way down."""
     exps = [e for e, _ in x.terms]
     assert all(type(c) is Fraction and c for _, c in x.terms)
     assert all(exp_cmp(e, f) > 0 for e, f in zip(exps, exps[1:]))
     for e in exps:
+        assert type(e) in (Fraction, EpsilonAtom, Number)
+        if type(e) is Fraction:
+            continue
         assert _norm_exp(e) is e
-        assert_canonical(e.index if isinstance(e, EpsilonAtom) else e)
+        if isinstance(e, EpsilonAtom):
+            assert_canonical(e.index)
+            continue
+        assert not is_real_number(e), e
+        assert not (len(e.terms) == 1 and e.terms[0][1] == 1
+                    and isinstance(e.terms[0][0], EpsilonAtom)), e
+        assert_canonical(e)
 
 
 @st.composite
@@ -367,18 +389,91 @@ def test_mul_collapses_to_an_epsilon_atom():
     assert_canonical(r)
 
 
+def test_mul_collapses_to_a_real_exponent():
+    # w^(w + 1/2) * w^(-w) = w^(1/2), whose exponent is the Fraction 1/2
+    r = mul(omega_pow(add(W, n("1/2"))), omega_pow(negate(W)))
+    assert r == n("w^(1/2)")
+    assert type(r.terms[0][0]) is Fraction
+    assert_canonical(r)
+
+
+@settings(deadline=None)
+@given(RATIONALS, exponents(2))
+@example(Fraction(1), n("1 + w^-1"))    # ties on w^0*1: the second term
+@example(Fraction(1), n("1 - w^-1"))    # decides
+@example(Fraction(0), n("-w^-1 + w^-2"))
+def test_cmp_real_matches_nf_cmp(q, t):
+    # a Fraction exponent against every kind of canonical exponent, compared
+    # with the same two values as Numbers
+    assert exp_cmp(q, t) == nf_cmp(from_rational(q), exp_as_number(t))
+    assert exp_cmp(t, q) == -exp_cmp(q, t)
+
+
+def counting(monkeypatch, name, weight):
+    """Replace surreal.<name> by a wrapper that adds weight(*args) to the
+    returned one-element list on every call."""
+    total = [0]
+    inner = getattr(surreal, name)
+
+    def counted(*args):
+        total[0] += weight(*args)
+        return inner(*args)
+
+    monkeypatch.setattr(surreal, name, counted)
+    return total
+
+
 def test_series_merge_is_not_quadratic(monkeypatch):
-    # a merge that scans every kept term per incoming pair makes ~7*10^5
-    # comparisons here, one sort per add ~3*10^4, the linear merge ~9*10^3
-    calls = [0]
-    inner = surreal.nf_cmp
-
-    def counted(a, b):
-        calls[0] += 1
-        return inner(a, b)
-
+    # counts the merge's comparator, exp_cmp: a merge that scans every kept
+    # term per incoming pair makes ~7*10^5 comparisons here, one sort per
+    # add ~3*10^4, the linear merge ~9*10^3 under Horner's rule and ~2.7*10^3
+    # summing powers
     x = n("w^(1/2) + 1 + w^(-1/3)")
-    monkeypatch.setattr(surreal, "nf_cmp", counted)
+    calls = counting(monkeypatch, "exp_cmp", lambda e, f: 1)
     t = invert(x, 32)
     assert calls[0] <= 15_000
     assert len(t.value.terms) == 150
+
+
+def test_invert_multiplies_only_the_newest_power(monkeypatch):
+    # term products formed by mul: Horner's rule, which multiplies -d by the
+    # whole partial sum, forms 4 512 here; summing the powers of -d ~1 100
+    x = n("w^(1/2) + 1 + w^(-1/3)")
+    products = counting(monkeypatch, "mul",
+                        lambda a, b: len(a.terms) * len(b.terms))
+    t = invert(x, 32)
+    assert products[0] <= 2_000
+    assert len(t.value.terms) == 150
+
+
+def horner_invert(x, max_terms):
+    """1/x by Horner's rule, acc = 1 + (-d)*acc, built from the pairwise
+    oracles only: the partial sum invert must reproduce exactly."""
+    e1, r1 = x.terms[0]
+    lead = naive_from_terms(
+        [(naive_from_terms((f, -c) for f, c in exp_as_number(e1).terms),
+          1 / r1)])
+    neg_delta = naive_from_terms(
+        (e, -c) for e, c in oracle_mul(Number(x.terms[1:]), lead).terms)
+    one = from_rational(1)
+    acc = one
+    for _ in range(max_terms - 1):
+        acc = oracle_add(one, oracle_mul(neg_delta, acc))
+    return oracle_mul(lead, acc)
+
+
+@st.composite
+def series_inputs(draw):
+    """Numbers of 2-4 terms: distinct exponents, nonzero coefficients."""
+    exps = draw(st.lists(exponents(1), min_size=2, max_size=4, unique=True))
+    coeffs = RATIONALS.filter(bool)
+    return naive_from_terms((e, draw(coeffs)) for e in exps)
+
+
+@settings(deadline=None)
+@given(series_inputs(), st.sampled_from([1, 2, 8]))
+def test_invert_matches_horner_oracle(x, max_terms):
+    got = invert(x, max_terms)
+    assert not got.exact
+    assert got.value.terms == horner_invert(x, max_terms).terms
+    assert_canonical(got.value)
