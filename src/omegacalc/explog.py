@@ -6,7 +6,8 @@ transcendental e^r and is rejected.  ln inverts this through
 y = w^(z0) * r0 * (1 + d):  ln y = w*z0 + ln(1+d), restricted to r0 = 1 and
 to leading exponents whose own exponents all exceed -1 (the domain in which
 a logarithm exists at all).  Both series are truncated after max_terms
-orders and flag exactness.
+orders and flag exactness; each is one call to surreal.power_series, which
+sums the powers with int coefficients and returns Fraction ones.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from math import factorial
 
 from .errors import (LeadingCoefficientNotOne, NonPositive, NotInDomain,
                      RealPartNotZero, ZeroInput)
-from .surreal import (MINUS_ONE, ONE, OMEGA, ZERO, Number, TruncatedNumber,
-                      add, exp_as_number, exp_cmp, from_rational, mul,
-                      negate, omega_pow, sign)
+from .surreal import (MINUS_ONE, OMEGA, Number, TruncatedNumber, add,
+                      exp_as_number, exp_cmp, mul, negate, omega_pow,
+                      power_series, sign)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,9 @@ def decompose(x: Number) -> Decomposition:
 
 
 def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
-    """e^x for x with zero real part; exact iff x has no infinitesimal part."""
+    """e^x for x with zero real part: the exact factor w^(x'/w) times
+    sum x''^n / n! for n < max_terms.  Exact iff x has no infinitesimal
+    part x''."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     d = decompose(x)
@@ -54,11 +57,8 @@ def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
     factor = omega_pow(mul(omega_pow(MINUS_ONE), d.purely_infinite))
     if not d.infinitesimal:
         return TruncatedNumber(factor, True)
-    series = ZERO
-    power = ONE
-    for n in range(max_terms):
-        series = add(series, mul(power, from_rational(Fraction(1, factorial(n)))))
-        power = mul(power, d.infinitesimal)
+    series = power_series(d.infinitesimal,
+                          [Fraction(1, factorial(n)) for n in range(max_terms)])
     return TruncatedNumber(mul(factor, series), False, max_terms)
 
 
@@ -72,7 +72,8 @@ def in_ln_domain(y: Number) -> bool:
 
 
 def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
-    """ln y = w*z0 + ln(1+d) for y = w^z0 * (1+d); exact iff d = 0."""
+    """ln y = w*z0 + ln(1+d) for y = w^z0 * (1+d), with ln(1+d) summed as
+    (-1)^(n-1) d^n / n for 1 <= n <= max_terms; exact iff d = 0."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if sign(y) <= 0:
@@ -88,11 +89,8 @@ def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
     if not rest:
         return TruncatedNumber(main, True)
     delta = mul(omega_pow(negate(z0)), rest)
-    series = ZERO
-    power = delta
-    for n in range(1, max_terms + 1):
-        series = add(series, mul(power, from_rational(Fraction((-1) ** (n - 1), n))))
-        power = mul(power, delta)
+    series = power_series(delta, [0] + [Fraction((-1) ** (n - 1), n)
+                                        for n in range(1, max_terms + 1)])
     return TruncatedNumber(add(main, series), False, max_terms)
 
 

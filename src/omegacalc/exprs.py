@@ -53,8 +53,10 @@ _ALIASES = {"ω": " w ", "ε": " eps ", "…": "...",
 
 
 def tokenize(text):
-    for uni, ascii_ in _ALIASES.items():
-        text = text.replace(uni, ascii_)
+    # every alias is non-ASCII, so ASCII text needs no replacement pass
+    if not text.isascii():
+        for uni, ascii_ in _ALIASES.items():
+            text = text.replace(uni, ascii_)
     out, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -93,12 +95,14 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (value, text or "end"),
                              pos)
 
+    # at and accept run once per operator tested at every precedence level,
+    # so they index the token list themselves rather than call peek/next
     def at(self, value):
-        return self.peek()[1] == value
+        return self.tokens[self.i][1] == value
 
     def accept(self, value):
-        if self.at(value):
-            self.next()
+        if self.tokens[self.i][1] == value:
+            self.i += 1
             return True
         return False
 

@@ -10,6 +10,12 @@ epsilon-numbers (as atomic leaves) all live in this fragment; arithmetic on
 it is exact except for inversion, which sums a geometric series and is
 truncated after a caller-chosen number of terms.
 
+Every Number this module returns has Fraction coefficients.  The one place
+where coefficients are ints is inside power_series, which sums a truncated
+series over a scaled copy of its variable and divides once at the end
+(fraction-free arithmetic); _merge and mul never look at a coefficient's
+type, so they serve both.
+
 Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
 """
 
@@ -19,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .errors import DivisionByZero, IllFormedGame, NoConvergenceDetected
 from .ordinals import Ordinal
@@ -266,10 +272,10 @@ def _merge(s, t) -> list:
     """The sum of two canonical term sequences, as a canonical list.
 
     A canonical sequence has canonical exponents in strictly decreasing
-    exp_cmp order and nonzero Fraction coefficients, as every Number's
-    terms do.  A single linear pass keeps the invariant: the larger head
-    goes first, equal heads add their coefficients, and a zero sum is
-    dropped.
+    exp_cmp order and nonzero coefficients: Fractions, as every returned
+    Number's terms are, or ints inside power_series.  A single linear pass
+    keeps the invariant: the larger head goes first, equal heads add their
+    coefficients, and a zero sum is dropped.
     """
     out = []
     i = j = 0
@@ -304,7 +310,6 @@ def from_rational(q) -> Number:
     return Number(((_Q0, q),))
 
 
-ONE = from_rational(1)
 MINUS_ONE = from_rational(-1)
 OMEGA = Number(((Fraction(1), Fraction(1)),))
 
@@ -350,7 +355,8 @@ def mul(a: Number, b: Number) -> Number:
     pairwise (Monagan & Pearce's row merge).  Adding a fixed exponent keeps
     a row strictly decreasing, so no row needs sorting.  Two real exponents
     add as Fractions, and a row for the exponent 0 (a rational factor)
-    keeps b's exponents as they are."""
+    keeps b's exponents as they are.  Coefficients are only multiplied, so
+    int operands (inside power_series) give an int product."""
     if len(a.terms) > len(b.terms):
         a, b = b, a
     if not a.terms:
@@ -385,11 +391,45 @@ class TruncatedNumber:
             raise ValueError("exact results drop nothing")
 
 
+_INT_ONE = Number(((_Q0, 1),))
+
+
+def power_series(y: Number, coeffs) -> Number:
+    """sum coeffs[n] * y^n for n < len(coeffs), exactly; each coefficient
+    is an int or a Fraction.
+
+    Fraction-free (Bareiss): with D the lcm of the denominators of y's
+    coefficients, Y = D*y has int coefficients, and so does every power
+    Y^n.  Term n adds Y^n scaled by the int a_n * L * D^(N-1-n), where L is
+    the lcm of the a_n's denominators, so the whole sum is Q times the
+    answer for Q = L * D^(N-1).  Each output coefficient is divided by Q
+    once: one gcd per term instead of two per product and per merge step.
+    A zero a_n adds nothing, and no power beyond Y^(N-1) is formed.
+    """
+    n_terms = len(coeffs)
+    if not n_terms:
+        return ZERO
+    den = lcm(*(c.denominator for _, c in y.terms))
+    big_y = Number(tuple((e, c.numerator * (den // c.denominator))
+                         for e, c in y.terms))
+    lcm_a = lcm(*(a.denominator for a in coeffs))
+    q = lcm_a * den ** (n_terms - 1)
+    acc = []
+    power = _INT_ONE
+    for n, a in enumerate(coeffs):
+        if n:
+            power = mul(power, big_y) if n > 1 else big_y
+        if a:
+            k = (a.numerator * (lcm_a // a.denominator)
+                 * den ** (n_terms - 1 - n))
+            acc = _merge(acc, [(e, k * c) for e, c in power.terms])
+    return Number(tuple((e, Fraction(c, q)) for e, c in acc))
+
+
 def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
     """Inverse by peeling the leading monomial: x = w^e*r*(1+d) with d
-    infinitesimal, 1/x = w^-e/r * sum (-d)^n for n < max_terms.  Each power
-    is the previous one times -d, so d is only ever multiplied by the
-    newest power, never by the whole partial sum.  Exact iff d = 0."""
+    infinitesimal, 1/x = w^-e/r * sum (-d)^n for n < max_terms, summed by
+    power_series with int coefficients.  Exact iff d = 0."""
     if not x.terms:
         raise DivisionByZero("invert(0)")
     if max_terms < 1:
@@ -400,11 +440,8 @@ def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
     if len(x.terms) == 1:
         return TruncatedNumber(inv_lead, True)
     neg_delta = negate(mul(Number(x.terms[1:]), inv_lead))
-    acc = power = ONE
-    for _ in range(max_terms - 1):
-        power = mul(power, neg_delta)
-        acc = add(acc, power)
-    return TruncatedNumber(mul(inv_lead, acc), False, max_terms)
+    series = power_series(neg_delta, [1] * max_terms)
+    return TruncatedNumber(mul(inv_lead, series), False, max_terms)
 
 
 def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:

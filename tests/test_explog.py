@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from omegacalc import (add, decompose, epsilon, exp, from_rational,
                        from_terms, in_ln_domain, invert, leader, ln, mul,
                        negate, nf_cmp, omega_pow, parse_number, sub)
 from omegacalc.errors import (LeadingCoefficientNotOne, NonPositive,
                               NotInDomain, RealPartNotZero, ZeroInput)
-from omegacalc.surreal import ZERO
+from omegacalc.surreal import ZERO, Number, exp_as_number, exp_cmp
+from test_surreal import (assert_canonical, naive_from_terms, oracle_add,
+                          oracle_mul, series_inputs)
 
 n = parse_number
 W = n("w")
@@ -167,3 +171,63 @@ def test_domain_and_leader_commensurate_invariance():
         scaled = mul(y, c)
         assert in_ln_domain(scaled) == in_ln_domain(y)
         assert leader(scaled) == leader(y)
+
+
+# -- series oracles ----------------------------------------------------------------
+# exp and ln as they were written before power_series: a loop that adds each
+# power scaled by its rational coefficient, here built from the pairwise
+# oracles only.
+
+
+def omega_to(e):
+    return naive_from_terms([(e, 1)])
+
+
+def oracle_exp(x, max_terms):
+    inf = Number(tuple(t for t in x.terms if exp_cmp(t[0], Fraction(0)) > 0))
+    small = Number(tuple(t for t in x.terms
+                         if exp_cmp(t[0], Fraction(0)) < 0))
+    factor = omega_to(oracle_mul(omega_to(Fraction(-1)), inf))
+    series, power = ZERO, from_rational(1)
+    for k in range(max_terms):
+        series = oracle_add(series, oracle_mul(
+            power, from_rational(Fraction(1, factorial(k)))))
+        power = oracle_mul(power, small)
+    return oracle_mul(factor, series)
+
+
+def oracle_ln(y, max_terms):
+    z0 = exp_as_number(y.terms[0][0])
+    main = oracle_mul(omega_to(Fraction(1)), z0)
+    neg_z0 = naive_from_terms((f, -c) for f, c in z0.terms)
+    delta = oracle_mul(omega_to(neg_z0), Number(y.terms[1:]))
+    series, power = ZERO, delta
+    for k in range(1, max_terms + 1):
+        series = oracle_add(series, oracle_mul(
+            power, from_rational(Fraction((-1) ** (k - 1), k))))
+        power = oracle_mul(power, delta)
+    return oracle_add(main, series)
+
+
+@settings(deadline=None)
+@given(series_inputs(), st.sampled_from([1, 2, 8]))
+def test_exp_matches_oracle_loop(x, max_terms):
+    # drop the real part, which exp rejects; keep an infinitesimal part
+    x = Number(tuple(t for t in x.terms if exp_cmp(t[0], Fraction(0))))
+    assume(decompose(x).infinitesimal)
+    got = exp(x, max_terms)
+    assert not got.exact
+    assert got.value.terms == oracle_exp(x, max_terms).terms
+    assert_canonical(got.value)
+
+
+@settings(deadline=None)
+@given(series_inputs(), st.sampled_from([1, 2, 8]))
+def test_ln_matches_oracle_loop(y, max_terms):
+    # make y positive with leading coefficient 1, inside ln's domain
+    y = Number(((y.terms[0][0], Fraction(1)),) + y.terms[1:])
+    assume(in_ln_domain(y))
+    got = ln(y, max_terms)
+    assert not got.exact
+    assert got.value.terms == oracle_ln(y, max_terms).terms
+    assert_canonical(got.value)

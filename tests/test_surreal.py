@@ -13,8 +13,9 @@ from omegacalc import (Number, add, divide, epsilon, from_ordinal,
                        ord_cmp, ord_nat_add, parse_number, parse_ordinal,
                        render_number, sub)
 from omegacalc.errors import DivisionByZero
+from omegacalc import explog
 from omegacalc.surreal import (ZERO, EpsilonAtom, _norm_exp, exp_as_number,
-                               exp_cmp)
+                               exp_cmp, power_series)
 
 n = parse_number
 W = n("w")
@@ -477,3 +478,58 @@ def test_invert_matches_horner_oracle(x, max_terms):
     assert not got.exact
     assert got.value.terms == horner_invert(x, max_terms).terms
     assert_canonical(got.value)
+
+
+# -- fraction-free power series -------------------------------------------------
+
+
+def oracle_power_series(y, coeffs):
+    """sum coeffs[n] * y^n built from the pairwise oracles only."""
+    acc, power = ZERO, from_rational(1)
+    for k, a in enumerate(coeffs):
+        if k:
+            power = oracle_mul(power, y)
+        acc = oracle_add(acc, oracle_mul(power, from_rational(a)))
+    return acc
+
+
+SERIES_COEFFS = st.one_of(st.just(0), st.integers(-3, 3), RATIONALS)
+
+
+@settings(deadline=None)
+@given(numbers(2), st.lists(SERIES_COEFFS, min_size=1, max_size=5))
+@example(n("w^(1/2)*2/3 + eps[0]/5"), [0, Fraction(1, 2), 0, Fraction(-3, 4)])
+@example(n("w^-1/2 + w^(-w)/3"), [Fraction(1, 6)] * 4)
+def test_power_series_matches_oracle(y, coeffs):
+    got = power_series(y, coeffs)
+    assert got.terms == oracle_power_series(y, coeffs).terms
+    assert_canonical(got)
+
+
+def test_series_multiply_by_fractions_a_fixed_number_of_times(monkeypatch):
+    # mul calls with a Fraction coefficient in either operand.  Inside
+    # power_series every product has int coefficients, so only the fixed
+    # calls around each series remain (peeling the leader, the exact factor
+    # of exp, the shift of ln) and the count does not grow with N.
+    x = n("w^(1/2)*2/3 + 1/5 + w^(-1/3)*3/4")
+    e = n("w/2 + w^-1*2/3 + w^-2/5")
+    y = n("w + 1/3 + w^-1*3/4")
+
+    def fraction_muls(max_terms):
+        calls = [0]
+        inner = surreal.mul
+
+        def counted(a, b):
+            if any(type(c) is Fraction for _, c in a.terms + b.terms):
+                calls[0] += 1
+            return inner(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(surreal, "mul", counted)
+            m.setattr(explog, "mul", counted)
+            invert(x, max_terms)
+            explog.exp(e, max_terms)
+            explog.ln(y, max_terms)
+        return calls[0]
+
+    assert fraction_muls(8) == fraction_muls(32)
