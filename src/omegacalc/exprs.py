@@ -46,7 +46,8 @@ _TOKEN = re.compile(r"""
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_]\w*)
   | (?P<sym>[()\[\]{}|,;:@^*/+\-])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 _ALIASES = {"ω": " w ", "ε": " eps ", "…": "...",
             "½": " 1/2 "}
@@ -57,14 +58,16 @@ def tokenize(text):
     if not text.isascii():
         for uni, ascii_ in _ALIASES.items():
             text = text.replace(uni, ascii_)
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    # the catch-all group makes every character start a match, so finditer
+    # walks the text with no gaps and the first bad character stops it
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m.group(), m.start())
+        out.append((kind, m.group(), m.start()))
     out.append(("end", "", len(text)))
     return out
 

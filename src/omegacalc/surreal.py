@@ -14,7 +14,13 @@ Every Number this module returns has Fraction coefficients.  The one place
 where coefficients are ints is inside power_series, which sums a truncated
 series over a scaled copy of its variable and divides once at the end
 (fraction-free arithmetic); _merge and mul never look at a coefficient's
-type, so they serve both.
+type, so they serve both.  When every exponent of the variable is a
+negative rational, the exponents are scaled too: they lie on a lattice
+-(g/L)*Z, so the variable is an int polynomial, and power_series packs its
+powers into one Python int (Kronecker substitution) whose slots are wide
+enough for a bound on every coefficient.  It does so only when the packing
+has no more slots than the sparse sum can have terms; otherwise, and for
+non-real exponents, the powers go through mul and _merge.
 
 Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
 """
@@ -25,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor, lcm
+from math import ceil, comb, floor, gcd, lcm
 
 from .errors import DivisionByZero, IllFormedGame, NoConvergenceDetected
 from .ordinals import Ordinal
@@ -400,30 +406,100 @@ def power_series(y: Number, coeffs) -> Number:
 
     Fraction-free (Bareiss): with D the lcm of the denominators of y's
     coefficients, Y = D*y has int coefficients, and so does every power
-    Y^n.  Term n adds Y^n scaled by the int a_n * L * D^(N-1-n), where L is
-    the lcm of the a_n's denominators, so the whole sum is Q times the
+    Y^n.  Term n adds Y^n scaled by the int k_n = a_n * L * D^(N-1-n), where
+    L is the lcm of the a_n's denominators, so the whole sum is Q times the
     answer for Q = L * D^(N-1).  Each output coefficient is divided by Q
     once: one gcd per term instead of two per product and per merge step.
-    A zero a_n adds nothing, and no power beyond Y^(N-1) is formed.
+
+    The sum of the k_n * Y^n is formed by one of two paths, which give the
+    same terms.  When every exponent of y is a negative Fraction, y lies on
+    a lattice and _lattice_sum packs the whole sum into one int (Kronecker
+    substitution), unless that packing would have more slots than the
+    sparse sum can have terms.  Otherwise _row_sum multiplies the powers of
+    Y as Numbers with mul and merges them; a zero a_n adds nothing there,
+    and no power beyond Y^(N-1) is formed.
     """
     n_terms = len(coeffs)
     if not n_terms:
         return ZERO
     den = lcm(*(c.denominator for _, c in y.terms))
-    big_y = Number(tuple((e, c.numerator * (den // c.denominator))
-                         for e, c in y.terms))
+    big_y = tuple((e, c.numerator * (den // c.denominator))
+                  for e, c in y.terms)
     lcm_a = lcm(*(a.denominator for a in coeffs))
+    ks = [a.numerator * (lcm_a // a.denominator) * den ** (n_terms - 1 - n)
+          for n, a in enumerate(coeffs)]
+    acc = _lattice_sum(big_y, ks)
+    if acc is None:
+        acc = _row_sum(big_y, ks)
     q = lcm_a * den ** (n_terms - 1)
+    return Number(tuple((e, Fraction(c, q)) for e, c in acc))
+
+
+def _row_sum(big_y, ks) -> list:
+    # sum k_n * Y^n as a canonical term list: each power is one sparse mul
+    # of the previous power by Y, and each nonzero k_n merges its power in
+    big_y = Number(big_y)
     acc = []
     power = _INT_ONE
-    for n, a in enumerate(coeffs):
+    for n, k in enumerate(ks):
         if n:
             power = mul(power, big_y) if n > 1 else big_y
-        if a:
-            k = (a.numerator * (lcm_a // a.denominator)
-                 * den ** (n_terms - 1 - n))
+        if k:
             acc = _merge(acc, [(e, k * c) for e, c in power.terms])
-    return Number(tuple((e, Fraction(c, q)) for e, c in acc))
+    return acc
+
+
+def _lattice_sum(big_y, ks):
+    """sum k_n * Y^n by Kronecker substitution, as a canonical term list,
+    or None when Y is not on a lattice of negative rationals or the
+    packing would be larger than the sparse sum can be.
+
+    Every exponent of Y is a negative Fraction -(g/L)*p_i, where L is the
+    lcm of their denominators, g the gcd of the integers -e_i*L and p_i a
+    positive int; so Y is an int polynomial sum C_i z^p_i in z = w^(-g/L).
+    Evaluating at z = 2^b gives the int X = sum C_i 2^(b*p_i), and Horner's
+    rule forms P = sum k_n X^n with one int product per power (each by the
+    fixed-size X, so it costs what forming the next power would).  Slot j of
+    P (its b bits from b*j) is the coefficient of z^j, which is at most
+    B = sum |k_n| S^n in size with S = sum |C_i|; b is the bit length of B
+    plus a sign bit, rounded up to whole bytes, so no slot overflows.
+    Adding 2^(b-1) to every slot makes each one a non-negative b-bit
+    digit, and one to_bytes call unpacks them all; a zero slot is skipped.
+
+    The dense product has (N-1)*p_max + 1 slots, while a sum of N powers of
+    a t-term sparse Y has at most C(N+t-1, t) distinct exponents.  When
+    the slots are more (a wide gap between the exponents), the row merge
+    is cheaper, so None is returned.
+    """
+    if not big_y or any(type(e) is not Fraction or e.numerator >= 0
+                        for e, _ in big_y):
+        return None
+    step_den = lcm(*(e.denominator for e, _ in big_y))
+    scaled = [-e.numerator * (step_den // e.denominator) for e, _ in big_y]
+    step = gcd(*scaled)
+    ps = [m // step for m in scaled]
+    slots = (len(ks) - 1) * ps[-1] + 1
+    if slots > comb(len(ks) + len(ps) - 1, len(ps)):
+        return None
+    s = sum(abs(c) for _, c in big_y)
+    bound = 0
+    for k in reversed(ks):
+        bound = bound * s + abs(k)
+    width = (bound.bit_length() + 8) // 8
+    bits = 8 * width
+    x = sum(c << (bits * p) for (_, c), p in zip(big_y, ps))
+    packed = 0
+    for k in reversed(ks):
+        packed = packed * x + k
+    half = 1 << (bits - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (packed + bias).to_bytes(width * slots, "little")
+    out = []
+    for j in range(slots):
+        c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
+        if c:
+            out.append((Fraction(-j * step, step_den), c))
+    return out
 
 
 def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:

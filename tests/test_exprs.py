@@ -43,6 +43,22 @@ def test_unicode_aliases():
     assert parse_number("ε[0]") == epsilon(from_rational(0))
 
 
+def test_tokenize_reports_the_first_bad_character():
+    from omegacalc.exprs import tokenize
+    for text, char, pos in (("w + $", "$", 4), ("#", "#", 0),
+                            ("w^(1/2) .. 1", ".", 8), ("1 + 2 ? ?", "?", 6)):
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert str(info.value) == \
+            "unexpected character %r (at position %d)" % (char, pos)
+        assert info.value.position == pos
+    kinds = [(k, t) for k, t, _ in tokenize("ω^2 + ε[0] … ½")]
+    assert kinds == [("name", "w"), ("sym", "^"), ("int", "2"), ("sym", "+"),
+                     ("name", "eps"), ("sym", "["), ("int", "0"),
+                     ("sym", "]"), ("ellipsis", "..."), ("int", "1"),
+                     ("sym", "/"), ("int", "2"), ("end", "")]
+
+
 def test_number_json_round_trip():
     import test_surreal as ts
     rng = random.Random(62)

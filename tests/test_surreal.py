@@ -533,3 +533,108 @@ def test_series_multiply_by_fractions_a_fixed_number_of_times(monkeypatch):
         return calls[0]
 
     assert fraction_muls(8) == fraction_muls(32)
+
+
+# -- the Kronecker lattice path ---------------------------------------------------
+# power_series packs a y whose exponents are all negative Fractions into one
+# int; these inputs lie on a lattice g*Z and are checked against the oracle.
+
+BIG_RATIONALS = st.builds(Fraction,
+                          st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                          st.integers(1, 10 ** 9))
+
+
+@st.composite
+def lattice_numbers(draw):
+    """1-4 terms with exponents -(g/L)*p on a lattice, p a positive int, and
+    mixed-sign coefficients with large numerators and denominators."""
+    step = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 12)))
+    ps = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4,
+                       unique=True))
+    return naive_from_terms((-step * p, draw(BIG_RATIONALS)) for p in ps)
+
+
+# the tail of the ROADMAP's w^(1/2) + 1 + w^(-1/3), peeled as invert peels it
+ROADMAP_TAIL = n("-w^(-1/2) - w^(-5/6)")
+
+
+@settings(deadline=None)
+@given(lattice_numbers(),
+       st.lists(st.one_of(SERIES_COEFFS, BIG_RATIONALS), min_size=1,
+                max_size=12))
+@example(ROADMAP_TAIL, [1] * 32)
+@example(ROADMAP_TAIL, [Fraction(1, 7)] * 31 + [Fraction(-10 ** 9, 3)])
+@example(n("w^(-3/4)*(-10000000)/3 + w^(-9/4)*5/1000000"),
+         [0, 1, Fraction(-1, 2)] * 10 + [3, 0])
+def test_lattice_power_series_matches_oracle(y, coeffs):
+    got = power_series(y, coeffs)
+    assert got.terms == oracle_power_series(y, coeffs).terms
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("y, coeffs", [
+    (n("w^-1*255"), [0, 1]),                # |top slot| = bound = 2^8 - 1
+    (n("w^-1*(-255)"), [0, 1]),
+    (n("w^(-1/3)*15"), [0, 0, 1]),          # 15^2 = 225, eight bits
+    (n("w^(-1/3)*(-15)"), [1, 1, 1]),       # 1 - 15z + 225z^2
+    (n("w^-2*(-65535)"), [0, 1]),
+    (n("w^(-1/2)*(-3)/2"), [1] * 32),       # monomial, odd powers negative
+])
+def test_lattice_slot_holds_its_bound(y, coeffs):
+    # a monomial y puts |k_n| * S^n in slot n exactly, so the top slot
+    # carries most of the bound the slot width is computed from
+    got = power_series(y, coeffs)
+    assert got.terms == oracle_power_series(y, coeffs).terms
+    assert_canonical(got)
+
+
+def test_lattice_path_divides_out_the_step(monkeypatch):
+    # exponents -1000 and -2000 lie on the step 1000; packed on the step,
+    # 32 powers take 63 slots, and unscaled 62 001, more than the 528 terms
+    # the sparse sum can have, which would send the input to the row merge
+    y = n("w^-1000*3 - w^-2000/7")
+    products = counting(monkeypatch, "mul", lambda a, b: 1)
+    got = power_series(y, [1] * 32)
+    assert products[0] == 0
+    assert got.terms == oracle_power_series(y, [1] * 32).terms
+
+
+# -- the sparse row merge ---------------------------------------------------------
+# A non-real exponent keeps power_series on the row merge; these twins of the
+# merge and products guards above pin that path's counts at N = 32, so a
+# quadratic merge or a return to Horner's rule shows as a change.
+
+SPARSE_INPUT = "w^(w) + w + 1"
+
+
+def test_sparse_series_merge_is_not_quadratic(monkeypatch):
+    x = n(SPARSE_INPUT)
+    calls = counting(monkeypatch, "exp_cmp", lambda e, f: 1)
+    t = invert(x, 32)
+    assert calls[0] == 14_349
+    assert len(t.value.terms) == 528
+
+
+def test_sparse_invert_multiplies_only_the_newest_power(monkeypatch):
+    x = n(SPARSE_INPUT)
+    products = counting(monkeypatch, "mul",
+                        lambda a, b: len(a.terms) * len(b.terms))
+    t = invert(x, 32)
+    assert products[0] == 1_520
+    assert len(t.value.terms) == 528
+
+
+def test_wide_gap_takes_the_sparse_path():
+    # packed densely, the 32 powers of w^-9999 + w^-10000 would need
+    # 310 001 slots; the sparse sum has 528 terms
+    import tracemalloc
+    from omegacalc import cli
+    options = cli.Options(max_terms=32)
+    tracemalloc.start()
+    try:
+        out = cli.run_line("eval 1/(1+w^(-9999)+w^(-10000))", options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert out.count("w^") == 527
