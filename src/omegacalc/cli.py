@@ -14,6 +14,15 @@ One command per line:  VERB ARGS.  Multi-part arguments are separated by
                                minperiod|encode|coords
   coskand OP ...               render|eq|at|kind|toset|coords
   solve FORM ...               reflexive|periodic|extraordinary|check
+
+Every verb is one row of VERBS, keyed by the verb or, in the skand, coskand
+and solve groups, by two words ("skand eq").  A row is (argument kinds,
+function, result kind).  An argument kind parses one ';;'-separated argument
+or raises ParseError; kinds ending in `...` take one or more arguments of
+one kind.  The function maps the arguments to a value.  A result kind is a
+pair (text renderer, JSON renderer) of functions of (value, options), and
+run_line calls exactly one of the two.  Under --json every answer is one
+JSON object, and every error is {"error": {"kind", "message", "position"}}.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ import sys
 from dataclasses import dataclass
 from . import exprs, gaps, skands
 from .errors import CalcError, IoError, ParseError
-from .ordinals import Ordinal
 from .surreal import nf_cmp, real_limit_from_sequences
 
 
@@ -36,128 +44,61 @@ class Options:
     strict: bool = False
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+# -- argument kinds -----------------------------------------------------------
+
+def _number(text, options):
+    return exprs.parse_number_expr(text, options.max_terms)
 
 
-def _render_value(t, options) -> str:
-    if options.json:
-        return _json({"value": exprs.number_to_json(t.value),
-                      "exact": t.exact})
-    text = exprs.render_number(t.value)
-    if not t.exact:
-        text += " (inexact)"
-    return text
+def _ordinal(text, options):
+    return exprs.parse_ordinal(text)
 
 
-def _split_args(rest: str, n=None):
-    parts = [p.strip() for p in rest.split(";;")]
-    if n is not None and len(parts) != n:
-        raise ParseError("expected %d ';;'-separated arguments, got %d"
-                         % (n, len(parts)))
-    return parts
+def _skand(text, options):
+    s = exprs.parse_skand(text)
+    if s.ascending:
+        raise ParseError("expected a skand literal")
+    return s
 
 
-def _int_arg(text: str, what: str, minimum: int = 0) -> int:
-    """A decimal integer argument of at least `minimum`; ParseError
-    otherwise."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise ParseError("%s must be an integer, got %r" % (what, text)) \
-            from None
-    if n < minimum:
-        raise ParseError("%s must be >= %d, got %d" % (what, minimum, n))
-    return n
+def _coskand(text, options):
+    s = exprs.parse_skand(text)
+    return s if s.ascending else skands.Skand(s.start, s.mapping, True)
 
 
-def _braces(s, options) -> str:
-    """The brace rendering of a skand or coskand at options.depth;
-    ParseError for a depth below 1."""
-    if options.depth < 1:
-        raise ParseError("depth must be >= 1, got %d" % options.depth)
-    return exprs.brace_render(s, options.depth)
+def _components(text, options):
+    t = exprs.parse_setterm(text)
+    if isinstance(t, skands.Atom):
+        raise ParseError("components must be a set, e.g. {a,b}")
+    return t.elements
 
 
-def _coords(s, text: str) -> str:
-    """The brace coordinates of the first `text` positions of s."""
-    pairs = skands.brace_coordinates(s, _int_arg(text, "prefix"))
-    return "[%s]" % ", ".join("(%s, %s)" % (exprs.render_number(lo),
-                                             exprs.render_number(hi))
-                              for lo, hi in pairs)
+def _int_kind(what: str, minimum: int = 0):
+    """The kind of a decimal integer argument of at least `minimum`."""
+    def kind(text, options):
+        try:
+            n = int(text)
+        except ValueError:
+            raise ParseError("%s must be an integer, got %r" % (what, text)) \
+                from None
+        if n < minimum:
+            raise ParseError("%s must be >= %d, got %d" % (what, minimum, n))
+        return n
+    return kind
 
 
-_CMP_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
+_PREFIX = _int_kind("prefix")
 
 
-def run_line(line: str, options: Options) -> str:
-    line = line.strip()
-    verb, _, rest = line.partition(" ")
-    rest = rest.strip()
-    if verb in ("eval", "nf"):
-        return _render_value(exprs.parse_number_expr(rest, options.max_terms),
-                             options)
-    if verb == "cmp":
-        a, b = _split_args(rest, 2)
-        ta = exprs.parse_number_expr(a, options.max_terms)
-        tb = exprs.parse_number_expr(b, options.max_terms)
-        name = _CMP_NAMES[nf_cmp(ta.value, tb.value)]
-        return _json({"result": name}) if options.json else name
-    if verb == "ord":
-        value = exprs.parse_ordinal(rest)
-        if options.json:
-            return _json({"value": exprs.ordinal_to_json(value),
-                          "text": exprs.render_ordinal(value)})
-        return exprs.render_ordinal(value)
-    if verb == "gap":
-        label = gaps.gap_of(_parse_descriptor(rest, options))
-        if options.json:
-            return _json({"sign": "+" if label.sign > 0 else "-",
-                          "index": exprs.number_to_json(label.index),
-                          "text": str(label)})
-        return str(label)
-    if verb == "jumps":
-        rep = gaps.jump_report(exprs.parse_ordinal(rest))
-        census = {exprs.render_ordinal(size): exprs.render_ordinal(count)
-                  for size, count in rep.census}
-        if options.json:
-            return _json({"lambda": exprs.render_ordinal(rep.lam),
-                          "embeddable": rep.embeddable,
-                          "translation_invariant": rep.translation_invariant,
-                          "tails_same_type": rep.tails_same_type,
-                          "census": census})
-        flags = "embeddable=%s translation_invariant=%s tails_same_type=%s" \
-            % (rep.embeddable, rep.translation_invariant, rep.tails_same_type)
-        body = "; ".join("%s: %s" % kv for kv in census.items())
-        return "%s\ncensus: %s" % (flags, body)
-    if verb == "leftright":
-        steps = _int_arg(rest, "leftright steps", 1)
-        left, right = gaps.left_right_construct(steps)
-        if options.json:
-            return _json({"L": [str(x) for x in left],
-                          "R": [str(x) for x in right],
-                          "limit": str(real_limit_from_sequences(left, right))})
-        return "L: %s\nR: %s" % (", ".join(str(x) for x in left),
-                                 ", ".join(str(x) for x in right))
-    if verb == "skand":
-        return _run_skand(rest, options)
-    if verb == "coskand":
-        return _run_coskand(rest, options)
-    if verb == "solve":
-        return _run_solve(rest, options)
-    raise ParseError("unknown verb %r" % verb)
-
-
-def _parse_descriptor(text, options):
+def _descriptor(text, options):
     head, _, inner = text.partition("(")
     head = head.strip()
     if not inner.endswith(")"):
         raise ParseError("descriptor arguments must be parenthesised")
     args = [a.strip() for a in inner[:-1].split(",")]
-    if head == "ordinal":
-        return gaps.OrdinalRamp(exprs.parse_ordinal(args[0]))
-    if head == "harmonic":
-        return gaps.HarmonicRamp(exprs.parse_ordinal(args[0]))
+    if head in ("ordinal", "harmonic"):
+        cls = gaps.OrdinalRamp if head == "ordinal" else gaps.HarmonicRamp
+        return cls(exprs.parse_ordinal(args[0]))
     if head in ("add", "dyadic", "geometric", "scaledharmonic"):
         if len(args) != 2 or args[1] not in ("+", "-"):
             raise ParseError("expected %s(BASE, +|-)" % head)
@@ -170,144 +111,210 @@ def _parse_descriptor(text, options):
     raise ParseError("unknown descriptor kind %r" % head)
 
 
-def _flag(value, options) -> str:
-    if options.json:
-        return _json({"result": value})
-    return "true" if value else "false"
+# Mirimanoff equation forms: the argument kinds and the equation they make
+_EQUATIONS = {
+    "reflexive": ((_components,), skands.Reflexive),
+    "periodic": ((_components, ...), lambda *b: skands.Periodic(b)),
+    "extraordinary": ((_components, ...),
+                      lambda *b: skands.Extraordinary(b, len(b))),
+}
 
 
-def _run_skand(rest, options) -> str:
-    op, _, body = rest.partition(" ")
-    body = body.strip()
-    if op in ("render", "normalize", "reflexive", "selfsimilar", "minperiod",
-              "encode"):
-        s = exprs.parse_skand(body)
-        if not isinstance(s, skands.Skand):
-            raise ParseError("expected a skand literal")
-        if op == "render":
-            return _braces(s, options)
-        if op == "normalize":
-            n = skands.normalize(s)
-            return "%s @ [%s, %s)" % (exprs.render_segments(n.mapping),
-                                      exprs.render_ordinal(n.start),
-                                      exprs.render_ordinal(n.end))
-        if op == "reflexive":
-            return _flag(skands.is_reflexive(s), options)
-        if op == "selfsimilar":
-            return _flag(skands.is_self_similar(s), options)
-        if op == "minperiod":
-            n = skands.min_finite_period(s)
-            if options.json:
-                return _json({"result": n})
-            return "none" if n is None else str(n)
-        code = skands.encode_skand(s)
-        return str(code)
-    if op == "eq":
-        a, b = _split_args(body, 2)
-        x, y = exprs.parse_skand(a), exprs.parse_skand(b)
-        if not (isinstance(x, skands.Skand) and isinstance(y, skands.Skand)):
-            raise ParseError("expected two skand literals")
-        return _flag(skands.skand_equal(x, y), options)
-    if op in ("at", "restrict", "coords", "weakly", "periodic", "strictly"):
-        a, b = _split_args(body, 2)
-        s = exprs.parse_skand(a)
-        if not isinstance(s, skands.Skand):
-            raise ParseError("expected a skand literal")
-        if op == "at":
-            return exprs.render_setterm(
-                skands.value_at(s, exprs.parse_ordinal(b)))
-        if op == "restrict":
-            r = skands.restrict(s, exprs.parse_ordinal(b))
-            return _braces(r, options)
-        if op == "coords":
-            return _coords(s, b)
-        tau = exprs.parse_ordinal(b)
-        fn = {"weakly": skands.is_weakly_periodic,
-              "periodic": skands.is_periodic,
-              "strictly": skands.is_strictly_periodic}[op]
-        return _flag(fn(s, tau), options)
-    raise ParseError("unknown skand op %r" % op)
+def _equation(text, options):
+    """FORM ARGS: the Mirimanoff equation of one of the _EQUATIONS forms."""
+    form, _, rest = text.partition(" ")
+    if form not in _EQUATIONS:
+        raise ParseError("unknown equation form %r" % form)
+    kinds, make = _EQUATIONS[form]
+    return make(*_args(kinds, rest.split(";;"), options))
 
 
-def _run_coskand(rest, options) -> str:
-    op, _, body = rest.partition(" ")
-    body = body.strip()
-    if op == "eq":
-        a, b = _split_args(body, 2)
-        x = _as_coskand(exprs.parse_skand(a))
-        y = _as_coskand(exprs.parse_skand(b))
-        return _flag(skands.coskand_equal(x, y), options)
-    if op == "at":
-        a, b = _split_args(body, 2)
-        c = _as_coskand(exprs.parse_skand(a))
-        return exprs.render_setterm(skands.value_at(c, exprs.parse_ordinal(b)))
-    if op == "coords":
-        a, b = _split_args(body, 2)
-        return _coords(_as_coskand(exprs.parse_skand(a)), b)
-    c = _as_coskand(exprs.parse_skand(body))
-    if op == "render":
-        return _braces(c, options)
-    if op == "kind":
-        kind = skands.coskand_kind(c)
-        return _json({"result": kind}) if options.json else kind
-    if op == "toset":
-        return exprs.render_setterm(skands.coskand_to_setterm(c))
-    raise ParseError("unknown coskand op %r" % op)
+def _args(kinds, parts, options):
+    if kinds[-1] is ...:
+        kinds = kinds[:1] * len(parts)
+    elif len(parts) != len(kinds):
+        raise ParseError("expected %d ';;'-separated arguments, got %d"
+                         % (len(kinds), len(parts)))
+    return [kind(part.strip(), options) for kind, part in zip(kinds, parts)]
 
 
-def _as_coskand(value):
-    if isinstance(value, skands.Coskand):
-        return value
-    if isinstance(value, skands.Skand):
-        return skands.Coskand(value.start, value.mapping)
-    raise ParseError("expected a coskand literal")
+# -- result kinds -------------------------------------------------------------
+
+def _as_result(v, options):
+    return {"result": v}
 
 
-def _parse_setterm_only(text):
-    p = exprs._Parser(text)
-    t = exprs._setterm(p)
-    if not p.done():
-        p.fail("trailing input")
-    return t
+def _valued(text, codec):
+    """Prints text(value, options); in JSON {"value": codec(value), "text":
+    that same text}."""
+    return (text, lambda v, options: {"value": codec(v),
+                                      "text": text(v, options)})
 
 
-def _components(text):
-    t = _parse_setterm_only(text)
-    if isinstance(t, skands.Atom):
-        raise ParseError("components must be a set, e.g. {a,b}")
-    return t.elements
+def _braces(s, options) -> str:
+    """The brace rendering of a skand or coskand at options.depth;
+    ParseError for a depth below 1."""
+    if options.depth < 1:
+        raise ParseError("depth must be >= 1, got %d" % options.depth)
+    return exprs.brace_render(s, options.depth)
 
 
-def _run_solve(rest, options) -> str:
-    form, _, body = rest.partition(" ")
-    body = body.strip()
-    if form == "check":
-        inner_form, _, inner = body.partition(" ")
-        parts = _split_args(inner)
+def _number_text(t, options):
+    text = exprs.render_number(t.value)
+    return text if t.exact else text + " (inexact)"
+
+
+def _census(rep):
+    return {exprs.render_ordinal(size): exprs.render_ordinal(count)
+            for size, count in rep.census}
+
+
+def _jumps_text(rep, options):
+    return ("embeddable=%s translation_invariant=%s tails_same_type=%s\n"
+            "census: %s" % (rep.embeddable, rep.translation_invariant,
+                            rep.tails_same_type,
+                            "; ".join("%s: %s" % kv
+                                      for kv in _census(rep).items())))
+
+
+def _jumps_json(rep, options):
+    return {"lambda": exprs.render_ordinal(rep.lam),
+            "embeddable": rep.embeddable,
+            "translation_invariant": rep.translation_invariant,
+            "tails_same_type": rep.tails_same_type, "census": _census(rep)}
+
+
+def _leftright_json(lists, options):
+    left, right = lists
+    return {"L": [str(x) for x in left], "R": [str(x) for x in right],
+            "limit": str(real_limit_from_sequences(left, right))}
+
+
+def _normal_text(n, options):
+    return "%s @ [%s, %s)" % (exprs.render_segments(n.mapping),
+                              exprs.render_ordinal(n.start),
+                              exprs.render_ordinal(n.end))
+
+
+def _coords_text(pairs, options):
+    return "[%s]" % ", ".join("(%s, %s)" % (exprs.render_number(lo),
+                                             exprs.render_number(hi))
+                              for lo, hi in pairs)
+
+
+NUMBER = (_number_text,
+          lambda t, options: {"value": exprs.number_to_json(t.value),
+                              "exact": t.exact})
+GAP = (lambda g, options: str(g),
+       lambda g, options: {"sign": "+" if g.sign > 0 else "-",
+                           "index": exprs.number_to_json(g.index),
+                           "text": str(g)})
+JUMPS = (_jumps_text, _jumps_json)
+LEFTRIGHT = (lambda lists, options: "L: %s\nR: %s" % tuple(
+    ", ".join(str(x) for x in xs) for xs in lists), _leftright_json)
+WORD = (lambda v, options: v, _as_result)
+FLAG = (lambda v, options: "true" if v else "false", _as_result)
+PERIOD = (lambda n, options: "none" if n is None else str(n), _as_result)
+ORDINAL = _valued(lambda o, options: exprs.render_ordinal(o),
+                  exprs.ordinal_to_json)
+SETTERM = _valued(lambda t, options: exprs.render_setterm(t),
+                  exprs.setterm_to_json)
+BRACES = _valued(_braces, exprs.skand_to_json)
+NORMAL = _valued(_normal_text, exprs.skand_to_json)
+COORDS = _valued(_coords_text, lambda pairs: [
+    [exprs.number_to_json(lo), exprs.number_to_json(hi)]
+    for lo, hi in pairs])
+
+
+def _same(value):
+    return value
+
+
+VERBS = {
+    "eval": ((_number,), _same, NUMBER),
+    "nf": ((_number,), _same, NUMBER),
+    "cmp": ((_number, _number),
+            lambda a, b: ("LT", "EQ", "GT")[nf_cmp(a.value, b.value) + 1],
+            WORD),
+    "ord": ((_ordinal,), _same, ORDINAL),
+    "gap": ((_descriptor,), gaps.gap_of, GAP),
+    "jumps": ((_ordinal,), gaps.jump_report, JUMPS),
+    "leftright": ((_int_kind("leftright steps", 1),),
+                  gaps.left_right_construct, LEFTRIGHT),
+    "skand render": ((_skand,), _same, BRACES),
+    "skand normalize": ((_skand,), skands.normalize, NORMAL),
+    "skand eq": ((_skand, _skand), skands.skand_equal, FLAG),
+    "skand at": ((_skand, _ordinal), skands.value_at, SETTERM),
+    "skand restrict": ((_skand, _ordinal), skands.restrict, BRACES),
+    "skand reflexive": ((_skand,), skands.is_reflexive, FLAG),
+    "skand selfsimilar": ((_skand,), skands.is_self_similar, FLAG),
+    "skand weakly": ((_skand, _ordinal), skands.is_weakly_periodic, FLAG),
+    "skand periodic": ((_skand, _ordinal), skands.is_periodic, FLAG),
+    "skand strictly": ((_skand, _ordinal), skands.is_strictly_periodic,
+                       FLAG),
+    "skand minperiod": ((_skand,), skands.min_finite_period, PERIOD),
+    "skand encode": ((_skand,), skands.encode_skand, SETTERM),
+    "skand coords": ((_skand, _PREFIX), skands.brace_coordinates, COORDS),
+    "coskand render": ((_coskand,), _same, BRACES),
+    "coskand eq": ((_coskand, _coskand), skands.skand_equal, FLAG),
+    "coskand at": ((_coskand, _ordinal), skands.value_at, SETTERM),
+    "coskand kind": ((_coskand,), skands.coskand_kind, WORD),
+    "coskand toset": ((_coskand,), skands.coskand_to_setterm, SETTERM),
+    "coskand coords": ((_coskand, _PREFIX), skands.brace_coordinates,
+                       COORDS),
+    **{"solve " + form: (kinds, lambda *a, make=make:
+                         skands.solve_mirimanoff(make(*a)), BRACES)
+       for form, (kinds, make) in _EQUATIONS.items()},
+    "solve check": ((_equation, _skand),
+                    lambda eq, s: skands.is_solution(s, eq), FLAG),
+}
+_GROUPS = {key.partition(" ")[0] for key in VERBS if " " in key}
+
+
+def run_line(line: str, options: Options) -> str:
+    verb, _, rest = line.strip().partition(" ")
+    if verb in _GROUPS:
+        op, _, rest = rest.strip().partition(" ")
+        verb += " " + op
+    try:
+        kinds, fn, (text, to_json) = VERBS[verb]
+    except KeyError:
+        raise ParseError("unknown verb %r" % verb) from None
+    parts = rest.split(";;")
+    if verb == "solve check":
+        # FORM ARGS ;; SKAND: every argument but the last is the equation's
         if len(parts) < 2:
             raise ParseError("solve check FORM ARGS ;; SKAND")
-        eq = _build_equation(inner_form, parts[:-1])
-        s = exprs.parse_skand(parts[-1])
-        if not isinstance(s, skands.Skand):
-            raise ParseError("expected a skand literal")
-        return _flag(skands.is_solution(s, eq), options)
-    eq = _build_equation(form, _split_args(body))
-    witness = skands.solve_mirimanoff(eq)
-    return _braces(witness, options)
+        parts = [";;".join(parts[:-1]), parts[-1]]
+    value = fn(*_args(kinds, parts, options))
+    if options.json:
+        return json.dumps(to_json(value, options), sort_keys=True)
+    return text(value, options)
 
 
-def _build_equation(form, parts):
-    if form == "reflexive":
-        if len(parts) != 1:
-            raise ParseError("solve reflexive {elements}")
-        return skands.Reflexive(frozenset(_components(parts[0])))
-    if form == "periodic":
-        return skands.Periodic(tuple(frozenset(_components(t))
-                                     for t in parts))
-    if form == "extraordinary":
-        return skands.Extraordinary(
-            tuple(frozenset(_components(t)) for t in parts), len(parts))
-    raise ParseError("unknown equation form %r" % form)
+def _report(exc, options, where="", stream=None) -> int:
+    """Print a ParseError or CalcError and return its exit status: as text
+    on `stream` (stderr by default), or under --json as the error envelope
+    on stdout, in the place of the answer."""
+    status = 2 if isinstance(exc, ParseError) else 1
+    if options.json:
+        print(json.dumps({"error": {
+            "kind": type(exc).__name__, "message": str(exc),
+            "position": getattr(exc, "position", None)}}, sort_keys=True))
+    else:
+        print("%s%s: %s" % ("parse error" if status == 2 else "error", where,
+                            exc), file=stream or sys.stderr)
+    return status
+
+
+def _answer(line, options, where, stream) -> int:
+    """Print the answer to one line, or its error; return the line's exit
+    status."""
+    try:
+        print(run_line(line, options))
+    except (ParseError, CalcError) as exc:
+        return _report(exc, options, where, stream)
+    return 0
 
 
 def run_script(path: str, options: Options) -> int:
@@ -320,19 +327,10 @@ def run_script(path: str, options: Options) -> int:
     for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        try:
-            print(run_line(line, options))
-        except ParseError as exc:
-            print("parse error on line %d: %s" % (lineno, exc),
-                  file=sys.stderr)
-            worst = max(worst, 2)
-            if options.strict:
-                return 2
-        except CalcError as exc:
-            print("error on line %d: %s" % (lineno, exc), file=sys.stderr)
-            worst = max(worst, 1)
-            if options.strict:
-                return 1
+        status = _answer(line, options, " on line %d" % lineno, sys.stderr)
+        if status and options.strict:
+            return status
+        worst = max(worst, status)
     return worst
 
 
@@ -348,12 +346,7 @@ def repl(options: Options) -> int:
             continue
         if line.strip() in ("quit", "exit"):
             return 0
-        try:
-            print(run_line(line, options))
-        except ParseError as exc:
-            print("parse error: %s" % exc)
-        except CalcError as exc:
-            print("error: %s" % exc)
+        _answer(line, options, "", sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -380,8 +373,7 @@ def main(argv=None) -> int:
     try:
         return run_script(ns.script, options)
     except IoError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return _report(exc, options)
 
 
 if __name__ == "__main__":

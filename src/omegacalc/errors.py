@@ -88,5 +88,9 @@ class InfiniteLength(CalcError):
     pass
 
 
+class NotASet(CalcError):
+    pass
+
+
 class IoError(CalcError):
     pass

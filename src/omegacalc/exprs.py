@@ -49,24 +49,27 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
-_ALIASES = {"ω": " w ", "ε": " eps ", "…": "...",
-            "½": " 1/2 "}
+# the ASCII tokens each alias stands for, all at the alias's own position
+_ALIASES = {"ω": (("name", "w"),), "ε": (("name", "eps"),),
+            "…": (("ellipsis", "..."),),
+            "½": (("int", "1"), ("sym", "/"), ("int", "2"))}
 
 
 def tokenize(text):
-    # every alias is non-ASCII, so ASCII text needs no replacement pass
-    if not text.isascii():
-        for uni, ascii_ in _ALIASES.items():
-            text = text.replace(uni, ascii_)
     # the catch-all group makes every character start a match, so finditer
-    # walks the text with no gaps and the first bad character stops it
+    # walks the text with no gaps; a character only it matches is an alias,
+    # or else the first bad character, which stops the scan
     out = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
         if kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(), m.start())
+            if m.group() not in _ALIASES:
+                raise ParseError("unexpected character %r" % m.group(),
+                                 m.start())
+            out.extend((k, t, m.start()) for k, t in _ALIASES[m.group()])
+            continue
         out.append((kind, m.group(), m.start()))
     out.append(("end", "", len(text)))
     return out
@@ -423,6 +426,22 @@ def render_setterm(t) -> str:
     return "{%s}" % ",".join(render_setterm(e) for e in sk.sorted_elements(t))
 
 
+def parse_setterm(text):
+    """Parse one set term: IDENT, INT or '{' [st (',' st)*] '}'."""
+    p = _Parser(text)
+    t = _setterm(p)
+    if not p.done():
+        p.fail("trailing input")
+    return t
+
+
+def setterm_to_json(t):
+    """An atom as its name, a set as the list of its elements' codes."""
+    if isinstance(t, sk.Atom):
+        return t.name
+    return [setterm_to_json(e) for e in sk.sorted_elements(t)]
+
+
 def _setterm(p):
     kind, text, pos = p.peek()
     if kind in ("name", "int"):
@@ -615,10 +634,7 @@ def parse_skand(text) -> object:
     if not p.done():
         p.fail("trailing input")
     resolved = _resolve_lengths(segs, end.sub_left(start), p)
-    mapping = sk.TransfiniteMap.from_segments(resolved)
-    if asc:
-        return sk.Coskand(start, mapping)
-    return sk.Skand(start, mapping)
+    return sk.Skand(start, sk.TransfiniteMap.from_segments(resolved), asc)
 
 
 def brace_render(s, depth: int = 4) -> str:
@@ -626,7 +642,7 @@ def brace_render(s, depth: int = 4) -> str:
     region annotation; finite coskands unfold as bare braces."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(s, sk.Coskand):
+    if s.ascending:
         if s.length.is_finite() and s.length.as_int() <= depth:
             n = s.length.as_int()
             comps = [s.mapping.value_at(Ordinal.from_int(i)) for i in range(n)]
@@ -675,20 +691,16 @@ def _layer_text(component, inner):
     return "{%s}" % inner
 
 
-def brace_parse(text):
-    return parse_skand(text)
-
-
 def skand_to_json(s) -> dict:
     segs = []
     for length, pat in s.mapping.segments:
         if isinstance(pat, sk.Constant):
-            segs.append({"const": _setterm_json(pat.value),
+            segs.append({"const": setterm_to_json(pat.value),
                          "length": render_ordinal(length)})
         else:
-            segs.append({"cycle": [_setterm_json(v) for v in pat.values],
+            segs.append({"cycle": [setterm_to_json(v) for v in pat.values],
                          "length": render_ordinal(length)})
-    return {"kind": "coskand" if isinstance(s, sk.Coskand) else "skand",
+    return {"kind": "coskand" if s.ascending else "skand",
             "start": render_ordinal(s.start), "segments": segs}
 
 
@@ -701,15 +713,9 @@ def skand_from_json(data):
         else:
             segs.append((length, sk.Cycle(tuple(_setterm_unjson(v)
                                                 for v in seg["cycle"]))))
-    start = parse_ordinal(data["start"])
-    cls = sk.Coskand if data.get("kind") == "coskand" else sk.Skand
-    return cls(start, sk.TransfiniteMap.from_segments(segs))
-
-
-def _setterm_json(t):
-    if isinstance(t, sk.Atom):
-        return t.name
-    return [_setterm_json(e) for e in sk.sorted_elements(t)]
+    return sk.Skand(parse_ordinal(data["start"]),
+                    sk.TransfiniteMap.from_segments(segs),
+                    data.get("kind") == "coskand")
 
 
 def _setterm_unjson(data):

@@ -2,10 +2,10 @@
 
 A skand assigns to every ordinal position in a clutch region [start,
 start+length) a component (a founded-set term), with decreasing nesting;
-a coskand nests the other way.  Components are described by finitely many
-segments, each a constant or a repeating cycle over an ordinal length.
-Cycle values restart at limit positions: the value at offset limit+m is
-values[m mod n].
+a coskand, a Skand with `ascending` set, nests the other way.  Components
+are described by finitely many segments, each a constant or a repeating
+cycle over an ordinal length.  Cycle values restart at limit positions: the
+value at offset limit+m is values[m mod n].
 
 Every description has one canonical form, computed in a single pass
 (`canonical_segments`).  The positions split into w-blocks [lambda,
@@ -25,12 +25,13 @@ finite description; nothing is ever enumerated transfinitely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 
-from .errors import InfiniteLength, InvalidPeriod, OutOfClutchRegion
+from .errors import InfiniteLength, InvalidPeriod, NotASet, \
+    OutOfClutchRegion
 from .ordinals import OMEGA, ONE as OONE, ZERO as OZERO, Ordinal, \
     classify_ordinal, divmod_omega_pow
 from .surreal import from_ordinal, from_rational, invert, negate
@@ -330,8 +331,11 @@ def map_equal(a: TransfiniteMap, b: TransfiniteMap) -> bool:
 
 @dataclass(frozen=True)
 class Skand:
+    """A skand, or with `ascending` a coskand: the same finite description,
+    nested downward or upward."""
     start: Ordinal
     mapping: TransfiniteMap
+    ascending: bool = False
 
     def __post_init__(self):
         if not self.mapping.total:
@@ -346,38 +350,17 @@ class Skand:
         return self.start + self.length
 
     def __repr__(self):
-        return "Skand<[%s, %s): %d segs>" % (self.start, self.end,
-                                             len(self.mapping.segments))
-
-
-@dataclass(frozen=True)
-class Coskand:
-    start: Ordinal
-    mapping: TransfiniteMap
-
-    def __post_init__(self):
-        if not self.mapping.total:
-            raise ValueError("a coskand has length >= 1")
-
-    @property
-    def length(self) -> Ordinal:
-        return self.mapping.total
-
-    @property
-    def end(self) -> Ordinal:
-        return self.start + self.length
-
-    def __repr__(self):
-        return "Coskand<[%s, %s): %d segs>" % (self.start, self.end,
-                                               len(self.mapping.segments))
+        return "%s<[%s, %s): %d segs>" % (
+            "Coskand" if self.ascending else "Skand", self.start, self.end,
+            len(self.mapping.segments))
 
 
 def make_skand(start, segments) -> Skand:
     return Skand(_ord(start), TransfiniteMap.from_segments(segments))
 
 
-def make_coskand(start, segments) -> Coskand:
-    return Coskand(_ord(start), TransfiniteMap.from_segments(segments))
+def make_coskand(start, segments) -> Skand:
+    return Skand(_ord(start), TransfiniteMap.from_segments(segments), True)
 
 
 def constant_skand(value, length, start=0) -> Skand:
@@ -405,13 +388,14 @@ def restrict(s, from_pos):
     if from_pos.cmp(s.start) < 0 or from_pos.cmp(s.end) >= 0:
         raise OutOfClutchRegion("%s outside [%s, %s)" % (from_pos, s.start,
                                                          s.end))
-    return type(s)(from_pos, s.mapping.slice_from(from_pos.sub_left(s.start)))
+    return replace(s, start=from_pos,
+                   mapping=s.mapping.slice_from(from_pos.sub_left(s.start)))
 
 
 def normalize(s):
     """The canonical representative: clutch region moved to [0, length) and
     the description rewritten to canonical form."""
-    return type(s)(OZERO, normalize_map(s.mapping))
+    return replace(s, start=OZERO, mapping=normalize_map(s.mapping))
 
 
 def skand_equal(x: Skand, y: Skand) -> bool:
@@ -419,9 +403,6 @@ def skand_equal(x: Skand, y: Skand) -> bool:
     components agree under the unique isomorphism between them, that is,
     iff the canonical forms are equal.  Also decides coskand equality."""
     return map_equal(x.mapping, y.mapping)
-
-
-coskand_equal = skand_equal
 
 
 def is_reflexive(s: Skand) -> bool:
@@ -581,13 +562,13 @@ def encode_skand(s: Skand) -> Fset:
 # -- coskand specifics --------------------------------------------------------
 
 
-def coskand_kind(c: Coskand) -> str:
+def coskand_kind(c: Skand) -> str:
     """'individual' when the region's supremum is a limit ordinal (nothing
     can contain such a coskand as a member), else 'founded-set'."""
     return "individual" if c.length.is_limit() else "founded-set"
 
 
-def coskand_to_setterm(c: Coskand) -> Fset:
+def coskand_to_setterm(c: Skand) -> Fset:
     """Unroll a finite-length coskand into the ordinary founded set built by
     increasing nesting."""
     if not c.length.is_finite():
@@ -596,7 +577,7 @@ def coskand_to_setterm(c: Coskand) -> Fset:
     comps = [c.mapping.value_at(Ordinal.from_int(i)) for i in range(n)]
     for comp in comps:
         if not isinstance(comp, Fset):
-            raise ValueError("components must be set terms, got %r" % (comp,))
+            raise NotASet("components must be set terms, got %s" % (comp,))
     acc = comps[0]
     for comp in comps[1:]:
         acc = Fset(comp.elements | frozenset([acc]))
@@ -618,19 +599,18 @@ def brace_coordinates(s, prefix: int):
     conventions (-2, 2) and (-1/2, 1/2)."""
     out = []
     pos = s.start
-    decreasing = isinstance(s, Skand)
     for _ in range(prefix):
         if pos.cmp(s.end) >= 0:
             break
         if not pos:
-            if decreasing:
+            if not s.ascending:
                 pair = (from_rational(-2), from_rational(2))
             else:
                 half = from_rational(Fraction(1, 2))
                 pair = (negate(half), half)
         else:
             v = from_ordinal(pos)
-            if decreasing:
+            if not s.ascending:
                 inv = invert(v).value
                 pair = (negate(inv), inv)
             else:

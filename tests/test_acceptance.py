@@ -19,7 +19,7 @@ from omegacalc import (AddRamp, DyadicRamp, OrdinalRamp, add, birthday,
                        real_limit_from_sequences, restrict, simplest_dyadic_game,
                        skand_equal, solve_mirimanoff, sub)
 from omegacalc import (Atom, Constant, Cycle, Fset, Periodic, Reflexive,
-                       Skand, brace_parse, brace_render, constant_skand,
+                       Skand, parse_skand, brace_render, constant_skand,
                        cycle_skand, make_skand, normalize)
 from omegacalc.ordinals import OMEGA, Ordinal
 from omegacalc.skands import EMPTY
@@ -377,7 +377,7 @@ def test_criterion_13_encoding_equality():
             assert encode_skand(u) == encode_skand(s)
         for s in pool:
             t = brace_render(s, 4)
-            assert skand_equal(brace_parse(t), s)
+            assert skand_equal(parse_skand(t), s)
     _check(13, "encode injectivity, equivalence laws and brace round-trip "
                "on 500 random skands", body)
 

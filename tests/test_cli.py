@@ -1,12 +1,16 @@
 """CLI behaviour: verbs, JSON/text agreement, scripts and exit codes."""
 
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omegacalc import number_from_json, parse_number, parse_ordinal
+from omegacalc import cli, number_from_json, parse_number, parse_ordinal
 from omegacalc.cli import Options, main, run_line, run_script
 from omegacalc.errors import CalcError, ParseError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 O = Options()
 OJ = Options(json=True)
@@ -233,3 +237,128 @@ def test_repl_pipe():
         input="eval 1/0\nnf 3\n", text=True, capture_output=True)
     assert proc.returncode == 0
     assert "error" in proc.stdout and "3" in proc.stdout
+
+
+def test_golden_output_matches_snapshot(capsys):
+    golden = str(ROOT / "golden.calc")
+    expected = (ROOT / "tests" / "golden.out").read_text()
+    assert run_script(golden, Options(strict=True)) == 0
+    assert capsys.readouterr().out == expected
+    assert run_script(golden, Options(strict=True, json=True)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 40
+    for line in out:
+        assert isinstance(json.loads(line), dict), line
+
+
+def test_coskand_toset_with_atom_components_is_a_calc_error():
+    with pytest.raises(CalcError, match="must be set terms"):
+        run_line("coskand toset const(a) @ [0,3)", O)
+
+
+def test_errors_under_json_print_the_envelope(tmp_path, capsys):
+    script = tmp_path / "s.calc"
+    script.write_text("eval w +\nnf 2\neval 1/0\n")
+    assert main([str(script), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    first, second, third = (json.loads(x) for x in out.out.splitlines())
+    assert first == {"error": {"kind": "ParseError", "position": 3,
+                               "message": "expected a number (at position 3)"}}
+    assert second["value"] == [[[], [2, 1]]]
+    assert third["error"]["kind"] == "DivisionByZero"
+    assert third["error"]["position"] is None
+    assert isinstance(third["error"]["message"], str)
+    # text mode keeps its messages, on stderr
+    assert main([str(script)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "2\n"
+    assert out.err.splitlines()[0].startswith("parse error on line 1: ")
+    assert out.err.splitlines()[1].startswith("error on line 3: ")
+    assert main([str(tmp_path / "missing.calc"), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "IoError"
+
+
+# -- the verb contract ---------------------------------------------------
+#
+# One valid line per key of cli.VERBS.  Every answer is a str or a
+# ParseError/CalcError, and under --json every answer is one JSON object.
+
+EXAMPLES = {
+    "eval": "eval 1/(w+1)",
+    "nf": "nf (w+1)*(w-1)",
+    "cmp": "cmp w ;; w - 1",
+    "ord": "ord (w+1) (+) (w+1)",
+    "gap": "gap add(w, +)",
+    "jumps": "jumps w^2",
+    "leftright": "leftright 6",
+    "skand render": "skand render const({1}) @ [0,w)",
+    "skand normalize": "skand normalize cycle(a,a):w;cycle(b,a) @ [0,w*2)",
+    "skand eq": "skand eq const({a}) @ [0,w) ;; const({a}) @ [5,w)",
+    "skand at": "skand at cycle(1,2,3) @ [0,w^2) ;; w+4",
+    "skand restrict": "skand restrict const({a}):w;const({b}) @ [0,w*2) ;; 3",
+    "skand reflexive": "skand reflexive const({a}) @ [0,w*2)",
+    "skand selfsimilar": "skand selfsimilar const({a}) @ [0,w^2)",
+    "skand weakly": "skand weakly cycle(1,2,3) @ [0,w^2) ;; 3",
+    "skand periodic": "skand periodic cycle(1,2,3) @ [0,w*3) ;; w",
+    "skand strictly": "skand strictly cycle(1,2,3) @ [0,w^2) ;; 3",
+    "skand minperiod": "skand minperiod cycle(a,b,a,b,c) @ [0,w)",
+    "skand encode": "skand encode const({}) @ [0,w)",
+    "skand coords": "skand coords const({a}) @ [1,w) ;; 2",
+    "coskand render": "coskand render const({a}):1;const({}):1;const({b}) "
+                      "@ [0,3)",
+    "coskand eq": "coskand eq const({}) @ [0,w) ;; asc const({}) @ [3,w)",
+    "coskand at": "coskand at const({a}):1;const({b}) @ [0,w) ;; 3",
+    "coskand kind": "coskand kind const({}) @ [0,w)",
+    "coskand toset": "coskand toset {b,{{a}}}",
+    "coskand coords": "coskand coords {{a},{}} ;; 3",
+    "solve reflexive": "solve reflexive {a}",
+    "solve periodic": "solve periodic {a} ;; {b}",
+    "solve extraordinary": "solve extraordinary {a} ;; {b} ;; {c}",
+    "solve check": "solve check periodic {a} ;; {b} ;; "
+                   "cycle({a},{b}) @ [0,w)",
+}
+JUNK = "$#!~\t{}()[];,:@^*+-|.ωε…½"
+
+
+def test_every_verb_has_an_example():
+    assert set(EXAMPLES) == set(cli.VERBS)
+
+
+def test_every_example_answers_in_text_and_json():
+    for key, line in EXAMPLES.items():
+        text = run_line(line, O)
+        data = json.loads(run_line(line, OJ))
+        assert isinstance(data, dict), key
+        # the formerly text-only forms carry their text line verbatim
+        assert data.get("text", text) == text, key
+
+
+@st.composite
+def mutated_lines(draw):
+    line = EXAMPLES[draw(st.sampled_from(sorted(EXAMPLES)))]
+    how = draw(st.sampled_from(["keep", "drop", "extra", "truncate", "junk"]))
+    if how == "drop" and ";;" in line:
+        line = line.replace(";;", " ", 1)
+    elif how == "extra":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + " ;; " + line[i:]
+    elif how == "truncate":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif how == "junk":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from(JUNK)) + line[i:]
+    return line
+
+
+@settings(deadline=None, max_examples=400)
+@given(mutated_lines(), st.booleans(), st.sampled_from([1, 3, 8]))
+def test_verb_contract(line, as_json, depth):
+    options = Options(json=as_json, depth=depth, max_terms=depth)
+    try:
+        out = run_line(line, options)
+    except (ParseError, CalcError):
+        return
+    assert isinstance(out, str)
+    if as_json:
+        assert isinstance(json.loads(out), dict)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from omegacalc import (brace_parse, brace_render, epsilon, from_rational,
-                       mul, number_from_json, number_to_json,
+from omegacalc import (brace_render, epsilon, from_rational, mul,
+                       number_from_json, number_to_json,
                        ordinal_from_json, ordinal_to_json, parse_number,
                        parse_number_expr, parse_ordinal, parse_skand,
                        render_number, render_ordinal)
@@ -57,6 +57,19 @@ def test_tokenize_reports_the_first_bad_character():
                      ("name", "eps"), ("sym", "["), ("int", "0"),
                      ("sym", "]"), ("ellipsis", "..."), ("int", "1"),
                      ("sym", "/"), ("int", "2"), ("end", "")]
+
+
+def test_positions_after_an_alias_index_the_input():
+    # an alias scans in place, so positions are the input's own indices
+    for text, pos in (("ω $", 2), ("½+ε[0] $", 7)):
+        with pytest.raises(ParseError) as info:
+            parse_number(text)
+        assert info.value.position == pos
+    assert parse_number("½+ε[0]") == parse_number("1/2+eps[0]")
+    from omegacalc.exprs import tokenize
+    assert tokenize("2ω½") == [
+        ("int", "2", 0), ("name", "w", 1), ("int", "1", 2), ("sym", "/", 2),
+        ("int", "2", 2), ("end", "", 3)]
 
 
 def test_number_json_round_trip():
@@ -134,7 +147,7 @@ def test_brace_render_examples():
     assert brace_render(s, 3) == "{1,{1,{1,{...}}}} @ [0, w)"
     e3 = make_coskand(0, [(3, Constant(Fset()))])
     assert brace_render(e3, 5) == "{{{}}}"
-    assert brace_parse("{{{}}}").length == parse_ordinal("3")
+    assert parse_skand("{{{}}}").length == parse_ordinal("3")
 
 
 def test_brace_render_cut_mid_cycle_round_trips():
@@ -142,4 +155,13 @@ def test_brace_render_cut_mid_cycle_round_trips():
     s = cycle_skand([Fset.of(Atom(c)) for c in "abc"], parse_ordinal("w^2"))
     for depth in (1, 2, 3, 4, 5, 7):
         text = brace_render(s, depth)
-        assert skand_equal(brace_parse(text), s), text
+        assert skand_equal(parse_skand(text), s), text
+
+
+def test_skand_json_round_trip_keeps_the_orientation():
+    from omegacalc.exprs import skand_from_json, skand_to_json
+    for text in ("cycle(a,b) @ [1,w*2)", "asc const({}) @ [3,w)", "{{a},{}}"):
+        s = parse_skand(text)
+        assert skand_from_json(skand_to_json(s)) == s
+    assert parse_skand("{{a},{}}").ascending
+    assert not parse_skand("{{a},{}} @ [0,2)").ascending

@@ -9,10 +9,10 @@ import tracemalloc
 
 import pytest
 
-from omegacalc import (Atom, Constant, Coskand, Cycle, Extraordinary, Fset,
+from omegacalc import (Atom, Constant, Cycle, Extraordinary, Fset,
                        Ordinal, Periodic, Reflexive, Skand, TransfiniteMap,
-                       brace_coordinates, brace_parse, brace_render,
-                       constant_skand, coskand_equal, coskand_kind,
+                       brace_coordinates, parse_skand, brace_render,
+                       constant_skand, coskand_kind,
                        coskand_to_setterm, cycle_skand, encode_skand,
                        is_periodic, is_reflexive, is_self_similar,
                        is_solution, is_strictly_periodic, is_weakly_periodic,
@@ -401,7 +401,7 @@ def test_brace_roundtrip_random():
         s = random_skand(rng)
         for depth in (1, 3, 6):
             t = brace_render(s, depth)
-            assert skand_equal(brace_parse(t), s), t
+            assert skand_equal(parse_skand(t), s), t
 
 
 # -- encoding -------------------------------------------------------------------
@@ -443,13 +443,14 @@ def test_brace_coordinates_monotone_nesting():
 
 def test_coskand_equal():
     x = make_coskand(0, [(W, Constant(EMPTY))])
-    y = Coskand(o("3"), TransfiniteMap.from_segments([(W, Constant(EMPTY))]))
-    assert coskand_equal(x, y)
-    assert not coskand_equal(make_coskand(0, [(o("3"), Constant(EMPTY))]),
-                             make_coskand(0, [(o("4"), Constant(EMPTY))]))
+    y = Skand(o("3"), TransfiniteMap.from_segments([(W, Constant(EMPTY))]),
+              True)
+    assert skand_equal(x, y)
+    assert not skand_equal(make_coskand(0, [(o("3"), Constant(EMPTY))]),
+                           make_coskand(0, [(o("4"), Constant(EMPTY))]))
     a = make_coskand(0, [(o("3"), Constant(SA))])
     b = make_coskand(0, [(o("2"), Constant(SA)), (o("1"), Constant(SB))])
-    assert not coskand_equal(a, b)
+    assert not skand_equal(a, b)
 
 
 def test_coskand_equal_matches_inductive_set_identity():
@@ -464,7 +465,7 @@ def test_coskand_equal_matches_inductive_set_identity():
                               for _ in range(n1)])
         c2 = make_coskand(0, [(1, Constant(rng.choice(sets)))
                               for _ in range(n2)])
-        lhs = coskand_equal(c1, c2)
+        lhs = skand_equal(c1, c2)
         rhs = coskand_to_setterm(c1) == coskand_to_setterm(c2)
         # distinct descriptions may collide as plain sets only through the
         # trailing-brace ambiguity; equality must still imply set equality
@@ -579,7 +580,7 @@ def test_skand_json_round_trip():
         assert back.start == s.start and skand_equal(back, s)
     c = make_coskand(0, [(W, Constant(EMPTY))])
     back = skand_from_json(skand_to_json(c))
-    assert isinstance(back, Coskand) and coskand_equal(back, c)
+    assert back.ascending and skand_equal(back, c)
 
 
 # -- pointwise oracle --------------------------------------------------------
