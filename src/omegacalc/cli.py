@@ -97,6 +97,8 @@ def _descriptor(text, options):
         raise ParseError("descriptor arguments must be parenthesised")
     args = [a.strip() for a in inner[:-1].split(",")]
     if head in ("ordinal", "harmonic"):
+        if len(args) != 1:
+            raise ParseError("expected %s(ORDINAL)" % head)
         cls = gaps.OrdinalRamp if head == "ordinal" else gaps.HarmonicRamp
         return cls(exprs.parse_ordinal(args[0]))
     if head in ("add", "dyadic", "geometric", "scaledharmonic"):

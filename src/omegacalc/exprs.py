@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ParseError
 from .ordinals import Ordinal
@@ -420,10 +421,32 @@ def number_from_json(data) -> Number:
 
 # -- set terms ----------------------------------------------------------------
 
-def render_setterm(t) -> str:
+def _fold_setterm(t, fset, memo):
+    """(sort key, result) of a set term, folded bottom-up: an atom's result
+    is its name, and a set's is fset(results), given its elements' results
+    in the canonical order.  That order puts atoms (by name) before sets,
+    and sets by the sorted tuple of their elements' keys.  `memo`, one per
+    call of the public renderers, maps a set's id to its pair, so each
+    node's key and result are computed once even where one subterm is
+    referenced repeatedly (the encodings built by skands.kpair and nat_code
+    are such DAGs)."""
     if isinstance(t, sk.Atom):
-        return t.name
-    return "{%s}" % ",".join(render_setterm(e) for e in sk.sorted_elements(t))
+        return (0, t.name), t.name
+    got = memo.get(id(t))
+    if got is None:
+        kids = [_fold_setterm(e, fset, memo) for e in t.elements]
+        kids.sort(key=itemgetter(0))
+        got = memo[id(t)] = ((1, tuple([k for k, _ in kids])),
+                             fset([r for _, r in kids]))
+    return got
+
+
+def _braced(texts):
+    return "{%s}" % ",".join(texts)
+
+
+def render_setterm(t) -> str:
+    return _fold_setterm(t, _braced, {})[1]
 
 
 def parse_setterm(text):
@@ -437,9 +460,7 @@ def parse_setterm(text):
 
 def setterm_to_json(t):
     """An atom as its name, a set as the list of its elements' codes."""
-    if isinstance(t, sk.Atom):
-        return t.name
-    return [setterm_to_json(e) for e in sk.sorted_elements(t)]
+    return _fold_setterm(t, list, {})[1]
 
 
 def _setterm(p):
@@ -683,7 +704,7 @@ def brace_render(s, depth: int = 4) -> str:
 def _layer_text(component, inner):
     if not isinstance(component, sk.Fset):
         raise ValueError("brace rendering needs set-valued components")
-    elems = ",".join(render_setterm(e) for e in sk.sorted_elements(component))
+    elems = render_setterm(component)[1:-1]  # the text inside its braces
     if inner is None:
         return "{%s}" % elems
     if elems:

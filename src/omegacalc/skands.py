@@ -18,16 +18,19 @@ canonical forms are, and the founded-set encoding encodes the canonical
 form.  Finite periods are read off the same form: since h is shortest and
 p primitive, a block is purely periodic exactly when h is empty, that is,
 when it lies in a canonical segment of limit length, and its finite periods
-are then the multiples of |p| (Fine-Wilf).  The reflexivity /
-self-similarity / periodicity predicates are decided symbolically on the
-finite description; nothing is ever enumerated transfinitely.
+are then the multiples of |p| (Fine-Wilf).  A transfinite period tau with
+leading exponent xi is read off the same form too: a skand is tau-periodic
+iff its canonical segments are constants over multiples of w^(xi+1), and
+strictly so iff, moreover, there is one segment and the length is w^mu
+(see is_periodic for the proof).  The reflexivity / self-similarity /
+periodicity predicates are decided symbolically on the finite description;
+nothing is ever enumerated transfinitely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from itertools import zip_longest
 
 from .errors import InfiniteLength, InvalidPeriod, NotASet, \
@@ -56,20 +59,11 @@ class Fset:
         return Fset(frozenset(elems))
 
     def __str__(self):
-        return "{%s}" % ",".join(str(e) for e in sorted_elements(self))
+        from .exprs import render_setterm
+        return render_setterm(self)
 
 
 EMPTY = Fset()
-
-
-def _term_key(t):
-    if isinstance(t, Atom):
-        return (0, t.name)
-    return (1, tuple(sorted(_term_key(e) for e in t.elements)))
-
-
-def sorted_elements(s: Fset):
-    return sorted(s.elements, key=_term_key)
 
 
 def kpair(a, b) -> Fset:
@@ -458,75 +452,70 @@ def is_weakly_periodic(s: Skand, tau) -> bool:
                for sigma in range(1, k + 1))
 
 
-def _critical_window_multiples(m: TransfiniteMap, exp_plus_one: Ordinal):
-    """Multiples of window = w^exp_plus_one worth separate checking: the
-    ones bracketing a segment boundary, the first few, and one generic
-    representative past the last boundary.  All other multiples land inside
-    a single trailing segment and repeat the generic one."""
-    window = Ordinal.omega_pow(exp_plus_one)
-    quots = [OZERO, OONE, Ordinal.from_int(2)]
-    for b in m.boundaries():
-        q, _ = divmod_omega_pow(b, exp_plus_one)
-        quots += (q, q + 1, q + 2)
-    total = m.total
-    return [lam for lam in dict.fromkeys(window * q for q in quots)
-            if lam.cmp(total) < 0]
-
-
-def _critical_shift_points(m: TransfiniteMap, tau: Ordinal):
-    """Positions P whose tails can behave differently under a +tau shift,
-    tau infinite: window multiples and segment landmarks, each with a spread
-    of finite offsets to exercise every cycle phase."""
-    span = max([2] + [2 * len(pat.values) for _, pat in m.segments
-                      if isinstance(pat, Cycle)])
-    bases = _critical_window_multiples(m, tau.leading_exp + 1)
-    for b in m.boundaries():
-        bases += (b, b + OMEGA, b + OMEGA * 2)
-    total = m.total
-    return [p for p in dict.fromkeys(base + Ordinal.from_int(j)
-                                     for base in bases
-                                     for j in range(span + 1))
-            if p.cmp(total) < 0]
-
-
 def is_periodic(s: Skand, tau) -> bool:
     """Every tail is weakly periodic with the same period.  Equivalent to:
-    every normal-form exponent of the length is > the leading exponent of
-    tau, and tail(P) equals tail(P + tau) at every position P.  For a finite
-    tau every w-block must be p^w with |p| dividing tau: every canonical
-    segment has limit length (no block has a prefix h) and such a pattern."""
+    every normal-form exponent of the length is > xi, the leading exponent
+    of tau, and tail(P) equals tail(P + tau) at every position P.  Decided in
+    one pass over the canonical segments.
+
+    A finite tau: every w-block must be p^w with |p| dividing tau, that is,
+    every canonical segment has limit length (no block has a prefix h) and
+    such a pattern.
+
+    An infinite tau, with leading term w^xi*c: let W = w^(xi+1).  Then s is
+    periodic iff every canonical segment is a constant whose length (so
+    every boundary) is a multiple of W, that is, the component is constant
+    on every W-window [W*a, W*(a+1)):
+    - for rho < w^xi, rho + tau = tau, so all P in one w^xi-block share
+      P + tau and therefore their tails; at offset 0 this makes the
+      component constant on each w^xi-block;
+    - inside a W-window, block n's tail is then block (n+c)'s, so the block
+      values are c-periodic.  A finite description makes them eventually
+      constant, because past the window's last boundary every block starts
+      at a limit of one segment, where cycles restart; a periodic sequence
+      that is eventually constant is constant;
+    - conversely, if the component is constant on every W-window, P and
+      P + tau lie in one window (tau < W), so their tails have the same
+      order type and the same values.
+    So the verdict depends on tau only through xi."""
+    return _periodic_segment_count(s, tau) > 0
+
+
+def _periodic_segment_count(s: Skand, tau) -> int:
+    """The number of canonical segments of s when s is periodic with period
+    tau (see is_periodic), else 0."""
     tau = _ord(tau)
     if not tau:
         raise InvalidPeriod("period must be a nonzero ordinal")
-    xi1 = tau.leading_exp
-    kappa, rem = divmod_omega_pow(s.length, xi1 + 1)
+    exp1 = tau.leading_exp + 1
+    kappa, rem = divmod_omega_pow(s.length, exp1)
     if rem or not kappa:
-        return False
-    m = s.mapping
-    if tau.is_finite():
-        t = tau.as_int()
-        return all(length.is_limit() and t % len(_values(pat)) == 0
-                   for length, pat in canonical_segments(m))
-    # b + j + tau = b + tau for finite j, so many shifted tails coincide:
-    # canonicalize each tail once
-    tail = cache(lambda p: normalize_map(m.slice_from(p)))
-    return all(tail(p) == tail(p + tau)
-               for p in _critical_shift_points(m, tau))
+        return 0
+    # every segment's length is a multiple of W (for a finite tau, a limit)
+    # and its pattern's period divides tau (for an infinite one, is 1)
+    finite = tau.is_finite()
+    t = tau.as_int() if finite else 1
+    count = 0
+    for length, pat in canonical_segments(s.mapping):
+        aligned = length.is_limit() if finite else \
+            not divmod_omega_pow(length, exp1)[1]
+        if not aligned or t % len(_values(pat)):
+            return 0
+        count += 1
+    return count
 
 
 def is_strictly_periodic(s: Skand, tau) -> bool:
-    """Periodic, with every w^(xi1+1)-block tail equal to the whole skand;
-    forces the length to be w^mu."""
-    tau = _ord(tau)
-    if not is_periodic(s, tau):
-        return False
-    if not classify_ordinal(s.length).is_additively_indecomposable:
-        return False
-    xi1 = tau.leading_exp
-    m = s.mapping
-    whole = normalize_map(m)
-    return all(normalize_map(m.slice_from(lam)) == whole
-               for lam in _critical_window_multiples(m, xi1 + 1) if lam)
+    """Periodic, with every tail at a multiple lam of W = w^(xi+1) equal to
+    the whole skand.  A tail at 0 < lam < length has the whole's order type
+    only when the length is additively indecomposable (w^mu).  Then the
+    condition holds iff the canonical form has one segment: the canonical
+    segments of a periodic skand start at multiples of W, one segment's
+    pattern restarts at each of them, and a second segment's tail begins
+    with a pattern other than the first's (adjacent ones differ), over a
+    whole w-block."""
+    return _periodic_segment_count(s, tau) == 1 and \
+        classify_ordinal(s.length).is_additively_indecomposable
 
 
 def min_finite_period(s: Skand):

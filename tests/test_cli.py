@@ -49,6 +49,14 @@ def test_gap():
     assert data["sign"] == "+"
 
 
+def test_gap_ramp_takes_one_argument():
+    # a ramp takes exactly one ordinal; extra arguments are not dropped
+    for line in ("gap ordinal(w, junk)", "gap harmonic(w,,)",
+                 "gap ordinal(w, 2)"):
+        with pytest.raises(ParseError, match="expected"):
+            run_line(line, O)
+
+
 def test_jumps():
     data = json.loads(run_line("jumps w^2", OJ))
     assert data["census"] == {"w": "w", "w^2": "1"}

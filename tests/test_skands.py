@@ -8,6 +8,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegacalc import (Atom, Constant, Cycle, Extraordinary, Fset,
                        Ordinal, Periodic, Reflexive, Skand, TransfiniteMap,
@@ -763,3 +764,162 @@ def test_finite_periods_agree_with_pointwise_oracle():
     # the oracle is not vacuous: true weakly / periodic / reflexive /
     # least-period verdicts over the grid
     assert seen == [9360, 4122, 1344, 1776]
+
+
+# -- transfinite periods -----------------------------------------------------
+#
+# GRID_MAPS, extended with w^3 segments so that a period of leading
+# exponent 2 (window w^3) can hold, judged by component values alone.
+
+W2, W3 = o("w^2"), o("w^3")
+W3_SEGMENTS = [(W3, pat) for pat in GRID_PATTERNS]
+TAU_GRID_MAPS = GRID_MAPS + [
+    TransfiniteMap.from_segments(segs) for segs in
+    [[s] for s in W3_SEGMENTS]
+    + [[s, t] for s in GRID_SEGMENTS + W3_SEGMENTS
+       for t in GRID_SEGMENTS + W3_SEGMENTS if W3 in (s[0], t[0])]]
+TAUS = [o(t) for t in ("1", "2", "w", "w+1", "w*2", "w^2")]
+
+
+def position_type(x):
+    """The coefficients (w^3, w^2, w, 1) of x < w^4, with the w^2 one capped
+    at 2, the w one at 4, and the finite one n, when n >= 3, replaced by the
+    one of 3, 4 with n's parity."""
+    k = {e.as_int(): c for e, c in x.terms}
+    n = k.get(0, 0)
+    return (k.get(3, 0), min(k.get(2, 0), 2), min(k.get(1, 0), 4),
+            n if n < 3 else 3 + (n - 3) % 2)
+
+
+# every type below w^3*2 (the longest total), with its least position
+TYPES = {(a, b, c, n): W3 * a + W2 * b + W * c + n
+         for a in range(2) for b in range(3) for c in range(5)
+         for n in range(5)}
+
+
+def multiple_of_omega_pow(x, exp):
+    return all(e.cmp(exp) >= 0 for e, _ in x.terms)
+
+
+def period_pairs(tau):
+    """The position types that the definitions compare for tau.
+
+    shifts: (type of P + d, type of P + tau + d) for P, d in TYPES, d < W,
+    where W = w^(xi+1) and xi is tau's leading exponent.
+    tails: for each nonzero multiple lam of W in TYPES, the pairs (type of
+    lam + d, d) for d in TYPES."""
+    exp1 = tau.leading_exp + 1
+    window = Ordinal.omega_pow(exp1)
+    shifts = {(position_type(p + d), position_type(p + tau + d))
+              for p in TYPES.values() for d in TYPES.values()
+              if d.cmp(window) < 0}
+    tails = {lam: [(position_type(TYPES[lam] + TYPES[d]), d) for d in TYPES]
+             for lam in TYPES
+             if any(lam) and multiple_of_omega_pow(TYPES[lam], exp1)}
+    return shifts, tails
+
+
+def period_oracle(total, values, tau, shifts, tails):
+    """(periodic, strictly periodic) for a map in TAU_GRID_MAPS and tau,
+    from its total and `values` (its component at each type below the
+    total, read with value_at) only.
+
+    Periodic: every exponent of the length L is >= xi+1 (a multiple of W),
+    and tail(P) equals tail(P + tau) for every P: m(P + d) == m(P + tau + d)
+    for every d < W (for d >= W, tau + d = d).  P and P + tau lie in one
+    W-window, as W is additively indecomposable, so the two tails have the
+    same order type.  Strictly periodic: periodic, and the tail at every
+    nonzero multiple lam < L of W has L's order type (lam + L == L) and
+    m(lam + d) == m(d) for every d < L.
+
+    The pairs are complete for TAU_GRID_MAPS:
+    - m(x), and whether x < L when L is a multiple of w, depend only on x's
+      position_type.  m's first boundary l1 is a grid length, with
+      coefficients at most 1 (w^3, w^2) and 2 (w, finite), below the caps,
+      so the type decides x < l1 and whether x lies in l1's w-block.  A
+      cycle has length <= 2 and its phase at x is x's finite part, minus
+      l1's in l1's block, so the parity decides it.  A total that is a
+      multiple of w is w^3*a + w^2*b + w*c with b <= 2 and c <= 4, where
+      b = 2 or c = 4 only with zeros below (w^2*2, w*4), so the capped
+      coefficients decide x < L too.
+    - Types add: type(x + y) == type(type(x) + type(y)).  x + y keeps x's
+      terms above y's leading exponent, adds the coefficients there, and
+      takes y's terms below; capping, like parity, commutes with that.
+    So replacing P, d and lam by their types' least positions keeps every
+    compared value and every range test, and a multiple of W stays one: the
+    finitely many type pairs decide both definitions at every position."""
+    if not multiple_of_omega_pow(total, tau.leading_exp + 1):
+        return False, False
+    periodic = all(values[x] == values[y] for x, y in shifts if x in values)
+    strict = periodic and all(
+        TYPES[lam] + total == total
+        and all(values[x] == values[d] for x, d in rows if d in values)
+        for lam, rows in tails.items() if lam in values)
+    return periodic, strict
+
+
+def test_transfinite_periods_agree_with_pointwise_oracle():
+    pairs = {tau: period_pairs(tau) for tau in TAUS}
+    seen = {tau: [0, 0] for tau in TAUS}
+    for m in TAU_GRID_MAPS:
+        s = Skand(o("0"), m)
+        total = m.total
+        values = {t: m.value_at(p) for t, p in TYPES.items()
+                  if p.cmp(total) < 0}
+        for tau in TAUS:
+            periodic, strict = period_oracle(total, values, tau, *pairs[tau])
+            assert is_periodic(s, tau) == periodic, (m, tau)
+            assert is_strictly_periodic(s, tau) == strict, (m, tau)
+            seen[tau][0] += periodic
+            seen[tau][1] += strict
+    # the oracle is not vacuous: true periodic / strictly periodic verdicts
+    # per tau over the grid
+    assert [seen[tau] for tau in TAUS] == [[840, 270], [1392, 300], [348, 222],
+                                          [348, 222], [348, 222], [156, 120]]
+
+
+def test_transfinite_periods_do_not_slice_or_normalize(monkeypatch):
+    # with an infinite tau both predicates read the canonical segments of
+    # the whole map once: no tail is sliced off or canonicalized
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(TransfiniteMap, "slice_from",
+                        counted(TransfiniteMap.slice_from))
+    monkeypatch.setattr(skands, "normalize_map",
+                        counted(skands.normalize_map))
+    rng = random.Random(47)
+    cases = [example3(), example2(), constant_skand(SA, o("w^3")),
+             make_skand(0, [(W2, Constant(SA)), (o("w^3"), Constant(SB))])]
+    cases += [random_skand(rng) for _ in range(100)]
+    for s in cases:
+        for tau in (o("w"), o("w+1"), o("w*2"), o("w^2*3+w")):
+            is_periodic(s, tau)
+            is_strictly_periodic(s, tau)
+    assert calls[0] == 0
+    # the wrappers count: the weak predicate still slices and normalizes
+    is_weakly_periodic(cases[2], o("w"))
+    assert calls[0] > 0
+
+
+SEGMENTS = st.tuples(
+    st.sampled_from(LENGTHS).map(o),
+    st.one_of(st.sampled_from(VALUES).map(Constant),
+              st.lists(st.sampled_from(VALUES), min_size=1, max_size=3)
+              .map(lambda vs: Cycle(tuple(vs)))))
+
+
+@settings(deadline=None)
+@given(st.lists(SEGMENTS, min_size=1, max_size=4), st.integers(1, 4),
+       st.integers(0, 4))
+def test_transfinite_verdicts_depend_only_on_the_leading_exponent(segs, k, j):
+    s = make_skand(0, segs)
+    for lead in (W, W2):
+        tau = lead * k + j
+        assert is_periodic(s, tau) == is_periodic(s, lead)
+        assert is_strictly_periodic(s, tau) == is_strictly_periodic(s, lead)
