@@ -23,6 +23,8 @@ one kind.  The function maps the arguments to a value.  A result kind is a
 pair (text renderer, JSON renderer) of functions of (value, options), and
 run_line calls exactly one of the two.  Under --json every answer is one
 JSON object, and every error is {"error": {"kind", "message", "position"}}.
+A ParseError's position is a character index into the input line, also
+inside a ';;'-separated argument, a gap descriptor or an equation.
 """
 
 from __future__ import annotations
@@ -92,20 +94,21 @@ _PREFIX = _int_kind("prefix")
 
 def _descriptor(text, options):
     head, _, inner = text.partition("(")
+    at = len(head) + 1   # where the first argument starts
     head = head.strip()
     if not inner.endswith(")"):
         raise ParseError("descriptor arguments must be parenthesised")
-    args = [a.strip() for a in inner[:-1].split(",")]
+    args = inner[:-1].split(",")
     if head in ("ordinal", "harmonic"):
         if len(args) != 1:
             raise ParseError("expected %s(ORDINAL)" % head)
         cls = gaps.OrdinalRamp if head == "ordinal" else gaps.HarmonicRamp
-        return cls(exprs.parse_ordinal(args[0]))
+        return cls(_within(at, args[0], exprs.parse_ordinal))
     if head in ("add", "dyadic", "geometric", "scaledharmonic"):
-        if len(args) != 2 or args[1] not in ("+", "-"):
+        if len(args) != 2 or args[1].strip() not in ("+", "-"):
             raise ParseError("expected %s(BASE, +|-)" % head)
-        base = exprs.parse_number(args[0])
-        direction = 1 if args[1] == "+" else -1
+        base = _within(at, args[0], exprs.parse_number)
+        direction = 1 if args[1].strip() == "+" else -1
         cls = {"add": gaps.AddRamp, "dyadic": gaps.DyadicRamp,
                "geometric": gaps.GeometricRamp,
                "scaledharmonic": gaps.ScaledHarmonic}[head]
@@ -128,16 +131,35 @@ def _equation(text, options):
     if form not in _EQUATIONS:
         raise ParseError("unknown equation form %r" % form)
     kinds, make = _EQUATIONS[form]
-    return make(*_args(kinds, rest.split(";;"), options))
+    return make(*_args(kinds, rest.split(";;"), options, len(form) + 1))
 
 
-def _args(kinds, parts, options):
+def _within(offset, part, parse, *args):
+    """parse(part.strip(), *args), where `part` starts at `offset` of the
+    text it was cut from: a ParseError's position moves from the stripped
+    part into that text."""
+    try:
+        return parse(part.strip(), *args)
+    except ParseError as exc:
+        if exc.position is None:
+            raise
+        raise ParseError(exc.detail, exc.position + offset + len(part)
+                         - len(part.lstrip())) from None
+
+
+def _args(kinds, parts, options, offset):
+    """The ';;'-separated parts parsed by their kinds; the first part
+    starts at `offset` of the text they were split from."""
     if kinds[-1] is ...:
         kinds = kinds[:1] * len(parts)
     elif len(parts) != len(kinds):
         raise ParseError("expected %d ';;'-separated arguments, got %d"
                          % (len(kinds), len(parts)))
-    return [kind(part.strip(), options) for kind, part in zip(kinds, parts)]
+    out = []
+    for kind, part in zip(kinds, parts):
+        out.append(_within(offset, part, kind, options))
+        offset += len(part) + 2
+    return out
 
 
 # -- result kinds -------------------------------------------------------------
@@ -274,7 +296,8 @@ _GROUPS = {key.partition(" ")[0] for key in VERBS if " " in key}
 
 
 def run_line(line: str, options: Options) -> str:
-    verb, _, rest = line.strip().partition(" ")
+    command = line.strip()
+    verb, _, rest = command.partition(" ")
     if verb in _GROUPS:
         op, _, rest = rest.strip().partition(" ")
         verb += " " + op
@@ -288,7 +311,9 @@ def run_line(line: str, options: Options) -> str:
         if len(parts) < 2:
             raise ParseError("solve check FORM ARGS ;; SKAND")
         parts = [";;".join(parts[:-1]), parts[-1]]
-    value = fn(*_args(kinds, parts, options))
+    # rest is a suffix of command, which starts after the line's indent
+    offset = len(line) - len(line.lstrip()) + len(command) - len(rest)
+    value = fn(*_args(kinds, parts, options, offset))
     if options.json:
         return json.dumps(to_json(value, options), sort_keys=True)
     return text(value, options)

@@ -11,7 +11,11 @@ class CalcError(Exception):
 
 
 class ParseError(Exception):
+    """`detail` is the message without its position; `position` is a
+    character index, or None."""
+
     def __init__(self, message, position=None):
+        self.detail = message
         if position is not None:
             message = "%s (at position %d)" % (message, position)
         super().__init__(message)

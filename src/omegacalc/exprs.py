@@ -12,14 +12,26 @@ Grammar (ASCII; the Unicode aliases for w and eps are accepted on input):
   ordinal expr  the same shape with '+' '*' the usual ordinal operations and
                 '(+)' '(*)' the natural ones; atoms are 'w' and integers.
 
+  set term      st := IDENT | INT | '{' [st (',' st)*] '}'
+
   skand text    SEGS '@' '[' o ',' o ')'   or a nested-brace form whose
                 trailing brace is the next layer and whose innermost brace
                 may be '...' (constant continuation) or '...SEGS'.
                 SEGS := seg (';' seg)* ;  seg := ('const(' st ')' |
                 'cycle(' st (',' st)* ')') [':' o] ; the last length may be
-                omitted.  st := IDENT | INT | '{' [st (',' st)*] '}'.
-                A bare-brace form with no '@' is a finite coskand read
-                innermost-first; 'asc SEGS @ [o,o)' is a general coskand.
+                omitted.  A bare-brace form with no '@' is a finite coskand
+                read innermost-first; 'asc SEGS @ [o,o)' is a general
+                coskand.
+
+One set-term grammar (_setterm) reads const(...) and cycle(...) values and
+the nested-brace form, whose layers it collects as it goes; with a finite
+length n, braces past the n-th layer are elements of that layer.
+
+A text is scanned once, by one findall over the token table _TOKENS, and
+kinds are read off the token texts.  Only an error or a Unicode alias runs
+the positional scan tokenize, built from the same table.  A literal in
+Cantor normal form (w^2*3 + w + 4) is collected term by term; ordinal +
+and * run only where a term is out of order or another operator follows.
 
 Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 """
@@ -30,8 +42,8 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParseError
-from .ordinals import Ordinal
+from .errors import ParseError, PrefixTooLarge
+from .ordinals import OMEGA, ONE, Ordinal
 from .ordinals import ZERO as OZERO
 from .surreal import (Dyadic, EpsilonAtom, Number, TruncatedNumber, add,
                       divide, epsilon, from_rational, from_terms, mul, negate,
@@ -39,16 +51,16 @@ from .surreal import (Dyadic, EpsilonAtom, Number, TruncatedNumber, add,
 from . import explog
 from . import skands as sk
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<ellipsis>\.\.\.)
-  | (?P<natadd>\(\+\))
-  | (?P<natmul>\(\*\))
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<sym>[()\[\]{}|,;:@^*/+\-])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# The token alternatives, tried in this order.  tokenize and _scan are both
+# built from this one table, so they split every text alike.
+_TOKENS = (("ws", r"\s+"), ("ellipsis", r"\.\.\."), ("natadd", r"\(\+\)"),
+           ("natmul", r"\(\*\)"), ("int", r"\d+"), ("name", r"[A-Za-z_]\w*"),
+           ("sym", r"[()\[\]{}|,;:@^*/+\-]"))
+_TOKEN = re.compile("|".join("(?P<%s>%s)" % kp for kp in _TOKENS)
+                    + "|(?P<bad>.)", re.DOTALL)
+_TEXTS = re.compile("|".join(pattern for kind, pattern in _TOKENS
+                             if kind != "ws"))
+_is_atom = re.compile(r"\w").match   # a name or an integer
 
 # the ASCII tokens each alias stands for, all at the alias's own position
 _ALIASES = {"ω": (("name", "w"),), "ε": (("name", "eps"),),
@@ -76,6 +88,19 @@ def tokenize(text):
     return out
 
 
+def _scan(text):
+    """The token texts of `text`, then "" for the end.  One findall skips
+    whatever no token matches; when that was more than whitespace, or the
+    text has an alias (every alias is non-ASCII), tokenize scans it instead
+    and reports the first bad character."""
+    if text.isascii():
+        texts = _TEXTS.findall(text)
+        if len("".join(texts)) == len("".join(text.split())):
+            texts.append("")
+            return texts
+    return [t for _, t, _ in tokenize(text)]
+
+
 # Deepest bracket or exponent nesting a parser accepts.  Each level costs up
 # to six Python frames, so this keeps well inside the default recursion
 # limit of 1000.
@@ -83,41 +108,47 @@ MAX_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over the token texts of one text.  A token's kind
+    is read off its text, and its position is looked up in tokenize's scan
+    only when an error is raised."""
+
     def __init__(self, text):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.tokens = _scan(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def expect(self, value):
-        kind, text, pos = self.next()
-        if text != value:
-            raise ParseError("expected %r, found %r" % (value, text or "end"),
-                             pos)
+        if self.tokens[self.i] != value:
+            self.fail("expected %r, found %r"
+                      % (value, self.tokens[self.i] or "end"))
+        self.i += 1
 
     # at and accept run once per operator tested at every precedence level,
-    # so they index the token list themselves rather than call peek/next
+    # so they index the token list themselves, as the ordinal loops do
     def at(self, value):
-        return self.tokens[self.i][1] == value
+        return self.tokens[self.i] == value
 
     def accept(self, value):
-        if self.tokens[self.i][1] == value:
+        if self.tokens[self.i] == value:
             self.i += 1
             return True
         return False
 
     def done(self):
-        return self.peek()[0] == "end"
+        return not self.tokens[self.i]
 
-    def fail(self, msg):
-        raise ParseError(msg, self.peek()[2])
+    def whole(self, value):
+        """`value`, once no input trails it."""
+        if self.tokens[self.i]:
+            self.fail("trailing input")
+        return value
+
+    def fail(self, msg, at=None):
+        """Raise a ParseError at token `at`, by default the next unread
+        one."""
+        raise ParseError(msg, tokenize(self.text)[
+            self.i if at is None else at][2])
 
     def nested(self, parse, *args):
         """parse(self, *args) one nesting level deeper; every recursive
@@ -134,61 +165,82 @@ class _Parser:
 
 def parse_ordinal(text) -> Ordinal:
     p = _Parser(text)
-    value = _oexpr(p)
-    if not p.done():
-        p.fail("trailing input")
-    return value
+    return p.whole(_oexpr(p))
+
+
+def _plus(terms: list, b: Ordinal) -> list:
+    """The CNF terms of terms + b: b's terms are appended where they
+    continue the descending order, and ordinal + is taken otherwise."""
+    if terms and b.terms and terms[-1][0].cmp(b.terms[0][0]) <= 0:
+        return list((Ordinal(tuple(terms)) + b).terms)
+    terms.extend(b.terms)
+    return terms
 
 
 def _oexpr(p) -> Ordinal:
-    value = _oterm(p)
+    # a literal in CNF, w^2*3 + w + 4, is collected term by term
+    terms = list(_oterm(p).terms)
     while True:
-        if p.accept("+"):
-            value = value + _oterm(p)
-        elif p.peek()[0] == "natadd":
-            p.next()
-            value = value.nat_add(_oterm(p))
+        op = p.tokens[p.i]
+        if op == "+":
+            p.i += 1
+            terms = _plus(terms, _oterm(p))
+        elif op == "(+)":
+            p.i += 1
+            terms = list(Ordinal(tuple(terms)).nat_add(_oterm(p)).terms)
         else:
-            return value
+            return Ordinal(tuple(terms))
 
 
 def _oterm(p) -> Ordinal:
     value = _ofact(p)
     while True:
-        if p.accept("*"):
-            value = value * _ofact(p)
-        elif p.peek()[0] == "natmul":
-            p.next()
+        op = p.tokens[p.i]
+        if op == "*":
+            p.i += 1
+            n = p.tokens[p.i]
+            if n.isdigit() and value:
+                # times a finite n: n scales the leading coefficient
+                p.i += 1
+                n, t = int(n), value.terms
+                value = Ordinal(((t[0][0], t[0][1] * n),) + t[1:]) \
+                    if n else OZERO
+            else:
+                value = value * _ofact(p)
+        elif op == "(*)":
+            p.i += 1
             value = value.nat_mul(_ofact(p))
         else:
             return value
 
 
 def _ofact(p) -> Ordinal:
-    kind, text, pos = p.peek()
+    text = p.tokens[p.i]
     if text == "w":
-        p.next()
+        p.i += 1
         if p.accept("^"):
+            n = p.tokens[p.i]
             if p.accept("("):
                 e = p.nested(_oexpr)
                 p.expect(")")
-            elif p.peek()[0] == "int":
-                e = Ordinal.from_int(int(p.next()[1]))
+            elif n.isdigit():
+                p.i += 1
+                e = Ordinal.from_int(int(n))
             elif p.at("w"):
                 e = p.nested(_ofact)
             else:
                 p.fail("expected an ordinal exponent")
-            return Ordinal.omega_pow(e)
-        return Ordinal.omega_pow(Ordinal.from_int(1))
-    if kind == "int":
-        p.next()
+            return Ordinal(((e, 1),))
+        return OMEGA
+    if text.isdigit():
+        p.i += 1
         return Ordinal.from_int(int(text))
     if text == "(":
-        p.next()
+        p.i += 1
         value = p.nested(_oexpr)
         p.expect(")")
         return value
-    raise ParseError("expected an ordinal", pos)
+    p.fail("expected an ordinal")
 
 
 def render_ordinal(o: Ordinal) -> str:
@@ -236,10 +288,7 @@ def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
     if max_terms < 1:
         raise ParseError("max_terms must be >= 1, got %d" % max_terms)
     p = _Parser(text)
-    value = _nexpr(p, max_terms)
-    if not p.done():
-        p.fail("trailing input")
-    return value
+    return p.whole(_nexpr(p, max_terms))
 
 
 def parse_number(text) -> Number:
@@ -291,22 +340,22 @@ def _nfact(p, mt) -> TruncatedNumber:
 
 
 def _nprim(p, mt) -> TruncatedNumber:
-    kind, text, pos = p.peek()
+    i, text = p.i, p.tokens[p.i]
     if text == "w":
-        p.next()
+        p.i += 1
         if p.accept("^"):
             return _exact(omega_pow(_nexponent(p, mt)))
         return _exact(omega_pow(from_rational(1)))
     if text == "eps":
-        p.next()
+        p.i += 1
         p.expect("[")
         idx = p.nested(_nexpr, mt)
         p.expect("]")
         if not idx.exact:
-            raise ParseError("epsilon index must be exact", pos)
+            p.fail("epsilon index must be exact", i)
         return _exact(epsilon(idx.value))
     if text in ("exp", "ln"):
-        p.next()
+        p.i += 1
         p.expect("(")
         arg = p.nested(_nexpr, mt)
         p.expect(")")
@@ -316,39 +365,39 @@ def _nprim(p, mt) -> TruncatedNumber:
         return TruncatedNumber(res.value, exact,
                                0 if exact else max(arg.dropped_terms_bound,
                                                    res.dropped_terms_bound))
-    if kind == "int":
-        p.next()
+    if text.isdigit():
+        p.i += 1
         return _exact(from_rational(int(text)))
     if text == "(":
-        p.next()
+        p.i += 1
         value = p.nested(_nexpr, mt)
         p.expect(")")
         return value
     if text == "{":
-        p.next()
+        p.i += 1
         left = p.nested(_game_side, mt, "|")
         p.expect("|")
         right = p.nested(_game_side, mt, "}")
         p.expect("}")
         d = simplest_dyadic_game(left, right)
         return _exact(from_rational(Fraction(d)))
-    raise ParseError("expected a number", pos)
+    p.fail("expected a number")
 
 
 def _nexponent(p, mt) -> Number:
-    kind, text, pos = p.peek()
+    i = p.i
     if p.accept("("):
         e = p.nested(_nexpr, mt)
         p.expect(")")
         if not e.exact:
-            raise ParseError("exponent must be exact", pos)
+            p.fail("exponent must be exact", i)
         return e.value
     neg = p.accept("-")
-    kind, text, pos = p.peek()
-    if kind != "int":
-        raise ParseError("expected an exponent", pos)
-    p.next()
-    v = from_rational(int(text))
+    n = p.tokens[p.i]
+    if not n.isdigit():
+        p.fail("expected an exponent")
+    p.i += 1
+    v = from_rational(int(n))
     return negate(v) if neg else v
 
 
@@ -452,10 +501,7 @@ def render_setterm(t) -> str:
 def parse_setterm(text):
     """Parse one set term: IDENT, INT or '{' [st (',' st)*] '}'."""
     p = _Parser(text)
-    t = _setterm(p)
-    if not p.done():
-        p.fail("trailing input")
-    return t
+    return p.whole(_setterm(p))
 
 
 def setterm_to_json(t):
@@ -463,21 +509,44 @@ def setterm_to_json(t):
     return _fold_setterm(t, list, {})[1]
 
 
-def _setterm(p):
-    kind, text, pos = p.peek()
-    if kind in ("name", "int"):
-        p.next()
+def _setterm(p, layers=None):
+    """IDENT, INT or '{' [st (',' st)*] '}'.  Given a list `layers`, a brace
+    term is also read as the nested-brace form of a skand.  It appends its
+    layers, outermost first, as (component, set term) pairs: a brace's
+    component holds its elements before a trailing brace, and the trailing
+    brace is the next layer.  An innermost '{...}' or '{...SEGS}' ends the
+    list with (None, SEGS or None) and stands for no set term, so it must
+    be the last element of its brace."""
+    text = p.tokens[p.i]
+    if _is_atom(text):
+        p.i += 1
         return sk.Atom(text)
-    if p.accept("{"):
-        elems = []
-        if not p.at("}"):
-            while True:
-                elems.append(p.nested(_setterm))
-                if not p.accept(","):
-                    break
+    if text != "{":
+        p.fail("expected a set term" if layers is None
+               else "expected a set term or nested brace")
+    p.i += 1
+    if layers is not None and p.accept("..."):
+        segs = _segments(p) if p.at("const") or p.at("cycle") else None
         p.expect("}")
-        return sk.Fset(frozenset(elems))
-    raise ParseError("expected a set term", pos)
+        layers.append((None, segs))
+        return None
+    elems, inner = [], None
+    if not p.at("}"):
+        while True:
+            inner = None if layers is None else []
+            elems.append(p.nested(_setterm, inner))
+            if not p.accept(","):
+                break
+            if inner and inner[-1][0] is None:
+                p.fail("'...' cannot appear inside a set term")
+    p.expect("}")
+    t = sk.Fset(frozenset(elems))
+    if inner:
+        layers.append((sk.Fset(frozenset(elems[:-1])), t))
+        layers += inner
+    elif layers is not None:
+        layers.append((t, t))
+    return t
 
 
 # -- skand / coskand literals ---------------------------------------------------
@@ -497,165 +566,102 @@ def render_segments(m: sk.TransfiniteMap) -> str:
 
 
 def _segments(p):
-    """Parsed as (pattern, explicit-length-or-None) pairs."""
+    """Parsed as (explicit length or None, pattern) pairs."""
     segs = []
     while True:
-        kind, text, pos = p.peek()
-        if text == "const":
-            p.next()
+        if p.accept("const"):
             p.expect("(")
-            v = _setterm(p)
-            p.expect(")")
-            pat = sk.Constant(v)
-        elif text == "cycle":
-            p.next()
+            pat = sk.Constant(_setterm(p))
+        elif p.accept("cycle"):
             p.expect("(")
             vals = [_setterm(p)]
             while p.accept(","):
                 vals.append(_setterm(p))
-            p.expect(")")
             pat = sk.Cycle(tuple(vals))
         else:
-            raise ParseError("expected const(...) or cycle(...)", pos)
-        length = None
-        if p.accept(":"):
-            length = _oexpr(p)
-        segs.append((pat, length))
+            p.fail("expected const(...) or cycle(...)")
+        p.expect(")")
+        segs.append((_oexpr(p) if p.accept(":") else None, pat))
         if not p.accept(";"):
             return segs
 
 
 def _interval(p):
+    """The clutch region '@ [start, end)' as (start, end - start)."""
     p.expect("@")
     p.expect("[")
     start = _oexpr(p)
     p.expect(",")
     end = _oexpr(p)
     p.expect(")")
-    if end.cmp(start) <= 0:
+    try:
+        total = end.sub_left(start)
+    except PrefixTooLarge:
+        total = OZERO
+    if not total:
         p.fail("empty clutch region")
-    return start, end
+    return start, total
 
 
 def _resolve_lengths(segs, total, p):
-    out = []
-    left = total
-    for i, (pat, length) in enumerate(segs):
+    """Check that the lengths of the (length, pattern) pairs fill `total`;
+    only the last length may be None, and it is set to the rest.  The
+    lengths are summed once and the sum is compared with the total once:
+    partial sums only grow, so no prefix exceeds the total unless the whole
+    sum does."""
+    used = []
+    for i, (length, pat) in enumerate(segs):
         if length is None:
-            if i + 1 != len(segs):
-                p.fail("only the last segment may omit its length")
-            length = left
-        try:
-            left = left.sub_left(length)
-        except Exception:
-            p.fail("segment lengths exceed the clutch region")
-        out.append((length, pat))
-    if left:
-        p.fail("segment lengths do not fill the clutch region")
-    return out
-
-
-def _brace_tree(p):
-    """Generic braced group: ('braced', items); items are ('leaf', text),
-    nested trees, or a sole ('ellipsis', segs-or-None)."""
-    p.expect("{")
-    items = []
-    if p.peek()[0] == "ellipsis":
-        p.next()
-        segs = None
-        if p.peek()[1] in ("const", "cycle"):
-            segs = _segments(p)
-        p.expect("}")
-        return ("braced", [("ellipsis", segs)])
-    while not p.at("}"):
-        kind, text, pos = p.peek()
-        if kind in ("name", "int"):
-            p.next()
-            items.append(("leaf", text))
-        elif p.at("{"):
-            items.append(p.nested(_brace_tree))
-        else:
-            p.fail("expected a set term or nested brace")
-        if not p.accept(","):
             break
-    p.expect("}")
-    return ("braced", items)
-
-
-def _tree_to_setterm(tree, p):
-    kind, payload = tree
-    if kind == "leaf":
-        return sk.Atom(payload)
-    if kind == "ellipsis":
-        p.fail("'...' cannot appear inside a set term")
-    return sk.Fset(frozenset(_tree_to_setterm(t, p) for t in payload))
-
-
-def _unroll_layers(tree, p, max_layers=None):
-    """Walk trailing nested braces as successive layers, outermost first.
-    Returns (components, tail) with tail False (complete), None (bare
-    ellipsis) or a parsed segment list.  Stops early when max_layers is
-    reached, treating deeper braces as set elements."""
-    comps = []
-    node = tree
-    while True:
-        items = node[1]
-        if len(items) == 1 and items[0][0] == "ellipsis":
-            return comps, (None if items[0][1] is None else items[0][1])
-        last_is_layer = (items and items[-1][0] == "braced"
-                         and (max_layers is None or len(comps) + 1 < max_layers))
-        if last_is_layer:
-            comps.append(sk.Fset(frozenset(
-                _tree_to_setterm(t, p) for t in items[:-1])))
-            node = items[-1]
-        else:
-            comps.append(sk.Fset(frozenset(
-                _tree_to_setterm(t, p) for t in items)))
-            return comps, False
+        used = _plus(used, length)
+    try:
+        left = total.sub_left(Ordinal(tuple(used)))
+    except PrefixTooLarge:
+        p.fail("segment lengths exceed the clutch region")
+    if length is None:
+        if i + 1 != len(segs):
+            p.fail("only the last segment may omit its length")
+        segs[-1] = (left, pat)
+    elif left:
+        p.fail("segment lengths do not fill the clutch region")
+    return segs
 
 
 def parse_skand(text) -> object:
     """Parse skand or coskand text (see the module docstring)."""
     p = _Parser(text)
-    asc = False
-    if p.peek()[1] == "asc":
-        p.next()
-        asc = True
-    if p.at("{") and not asc:
-        tree = _brace_tree(p)
-        if p.done():
-            # bare braces: a finite coskand, innermost layer first (greedy)
-            comps, tail = _unroll_layers(tree, p)
-            if tail is not False:
-                p.fail("a bare-brace coskand cannot contain '...'")
-            segs = [(Ordinal.from_int(1), sk.Constant(c))
-                    for c in reversed(comps)]
-            return sk.make_coskand(0, segs)
-        start, end = _interval(p)
-        if not p.done():
-            p.fail("trailing input")
-        total = end.sub_left(start)
-        cap = total.as_int() if total.is_finite() else None
-        comps, tail = _unroll_layers(tree, p, cap)
-        units = [(sk.Constant(c), Ordinal.from_int(1)) for c in comps]
-        if tail is False:
-            segs = units
-        else:
-            rest = total.sub_left(Ordinal.from_int(len(units)))
-            if tail is None:
-                if not comps:
-                    p.fail("'...' needs a preceding component to continue")
-                segs = units + [(sk.Constant(comps[-1]), rest)]
-            else:
-                segs = units + list(tail)
-        resolved = _resolve_lengths(segs, total, p)
-        return sk.Skand(start, sk.TransfiniteMap.from_segments(resolved))
-    segs = _segments(p)
-    start, end = _interval(p)
-    if not p.done():
-        p.fail("trailing input")
-    resolved = _resolve_lengths(segs, end.sub_left(start), p)
-    return sk.Skand(start, sk.TransfiniteMap.from_segments(resolved), asc)
+    asc = p.accept("asc")
+    if asc or not p.at("{"):
+        segs = _segments(p)
+        start, total = p.whole(_interval(p))
+        return sk.Skand(start, sk.TransfiniteMap.from_segments(
+            _resolve_lengths(segs, total, p), total), asc)
+    layers = []
+    _setterm(p, layers)
+    tail = layers.pop()[1] if layers[-1][0] is None else False
+    if p.done():
+        # bare braces: a finite coskand, innermost layer first (greedy)
+        if tail is not False:
+            p.fail("a bare-brace coskand cannot contain '...'")
+        return sk.make_coskand(0, [(ONE, sk.Constant(c))
+                                   for c, _ in reversed(layers)])
+    start, total = p.whole(_interval(p))
+    if total.is_finite() and len(layers) + (tail is not False) > \
+            total.as_int():
+        # braces past the finite length are elements of the last layer
+        if tail is not False:
+            p.fail("'...' cannot appear inside a set term")
+        n = total.as_int()
+        layers[n - 1:] = [(layers[n - 1][1], None)]
+    segs = [(ONE, sk.Constant(c)) for c, _ in layers]
+    if tail is None:
+        if not layers:
+            p.fail("'...' needs a preceding component to continue")
+        segs.append((None, segs[-1][1]))
+    elif tail is not False:
+        segs += tail
+    return sk.Skand(start, sk.TransfiniteMap.from_segments(
+        _resolve_lengths(segs, total, p), total))
 
 
 def brace_render(s, depth: int = 4) -> str:
@@ -663,42 +669,27 @@ def brace_render(s, depth: int = 4) -> str:
     region annotation; finite coskands unfold as bare braces."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if s.ascending:
-        if s.length.is_finite() and s.length.as_int() <= depth:
-            n = s.length.as_int()
-            comps = [s.mapping.value_at(Ordinal.from_int(i)) for i in range(n)]
-            if all(isinstance(c, sk.Fset) for c in comps):
-                text = _layer_text(comps[0], None)
-                for c in comps[1:]:
-                    text = _layer_text(c, text)
-                return text
-        return "asc %s @ [%s, %s)" % (render_segments(s.mapping),
-                                      render_ordinal(s.start),
-                                      render_ordinal(s.end))
     suffix = " @ [%s, %s)" % (render_ordinal(s.start), render_ordinal(s.end))
-    if s.length.is_finite() and s.length.as_int() <= depth:
-        n = s.length.as_int()
-        comps = [s.mapping.value_at(Ordinal.from_int(i)) for i in range(n)]
-        if all(isinstance(c, sk.Fset) for c in comps):
-            text = _layer_text(comps[-1], None)
-            for c in reversed(comps[:-1]):
-                text = _layer_text(c, text)
-            return text + suffix
-        return "{...%s}%s" % (render_segments(s.mapping), suffix)
-    comps = [s.mapping.value_at(Ordinal.from_int(i)) for i in range(depth)]
+    complete = s.length.is_finite() and s.length.as_int() <= depth
+    if s.ascending and not complete:
+        return "asc %s%s" % (render_segments(s.mapping), suffix)
+    comps = [s.mapping.value_at(Ordinal.from_int(i))
+             for i in range(s.length.as_int() if complete else depth)]
     if not all(isinstance(c, sk.Fset) for c in comps):
         # atom-valued components have no element list to splat: keep the
         # whole description behind the ellipsis marker
-        return "{...%s}%s" % (render_segments(s.mapping), suffix)
-    tail = s.mapping.slice_from(Ordinal.from_int(depth))
-    if len(tail.segments) == 1 and tail.segments[0][1] == sk.Constant(comps[-1]):
-        inner = "{...}"
+        return ("asc %s%s" if s.ascending else "{...%s}%s") % (
+            render_segments(s.mapping), suffix)
+    if complete:
+        text = None   # innermost first: a coskand's first component
     else:
-        inner = "{...%s}" % render_segments(tail)
-    text = inner
-    for c in reversed(comps):
+        tail = s.mapping.slice_from(Ordinal.from_int(depth))
+        text = "{...}" if len(tail.segments) == 1 and \
+            tail.segments[0][1] == sk.Constant(comps[-1]) \
+            else "{...%s}" % render_segments(tail)
+    for c in comps if s.ascending else reversed(comps):
         text = _layer_text(c, text)
-    return text + suffix
+    return text if s.ascending else text + suffix
 
 
 def _layer_text(component, inner):

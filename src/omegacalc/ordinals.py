@@ -60,12 +60,6 @@ class Ordinal:
             raise ValueError("0 has no leading term")
         return self.terms[0][0]
 
-    @property
-    def leading_coeff(self) -> int:
-        if not self.terms:
-            raise ValueError("0 has no leading term")
-        return self.terms[0][1]
-
     def is_finite(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
 

@@ -29,7 +29,7 @@ nothing is ever enumerated transfinitely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -117,10 +117,21 @@ def _norm_pattern(pat):
 
 @dataclass(frozen=True)
 class TransfiniteMap:
+    """(length, pattern) segments in order.  `total`, the sum of the
+    lengths, is stored: a constructor that knows it passes it, and it is
+    summed once otherwise.  == and hash read the segments alone."""
     segments: tuple = ()
+    total: Ordinal = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.total is None:
+            t = OZERO
+            for length, _ in self.segments:
+                t = t + length
+            object.__setattr__(self, "total", t)
 
     @staticmethod
-    def from_segments(segs) -> "TransfiniteMap":
+    def from_segments(segs, total=None) -> "TransfiniteMap":
         out = []
         for length, pat in segs:
             if not isinstance(length, Ordinal):
@@ -132,14 +143,7 @@ class TransfiniteMap:
                 out[-1] = (out[-1][0] + length, pat)
             else:
                 out.append((length, pat))
-        return TransfiniteMap(tuple(out))
-
-    @property
-    def total(self) -> Ordinal:
-        t = OZERO
-        for length, _ in self.segments:
-            t = t + length
-        return t
+        return TransfiniteMap(tuple(out), total)
 
     def value_at(self, offset: Ordinal):
         for length, pat in self.segments:
@@ -309,7 +313,7 @@ def _leading_period(m: TransfiniteMap):
 
 def normalize_map(m: TransfiniteMap) -> TransfiniteMap:
     """The canonical description of m (see canonical_segments)."""
-    return TransfiniteMap(tuple(canonical_segments(m)))
+    return TransfiniteMap(tuple(canonical_segments(m)), m.total)
 
 
 def map_equal(a: TransfiniteMap, b: TransfiniteMap) -> bool:

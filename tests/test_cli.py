@@ -1,14 +1,17 @@
 """CLI behaviour: verbs, JSON/text agreement, scripts and exit codes."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omegacalc import cli, number_from_json, parse_number, parse_ordinal
 from omegacalc.cli import Options, main, run_line, run_script
 from omegacalc.errors import CalcError, ParseError
+from omegacalc.exprs import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -271,8 +274,9 @@ def test_errors_under_json_print_the_envelope(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     first, second, third = (json.loads(x) for x in out.out.splitlines())
-    assert first == {"error": {"kind": "ParseError", "position": 3,
-                               "message": "expected a number (at position 3)"}}
+    # the position indexes the line "eval w +", not the argument "w +"
+    assert first == {"error": {"kind": "ParseError", "position": 8,
+                               "message": "expected a number (at position 8)"}}
     assert second["value"] == [[[], [2, 1]]]
     assert third["error"]["kind"] == "DivisionByZero"
     assert third["error"]["position"] is None
@@ -370,3 +374,90 @@ def test_verb_contract(line, as_json, depth):
     assert isinstance(out, str)
     if as_json:
         assert isinstance(json.loads(out), dict)
+
+
+# -- error positions index the line -------------------------------------------
+#
+# A '$' in place of one argument character of an example line, or an
+# argument cut just after an operator, must be reported at the '$' or at
+# the cut, counted in the whole line, as text and under --json.  The cuts
+# are few enough to try them all.
+
+# the argument kinds that the expression scanner reads in full
+SCANNED = {cli._number, cli._ordinal, cli._skand, cli._coskand,
+           cli._components}
+
+
+def _arguments(key):
+    """(start, text, kind) of each ';;'-separated argument of EXAMPLES[key];
+    the kind is None where it is not one of SCANNED."""
+    line = EXAMPLES[key]
+    start = len(key) + 1
+    parts = line[start:].split(";;")
+    kinds = cli.VERBS[key][0]
+    if key == "solve check":
+        kinds = (None,) * (len(parts) - 1) + kinds[1:]
+    elif kinds[-1] is ...:
+        kinds = kinds[:1] * len(parts)
+    out = []
+    for kind, part in zip(kinds, parts):
+        out.append((start, part, kind if kind in SCANNED else None))
+        start += len(part) + 2
+    return out
+
+
+def _error_position(line, as_json):
+    """The position that the error of `line` reports, checked to be the same
+    in the message and, under --json, in the envelope."""
+    with pytest.raises(ParseError) as info:
+        run_line(line, O)
+    pos = info.value.position
+    if pos is not None:
+        assert str(info.value).endswith("(at position %d)" % pos)
+    if as_json:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli._answer(line, OJ, "", None) == 2
+        assert json.loads(out.getvalue())["error"]["position"] == pos
+    return pos
+
+
+@st.composite
+def dollar_lines(draw):
+    key = draw(st.sampled_from(sorted(EXAMPLES)))
+    spots = [(start + i, kind) for start, part, kind in _arguments(key)
+             for i, c in enumerate(part) if not c.isspace()]
+    i, kind = draw(st.sampled_from(spots))
+    line = EXAMPLES[key]
+    return line[:i] + "$" + line[i + 1:], i, kind
+
+
+@settings(deadline=None, max_examples=300)
+@given(dollar_lines(), st.booleans())
+# a descriptor's base and an equation's block, read inside an argument
+@example(("gap add($, +)", 8, None), False)
+@example(("solve check periodic {a} ;; {$} ;; cycle({a},{b}) @ [0,w)", 29,
+          None), True)
+def test_a_bad_character_is_reported_where_it_stands(case, as_json):
+    line, i, kind = case
+    pos = _error_position(line, as_json)
+    # an argument the scanner does not read (an integer, a descriptor's
+    # kind or direction, an equation's form) is rejected without a position
+    assert pos == i or (pos is None and kind is None), (line, pos)
+
+
+def test_an_argument_cut_after_an_operator_is_reported_at_its_end():
+    cuts = 0
+    for key, line in EXAMPLES.items():
+        for start, part, kind in _arguments(key):
+            if kind is None:
+                continue
+            for _, t, j in tokenize(part):
+                if t in ("+", "-", "*", "/", "^", "(+)", "(*)"):
+                    cut = start + j + len(t)
+                    cut_line = line[:cut] + line[start + len(part):]
+                    for as_json in (False, True):
+                        assert _error_position(cut_line, as_json) == cut, \
+                            cut_line
+                    cuts += 1
+    assert cuts >= 15

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegacalc import (brace_render, epsilon, from_rational, mul,
                        number_from_json, number_to_json,
@@ -10,6 +11,8 @@ from omegacalc import (brace_render, epsilon, from_rational, mul,
                        parse_number_expr, parse_ordinal, parse_skand,
                        render_number, render_ordinal)
 from omegacalc.errors import ParseError
+from omegacalc.exprs import parse_setterm
+from omegacalc.ordinals import Ordinal
 from omegacalc.skands import Atom, Constant, Cycle, Fset
 
 
@@ -165,3 +168,126 @@ def test_skand_json_round_trip_keeps_the_orientation():
         assert skand_from_json(skand_to_json(s)) == s
     assert parse_skand("{{a},{}}").ascending
     assert not parse_skand("{{a},{}} @ [0,2)").ascending
+
+
+# -- the parser against the ordinal operations --------------------------------
+
+@st.composite
+def ordinal_exprs(draw, depth=2):
+    """(text, value) of a random ordinal expression: a sum of products whose
+    terms are mostly monomials w^e*c, in or out of CNF order, joined by '+'
+    or '(+)', with '(*)' and parenthesised exponents.  The value is folded
+    here with the ordinal operations themselves, in the parser's
+    precedence."""
+    text, value = draw(_ordinal_product(depth))
+    for _ in range(draw(st.integers(0, 3))):
+        t, v = draw(_ordinal_product(depth))
+        if draw(st.integers(0, 4)):
+            text, value = "%s + %s" % (text, t), value + v
+        else:
+            text, value = "%s (+) %s" % (text, t), value.nat_add(v)
+    return text, value
+
+
+@st.composite
+def _ordinal_product(draw, depth):
+    text, value = draw(_ordinal_factor(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["*n", "*n", "*", "(*)"]))
+        if how == "*n":
+            n = draw(st.integers(0, 4))
+            text, value = "%s*%d" % (text, n), value * Ordinal.from_int(n)
+        else:
+            t, v = draw(_ordinal_factor(depth))
+            text = "%s %s %s" % (text, how, t)
+            value = value * v if how == "*" else value.nat_mul(v)
+    return text, value
+
+
+@st.composite
+def _ordinal_factor(draw, depth):
+    kinds = ["int", "w", "w^n", "w^w"] + (["w^(e)", "(e)"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        n = draw(st.integers(0, 5))
+        return str(n), Ordinal.from_int(n)
+    if kind == "w":
+        return "w", Ordinal.omega_pow(1)
+    if kind == "w^n":
+        n = draw(st.integers(0, 4))
+        return "w^%d" % n, Ordinal.omega_pow(n)
+    if kind == "w^w":
+        return "w^w", Ordinal.omega_pow(Ordinal.omega_pow(1))
+    text, value = draw(ordinal_exprs(depth - 1))
+    if kind == "(e)":
+        return "(%s)" % text, value
+    return "w^(%s)" % text, Ordinal.omega_pow(value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ordinal_exprs())
+def test_ordinal_literals_parse_to_the_folded_value(case):
+    text, value = case
+    assert parse_ordinal(text) == value, text
+    assert parse_ordinal(render_ordinal(value)) == value
+
+
+# -- one set-term grammar -------------------------------------------------------
+
+set_trees = st.recursive(st.sampled_from(["a", "b", "0"]),
+                         lambda kids: st.lists(kids, max_size=3),
+                         max_leaves=12)
+
+
+def _tree_text(t):
+    return t if isinstance(t, str) else "{%s}" % ",".join(map(_tree_text, t))
+
+
+def _tree_term(t):
+    return Atom(t) if isinstance(t, str) else \
+        Fset(frozenset(map(_tree_term, t)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(set_trees, max_size=4))
+def test_set_terms_read_alike_in_const_and_brace_forms(elems):
+    text = ",".join(map(_tree_text, elems))
+    term = Fset(frozenset(map(_tree_term, elems)))
+    assert parse_setterm("{%s}" % text) == term
+    zero = parse_ordinal("0")
+    # a const(...) value; one brace layer, which the length 1 caps, so a
+    # trailing brace is an element; a layer continued by '{...}'
+    for literal in ("const({%s}) @ [0,1)" % text, "{%s} @ [0,1)" % text,
+                    "{%s{...}} @ [0,w)" % (text + "," if text else "")):
+        assert parse_skand(literal).mapping.value_at(zero) == term, literal
+
+
+# -- the parser's ordinal work ---------------------------------------------------
+
+WORK_LITERALS = (
+    # lengths in CNF order, and lengths that absorb (1 + 1 + w = w)
+    "cycle(a,b):w^3*2;const({a}):w^2;cycle(c,d,e) @ [w,w^3*2 + w^2*3 + 5)",
+    "const({a}):1;const(c):1;cycle({a},d,{a},c):w;cycle({a},c,{a},d):w^3*3;"
+    "cycle(b,d,{},{}):w^2*3 @ [2,w^3*3 + w^2*3)",
+    "{a,{b,{...cycle(c,d)}}} @ [1,w*3)",
+)
+
+
+def test_parse_skand_ordinal_work_is_pinned(monkeypatch):
+    # when every literal was built through ordinal + and *, and the lengths
+    # were summed again for the total, these three made 65 cmp and 33 +
+    # calls
+    calls = {"cmp": 0, "__add__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Ordinal, name, counted(name, getattr(Ordinal,
+                                                                 name)))
+    for text in WORK_LITERALS:
+        parse_skand(text)
+    assert calls == {"cmp": 32, "__add__": 4}
