@@ -47,6 +47,9 @@ class Options:
 
 
 # -- argument kinds -----------------------------------------------------------
+#
+# An argument kind receives its argument stripped, so an argument that is
+# wrong as a whole, or the kind word at its head, is reported at 0.
 
 def _number(text, options):
     return exprs.parse_number_expr(text, options.max_terms)
@@ -59,7 +62,7 @@ def _ordinal(text, options):
 def _skand(text, options):
     s = exprs.parse_skand(text)
     if s.ascending:
-        raise ParseError("expected a skand literal")
+        raise ParseError("expected a skand literal", 0)
     return s
 
 
@@ -71,7 +74,7 @@ def _coskand(text, options):
 def _components(text, options):
     t = exprs.parse_setterm(text)
     if isinstance(t, skands.Atom):
-        raise ParseError("components must be a set, e.g. {a,b}")
+        raise ParseError("components must be a set, e.g. {a,b}", 0)
     return t.elements
 
 
@@ -81,10 +84,11 @@ def _int_kind(what: str, minimum: int = 0):
         try:
             n = int(text)
         except ValueError:
-            raise ParseError("%s must be an integer, got %r" % (what, text)) \
-                from None
+            raise ParseError("%s must be an integer, got %r" % (what, text),
+                             0) from None
         if n < minimum:
-            raise ParseError("%s must be >= %d, got %d" % (what, minimum, n))
+            raise ParseError("%s must be >= %d, got %d" % (what, minimum, n),
+                             0)
         return n
     return kind
 
@@ -92,28 +96,43 @@ def _int_kind(what: str, minimum: int = 0):
 _PREFIX = _int_kind("prefix")
 
 
+_DESCRIPTORS = {"ordinal": (gaps.OrdinalRamp, False),
+                "harmonic": (gaps.HarmonicRamp, False),
+                "add": (gaps.AddRamp, True), "dyadic": (gaps.DyadicRamp, True),
+                "geometric": (gaps.GeometricRamp, True),
+                "scaledharmonic": (gaps.ScaledHarmonic, True)}
+
+
 def _descriptor(text, options):
-    head, _, inner = text.partition("(")
-    at = len(head) + 1   # where the first argument starts
-    head = head.strip()
-    if not inner.endswith(")"):
-        raise ParseError("descriptor arguments must be parenthesised")
-    args = inner[:-1].split(",")
-    if head in ("ordinal", "harmonic"):
-        if len(args) != 1:
-            raise ParseError("expected %s(ORDINAL)" % head)
-        cls = gaps.OrdinalRamp if head == "ordinal" else gaps.HarmonicRamp
-        return cls(_within(at, args[0], exprs.parse_ordinal))
-    if head in ("add", "dyadic", "geometric", "scaledharmonic"):
-        if len(args) != 2 or args[1].strip() not in ("+", "-"):
-            raise ParseError("expected %s(BASE, +|-)" % head)
-        base = _within(at, args[0], exprs.parse_number)
-        direction = 1 if args[1].strip() == "+" else -1
-        cls = {"add": gaps.AddRamp, "dyadic": gaps.DyadicRamp,
-               "geometric": gaps.GeometricRamp,
-               "scaledharmonic": gaps.ScaledHarmonic}[head]
-        return cls(base, direction)
-    raise ParseError("unknown descriptor kind %r" % head)
+    """KIND(BASE) or KIND(BASE, +|-).  The base is read first, so a bad
+    character in it is reported where it stands; a wrong argument count
+    just after the base; a bad direction where it starts."""
+    head, paren, inner = text.partition("(")
+    kind = head.rstrip()
+    if kind not in _DESCRIPTORS:
+        raise ParseError("unknown descriptor kind %r" % kind, 0)
+    if not paren:
+        raise ParseError("descriptor arguments must be parenthesised",
+                         len(text))
+    cls, signed = _DESCRIPTORS[kind]
+    closed = inner.endswith(")")
+    args = (inner[:-1] if closed else inner).split(",")
+    at = len(head) + 1   # where the base starts
+    made = [_within(at, args[0], exprs.parse_number if signed
+                    else exprs.parse_ordinal)]
+    at += len(args[0]) + 1   # where the direction starts
+    usage = "expected %s(%s)" % (kind, "BASE, +|-" if signed else "ORDINAL")
+    if len(args) != 1 + signed:
+        raise ParseError(usage, at - 1)
+    if signed:
+        direction = args[1].strip()
+        if direction not in ("+", "-"):
+            raise ParseError(usage, at + len(args[1]) - len(args[1].lstrip()))
+        made.append(1 if direction == "+" else -1)
+    if not closed:
+        raise ParseError("descriptor arguments must be parenthesised",
+                         len(text))
+    return cls(*made)
 
 
 # Mirimanoff equation forms: the argument kinds and the equation they make
@@ -129,7 +148,7 @@ def _equation(text, options):
     """FORM ARGS: the Mirimanoff equation of one of the _EQUATIONS forms."""
     form, _, rest = text.partition(" ")
     if form not in _EQUATIONS:
-        raise ParseError("unknown equation form %r" % form)
+        raise ParseError("unknown equation form %r" % form, 0)
     kinds, make = _EQUATIONS[form]
     return make(*_args(kinds, rest.split(";;"), options, len(form) + 1))
 

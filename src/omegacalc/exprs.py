@@ -295,7 +295,8 @@ def parse_number(text) -> Number:
     """Parse a closed normal-form rendering (always exact)."""
     t = parse_number_expr(text)
     if not t.exact:
-        raise ParseError("expression is not exact; use the CLI eval verb")
+        raise ParseError("expression is not exact; use the CLI eval verb",
+                         0)
     return t.value
 
 

@@ -18,13 +18,16 @@ canonical forms are, and the founded-set encoding encodes the canonical
 form.  Finite periods are read off the same form: since h is shortest and
 p primitive, a block is purely periodic exactly when h is empty, that is,
 when it lies in a canonical segment of limit length, and its finite periods
-are then the multiples of |p| (Fine-Wilf).  A transfinite period tau with
-leading exponent xi is read off the same form too: a skand is tau-periodic
-iff its canonical segments are constants over multiples of w^(xi+1), and
-strictly so iff, moreover, there is one segment and the length is w^mu
-(see is_periodic for the proof).  The reflexivity / self-similarity /
-periodicity predicates are decided symbolically on the finite description;
-nothing is ever enumerated transfinitely.
+are then the multiples of |p| (Fine-Wilf).  Every period tau, with leading
+exponent xi, finite part f and W = w^(xi+1), is read off the same form:
+a skand is weakly tau-periodic iff its first canonical segment (l, p) has
+l >= W and |p| dividing f (one rule for every tau, see is_weakly_periodic;
+reflexivity is the case tau = 1); it is tau-periodic, for an infinite tau,
+iff its canonical segments are constants over multiples of W, and strictly
+so iff, moreover, there is one segment and the length is w^mu (see
+is_periodic).  The predicates are decided symbolically on the finite
+description: none slices or re-canonicalizes a tail, and nothing is ever
+enumerated transfinitely.
 """
 
 from __future__ import annotations
@@ -174,25 +177,6 @@ class TransfiniteMap:
                 raise OutOfClutchRegion("offset beyond the described region")
         return TransfiniteMap.from_segments(out)
 
-    def take(self, length: Ordinal) -> "TransfiniteMap":
-        out = []
-        left = length
-        for seglen, pat in self.segments:
-            if not left:
-                break
-            if seglen.cmp(left) <= 0:
-                out.append((seglen, pat))
-                left = left.sub_left(seglen)
-            else:
-                out.append((left, pat))
-                left = OZERO
-        if left:
-            raise OutOfClutchRegion("length beyond the described region")
-        return TransfiniteMap.from_segments(out)
-
-    def sub(self, lo: Ordinal, hi: Ordinal) -> "TransfiniteMap":
-        return self.slice_from(lo).take(hi.sub_left(lo))
-
     def boundaries(self) -> list:
         """Cumulative start offsets of each segment (first is 0)."""
         out, t = [], OZERO
@@ -301,14 +285,19 @@ def canonical_segments(m: TransfiniteMap):
         yield last
 
 
-def _leading_period(m: TransfiniteMap):
-    """p when the first w positions of m form the word p^w, else None.
-    Because the canonical h is shortest, h is empty exactly when the first
-    canonical segment is infinite, and its pattern is then the primitive p.
-    Only the segments up to the first infinite one are read."""
+def _first_segment(m: TransfiniteMap):
+    """(length, primitive period) of m's first canonical segment.  Because
+    the canonical h is shortest, the first w positions form a word p^w
+    exactly when this length is infinite, and p is then the period.  Only
+    the segments up to the first pattern change are read."""
     for length, pat in canonical_segments(m):
-        return None if length.is_finite() else _values(pat)
-    return None
+        return length, _values(pat)
+
+
+def _leading_period(m: TransfiniteMap):
+    """p when the first w positions of m form the word p^w, else None."""
+    length, p = _first_segment(m)
+    return None if length.is_finite() else p
 
 
 def normalize_map(m: TransfiniteMap) -> TransfiniteMap:
@@ -404,56 +393,62 @@ def skand_equal(x: Skand, y: Skand) -> bool:
 
 
 def is_reflexive(s: Skand) -> bool:
-    """Equal to its one-step tail: length >= w and one constant value on the
-    first w positions, that is, they form p^w with |p| = 1."""
-    p = _leading_period(s.mapping)
-    return p is not None and len(p) == 1
+    """Equal to its one-step tail: weakly periodic with period 1, that is,
+    one constant value on the first w positions."""
+    return is_weakly_periodic(s, 1)
 
 
 def is_self_similar(s: Skand) -> bool:
-    """Equal to every tail: indecomposable infinite length and a globally
-    constant component map."""
-    cls = classify_ordinal(s.length)
-    if not (cls.is_additively_indecomposable and s.length.cmp(OMEGA) >= 0):
-        return False
-    first = s.mapping.segments[0][1]
-    return all(pat == first and isinstance(pat, Constant)
-               for _, pat in s.mapping.segments)
+    """Equal to every tail: one canonical segment, a constant, over an
+    additively indecomposable length >= w."""
+    segs = canonical_segments(s.mapping)
+    length, pat = next(segs)
+    return isinstance(pat, Constant) and next(segs, None) is None and \
+        length.cmp(OMEGA) >= 0 and \
+        classify_ordinal(length).is_additively_indecomposable
 
 
 # -- periodicity -------------------------------------------------------------
 
 
-def _stable_multiplier(step: Ordinal, points) -> int:
-    """Least k with step*k >= every point (all points < sup step*k)."""
-    k = 0
-    for p in points:
-        while (step * k).cmp(p) < 0:
-            k += 1
-    return k
-
-
 def is_weakly_periodic(s: Skand, tau) -> bool:
-    """Tails inside the window [0, w^(xi1+1)) repeat under a (+)tau shift,
-    where xi1 is the leading exponent of tau (Cantor normal form).  For a
-    finite tau the window is the first w-block: it must be p^w with p
-    primitive, whose finite periods are the multiples of |p| (Fine-Wilf)."""
+    """Tails inside the window [0, W), W = w^(xi+1) with xi the leading
+    exponent of tau, repeat under a natural-sum shift: tail(P) equals
+    tail(P (+) tau) for every P < W.  Decided from the first canonical
+    segment (l, p) alone: s is weakly periodic iff l >= W and |p| divides
+    f, the finite part of tau.
+
+    A finite tau: W = w, and the tails from P < w and P + tau agree from w
+    on, so the first w-block must be n-periodic for n = tau; it is p^w
+    exactly when l is infinite, and its finite periods are the multiples of
+    the primitive |p| (Fine-Wilf).
+
+    An infinite tau = w^xi*c + rho, rho < w^xi: every P < W has P (+) tau
+    < W <= L (the length), so both tails have L's order type, and an offset
+    d >= W is absorbed on both sides (P + d = d).  So only the window
+    counts: the component map m must have m(P + d) == m((P (+) tau) + d)
+    for d < W.
+    - P = 0 and d in the k-th w^xi-block, k >= 1: tau + d lies in block
+      k + c at the same place, so the blocks after the first are
+      c-periodic.  Past the last segment boundary below W they lie in one
+      segment and start at limits, where cycles restart, so they are equal
+      there and made of words p^w.  A c-periodic sequence that is
+      eventually constant is constant: every block k >= 1 is that block B.
+    - P = w^xi and a finite d: P (+) tau = w^xi*(c+1) + rho, so B(d) ==
+      B(rho + d), and the finite part of rho + d is f + d: |p| divides f.
+    - P = 0 and d < w^xi: m(d) == B(rho + d) == B(d), as a value of B
+      depends only on the finite part mod |p|.  So the whole window is
+      words p^w, that is, l >= W.
+    Conversely, if l >= W and |p| divides f, a value in the window depends
+    only on its position's finite part mod |p|, and P + d and
+    (P (+) tau) + d have the same finite part when d is infinite, and ones
+    that differ by f when d is finite."""
     tau = _ord(tau)
     if not tau:
         raise InvalidPeriod("period must be a nonzero ordinal")
-    m = s.mapping
-    if tau.is_finite():
-        p = _leading_period(m)
-        return p is not None and tau.as_int() % len(p) == 0
-    xi1 = tau.leading_exp
-    window = Ordinal.omega_pow(xi1 + 1)
-    if s.length.cmp(window) < 0:
-        return False
-    cuts = [b for b in m.boundaries() if b.cmp(window) < 0]
-    k = _stable_multiplier(tau, cuts) + 2
-    first = normalize_map(m.sub(OZERO, tau))
-    return all(normalize_map(m.sub(tau * sigma, tau * (sigma + 1))) == first
-               for sigma in range(1, k + 1))
+    length, p = _first_segment(s.mapping)
+    return length.cmp(Ordinal.omega_pow(tau.leading_exp + 1)) >= 0 and \
+        tau.finite_part() % len(p) == 0
 
 
 def is_periodic(s: Skand, tau) -> bool:
@@ -524,7 +519,7 @@ def is_strictly_periodic(s: Skand, tau) -> bool:
 
 def min_finite_period(s: Skand):
     """Smallest finite n with is_weakly_periodic(s, n): |p| when the first
-    w positions form p^w, else None (no finite period works)."""
+    canonical segment is infinite, else None (no finite period works)."""
     p = _leading_period(s.mapping)
     return None if p is None else len(p)
 

@@ -438,12 +438,21 @@ def dollar_lines(draw):
 @example(("gap add($, +)", 8, None), False)
 @example(("solve check periodic {a} ;; {$} ;; cycle({a},{b}) @ [0,w)", 29,
           None), True)
+# an integer, a descriptor's direction and an equation's form
+@example(("leftright $", 10, None), True)
+@example(("gap add(w, $)", 11, None), False)
+@example(("solve check per$odic {a} ;; {b} ;; cycle({a},{b}) @ [0,w)", 15,
+          None), True)
 def test_a_bad_character_is_reported_where_it_stands(case, as_json):
     line, i, kind = case
     pos = _error_position(line, as_json)
-    # an argument the scanner does not read (an integer, a descriptor's
-    # kind or direction, an equation's form) is rejected without a position
-    assert pos == i or (pos is None and kind is None), (line, pos)
+    # a piece the scanner does not read (an integer, a descriptor's kind or
+    # direction, an equation's form) is reported at its first character:
+    # such pieces are cut at spaces, parentheses and commas
+    start = i
+    while kind is None and line[start - 1] not in " (),":
+        start -= 1
+    assert pos in (i, start), (line, pos)
 
 
 def test_an_argument_cut_after_an_operator_is_reported_at_its_end():

@@ -117,6 +117,13 @@ def test_self_similar_examples():
     assert not is_self_similar(cycle_skand([A, B], W))
 
 
+def test_self_similarity_reads_the_canonical_form():
+    # the raw segments differ, but the components are one constant over w^2
+    s = parse_skand("const({a}):w;cycle({a},{b}):1;const({a}):w^2 @ [0,w^2)")
+    assert normalize(s).mapping.segments == ((o("w^2"), Constant(SA)),)
+    assert is_self_similar(s) and is_self_similar(normalize(s))
+
+
 def test_reflexive_but_not_self_similar():
     s = constant_skand(SA, o("w*2"))
     assert is_reflexive(s) and not is_self_similar(s)
@@ -279,7 +286,7 @@ def test_weakly_periodic_matches_definition():
     rng = random.Random(43)
     for _ in range(200):
         s = random_skand(rng)
-        for tau in (1, 2, 3, o("w")):
+        for tau in (1, 2, 3, o("w"), o("w+1"), o("w*2+1")):
             assert is_weakly_periodic(s, tau) == \
                 weakly_periodic_oracle(s, tau, rng), \
                 (s, tau)
@@ -361,6 +368,19 @@ def random_skand(rng, start_random=True):
     return make_skand(start, segs)
 
 
+def split_at(m, cut):
+    """m re-described with a segment boundary at `cut`: the segments before
+    it, then m.slice_from(cut)."""
+    head, left = [], cut
+    for length, pat in m.segments:
+        if not left:
+            break
+        part = length if length.cmp(left) <= 0 else left
+        head.append((part, pat))
+        left = left.sub_left(part)
+    return TransfiniteMap(tuple(head) + m.slice_from(cut).segments)
+
+
 def equivalent_variant(rng, s):
     """Re-describe the same component stream: shift the start and split a
     segment at a random point."""
@@ -371,10 +391,29 @@ def equivalent_variant(rng, s):
             cut = c
             break
     if cut is not None:
-        m = TransfiniteMap(tuple(m.take(cut).segments)
-                           + tuple(m.slice_from(cut).segments))
+        m = split_at(m, cut)
     start = o(rng.choice(["0", "3", "w", "w*2+1"]))
     return Skand(start, m)
+
+
+def test_redescription_keeps_every_verdict():
+    # a skand, a variant with another start and a split segment, and its
+    # canonical form are one skand, so every predicate agrees on them
+    rng = random.Random(56)
+    pool = [parse_skand("const({a}):w;cycle({a},{b}):1;const({a}):w^2 "
+                        "@ [0,w^2)")]
+    pool += [random_skand(rng) for _ in range(150)]
+    taus = [o(t) for t in ("1", "2", "3", "w", "w+1", "w*2")]
+
+    def verdicts(s):
+        return (is_reflexive(s), is_self_similar(s), min_finite_period(s),
+                [(is_weakly_periodic(s, tau), is_periodic(s, tau),
+                  is_strictly_periodic(s, tau)) for tau in taus])
+
+    for s in pool:
+        want = verdicts(s)
+        assert verdicts(equivalent_variant(rng, s)) == want, s
+        assert verdicts(normalize(s)) == want, s
 
 
 def test_equality_is_equivalence_and_encode_injective():
@@ -702,9 +741,7 @@ def test_multi_cut_variants_share_canonical_form():
                     if c and c.cmp(m.total) < 0]
             if not cuts:
                 break
-            cut = rng.choice(cuts)
-            m = TransfiniteMap(tuple(m.take(cut).segments)
-                               + tuple(m.slice_from(cut).segments))
+            m = split_at(m, rng.choice(cuts))
         v = Skand(o("0"), m)
         assert skand_equal(s, v)
         assert encode_skand(s) == encode_skand(v)
@@ -804,33 +841,41 @@ def multiple_of_omega_pow(x, exp):
 def period_pairs(tau):
     """The position types that the definitions compare for tau.
 
-    shifts: (type of P + d, type of P + tau + d) for P, d in TYPES, d < W,
-    where W = w^(xi+1) and xi is tau's leading exponent.
+    weak: (type of P + d, type of (P (+) tau) + d) for P, d in TYPES below
+    W, where W = w^(xi+1), xi is tau's leading exponent and (+) is the
+    natural sum.
+    shifts: (type of P + d, type of P + tau + d) for P, d in TYPES, d < W.
     tails: for each nonzero multiple lam of W in TYPES, the pairs (type of
     lam + d, d) for d in TYPES."""
     exp1 = tau.leading_exp + 1
     window = Ordinal.omega_pow(exp1)
+    below = [p for p in TYPES.values() if p.cmp(window) < 0]
+    weak = {(position_type(p + d), position_type(p.nat_add(tau) + d))
+            for p in below for d in below}
     shifts = {(position_type(p + d), position_type(p + tau + d))
-              for p in TYPES.values() for d in TYPES.values()
-              if d.cmp(window) < 0}
+              for p in TYPES.values() for d in below}
     tails = {lam: [(position_type(TYPES[lam] + TYPES[d]), d) for d in TYPES]
              for lam in TYPES
              if any(lam) and multiple_of_omega_pow(TYPES[lam], exp1)}
-    return shifts, tails
+    return weak, shifts, tails
 
 
-def period_oracle(total, values, tau, shifts, tails):
-    """(periodic, strictly periodic) for a map in TAU_GRID_MAPS and tau,
-    from its total and `values` (its component at each type below the
-    total, read with value_at) only.
+def period_oracle(total, values, tau, weak, shifts, tails):
+    """(weakly periodic, periodic, strictly periodic) for a map in
+    TAU_GRID_MAPS and tau, from its total and `values` (its component at
+    each type below the total, read with value_at) only.
 
-    Periodic: every exponent of the length L is >= xi+1 (a multiple of W),
-    and tail(P) equals tail(P + tau) for every P: m(P + d) == m(P + tau + d)
-    for every d < W (for d >= W, tau + d = d).  P and P + tau lie in one
-    W-window, as W is additively indecomposable, so the two tails have the
-    same order type.  Strictly periodic: periodic, and the tail at every
-    nonzero multiple lam < L of W has L's order type (lam + L == L) and
-    m(lam + d) == m(d) for every d < L.
+    Weakly periodic: the length L is at least W, and tail(P) equals
+    tail(P (+) tau) for every P < W.  P and P (+) tau are below W <= L, so
+    both tails have L's order type, and for d >= W both P + d and
+    (P (+) tau) + d are d; so m(P + d) == m((P (+) tau) + d) for every
+    d < W decides it.  Periodic: every exponent of L is >= xi+1 (a multiple
+    of W), and tail(P) equals tail(P + tau) for every P: m(P + d) ==
+    m(P + tau + d) for every d < W (for d >= W, tau + d = d).  P and P + tau
+    lie in one W-window, as W is additively indecomposable, so the two
+    tails have the same order type.  Strictly periodic: periodic, and the
+    tail at every nonzero multiple lam < L of W has L's order type
+    (lam + L == L) and m(lam + d) == m(d) for every d < L.
 
     The pairs are complete for TAU_GRID_MAPS:
     - m(x), and whether x < L when L is a multiple of w, depend only on x's
@@ -845,42 +890,49 @@ def period_oracle(total, values, tau, shifts, tails):
     - Types add: type(x + y) == type(type(x) + type(y)).  x + y keeps x's
       terms above y's leading exponent, adds the coefficients there, and
       takes y's terms below; capping, like parity, commutes with that.
+      Likewise type(x (+) y) == type(type(x) (+) type(y)): the natural sum
+      adds the coefficients exponent by exponent, and capping and parity
+      commute with each of those additions.
     So replacing P, d and lam by their types' least positions keeps every
     compared value and every range test, and a multiple of W stays one: the
-    finitely many type pairs decide both definitions at every position."""
+    finitely many type pairs decide all three definitions at every
+    position."""
+    weakly = total.cmp(Ordinal.omega_pow(tau.leading_exp + 1)) >= 0 and \
+        all(values[x] == values[y] for x, y in weak)
     if not multiple_of_omega_pow(total, tau.leading_exp + 1):
-        return False, False
+        return weakly, False, False
     periodic = all(values[x] == values[y] for x, y in shifts if x in values)
     strict = periodic and all(
         TYPES[lam] + total == total
         and all(values[x] == values[d] for x, d in rows if d in values)
         for lam, rows in tails.items() if lam in values)
-    return periodic, strict
+    return weakly, periodic, strict
 
 
 def test_transfinite_periods_agree_with_pointwise_oracle():
     pairs = {tau: period_pairs(tau) for tau in TAUS}
-    seen = {tau: [0, 0] for tau in TAUS}
+    seen = {tau: [0, 0, 0] for tau in TAUS}
     for m in TAU_GRID_MAPS:
         s = Skand(o("0"), m)
         total = m.total
         values = {t: m.value_at(p) for t, p in TYPES.items()
                   if p.cmp(total) < 0}
         for tau in TAUS:
-            periodic, strict = period_oracle(total, values, tau, *pairs[tau])
-            assert is_periodic(s, tau) == periodic, (m, tau)
-            assert is_strictly_periodic(s, tau) == strict, (m, tau)
-            seen[tau][0] += periodic
-            seen[tau][1] += strict
-    # the oracle is not vacuous: true periodic / strictly periodic verdicts
-    # per tau over the grid
-    assert [seen[tau] for tau in TAUS] == [[840, 270], [1392, 300], [348, 222],
-                                          [348, 222], [348, 222], [156, 120]]
+            verdicts = period_oracle(total, values, tau, *pairs[tau])
+            assert (is_weakly_periodic(s, tau), is_periodic(s, tau),
+                    is_strictly_periodic(s, tau)) == verdicts, (m, tau)
+            for i, v in enumerate(verdicts):
+                seen[tau][i] += v
+    # the oracle is not vacuous: true weakly / periodic / strictly periodic
+    # verdicts per tau over the grid
+    assert [seen[tau] for tau in TAUS] == [
+        [1920, 840, 270], [2540, 1392, 300], [1116, 348, 222],
+        [876, 348, 222], [1116, 348, 222], [578, 156, 120]]
 
 
 def test_transfinite_periods_do_not_slice_or_normalize(monkeypatch):
-    # with an infinite tau both predicates read the canonical segments of
-    # the whole map once: no tail is sliced off or canonicalized
+    # with an infinite tau the three predicates read the canonical segments
+    # of the whole map once: no tail is sliced off or canonicalized
     calls = [0]
 
     def counted(fn):
@@ -899,11 +951,12 @@ def test_transfinite_periods_do_not_slice_or_normalize(monkeypatch):
     cases += [random_skand(rng) for _ in range(100)]
     for s in cases:
         for tau in (o("w"), o("w+1"), o("w*2"), o("w^2*3+w")):
+            is_weakly_periodic(s, tau)
             is_periodic(s, tau)
             is_strictly_periodic(s, tau)
     assert calls[0] == 0
-    # the wrappers count: the weak predicate still slices and normalizes
-    is_weakly_periodic(cases[2], o("w"))
+    # the wrappers count: restrict slices
+    restrict(cases[2], W)
     assert calls[0] > 0
 
 
