@@ -7,7 +7,8 @@ y = w^(z0) * r0 * (1 + d):  ln y = w*z0 + ln(1+d), restricted to r0 = 1 and
 to leading exponents whose own exponents all exceed -1 (the domain in which
 a logarithm exists at all).  Both series are truncated after max_terms
 orders and flag exactness; each is one call to surreal.power_series, which
-sums the powers with int coefficients and returns Fraction ones.
+sums the powers with int coefficients and returns Fraction ones, and which
+multiplies exp's sum by its exact factor as it builds the output terms.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
     if not d.infinitesimal:
         return TruncatedNumber(factor, True)
     series = power_series(d.infinitesimal,
-                          [Fraction(1, factorial(n)) for n in range(max_terms)])
-    return TruncatedNumber(mul(factor, series), False, max_terms)
+                          [Fraction(1, factorial(n)) for n in range(max_terms)],
+                          factor.terms[0])
+    return TruncatedNumber(series, False, max_terms)
 
 
 def in_ln_domain(y: Number) -> bool:

@@ -28,10 +28,15 @@ the nested-brace form, whose layers it collects as it goes; with a finite
 length n, braces past the n-th layer are elements of that layer.
 
 A text is scanned once, by one findall over the token table _TOKENS, and
-kinds are read off the token texts.  Only an error or a Unicode alias runs
-the positional scan tokenize, built from the same table.  A literal in
-Cantor normal form (w^2*3 + w + 4) is collected term by term; ordinal +
-and * run only where a term is out of order or another operator follows.
+kinds are read off the token texts.  Only a Unicode alias runs the
+positional scan, built from the same table, over the whole text; an error
+runs it only up to the failing token.  The operator loops of both
+expression grammars read each operator token once, by indexing the token
+list.  A literal in Cantor normal form (w^2*3 + w + 4) is collected term
+by term; ordinal + and * run only where a term is out of order or another
+operator follows.  A number literal's rationals (w^(1/2)*3/2) cost a
+coefficient scale each: surreal.mul and surreal.divide treat a rational
+operand as one.
 
 Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 """
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
 from .errors import ParseError, PrefixTooLarge
@@ -68,11 +74,12 @@ _ALIASES = {"ω": (("name", "w"),), "ε": (("name", "eps"),),
             "½": (("int", "1"), ("sym", "/"), ("int", "2"))}
 
 
-def tokenize(text):
-    # the catch-all group makes every character start a match, so finditer
-    # walks the text with no gaps; a character only it matches is an alias,
-    # or else the first bad character, which stops the scan
-    out = []
+def _positioned(text):
+    """Yield the (kind, text, position) tokens of `text`, then the end
+    token.  The catch-all group makes every character start a match, so
+    finditer walks the text with no gaps; a character only it matches is
+    an alias, or else the first bad character, which stops the scan.  A
+    caller that needs token i reads no further than token i."""
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
@@ -81,11 +88,15 @@ def tokenize(text):
             if m.group() not in _ALIASES:
                 raise ParseError("unexpected character %r" % m.group(),
                                  m.start())
-            out.extend((k, t, m.start()) for k, t in _ALIASES[m.group()])
+            for k, t in _ALIASES[m.group()]:
+                yield k, t, m.start()
             continue
-        out.append((kind, m.group(), m.start()))
-    out.append(("end", "", len(text)))
-    return out
+        yield kind, m.group(), m.start()
+    yield "end", "", len(text)
+
+
+def tokenize(text):
+    return list(_positioned(text))
 
 
 def _scan(text):
@@ -109,8 +120,8 @@ MAX_DEPTH = 100
 
 class _Parser:
     """Recursive descent over the token texts of one text.  A token's kind
-    is read off its text, and its position is looked up in tokenize's scan
-    only when an error is raised."""
+    is read off its text, and its position is looked up only when an error
+    is raised, by a positional scan that stops at the failing token."""
 
     def __init__(self, text):
         self.text = text
@@ -124,8 +135,8 @@ class _Parser:
                       % (value, self.tokens[self.i] or "end"))
         self.i += 1
 
-    # at and accept run once per operator tested at every precedence level,
-    # so they index the token list themselves, as the ordinal loops do
+    # at and accept index the token list themselves; the expression loops,
+    # which test several operators per turn, read the token once instead
     def at(self, value):
         return self.tokens[self.i] == value
 
@@ -147,8 +158,9 @@ class _Parser:
     def fail(self, msg, at=None):
         """Raise a ParseError at token `at`, by default the next unread
         one."""
-        raise ParseError(msg, tokenize(self.text)[
-            self.i if at is None else at][2])
+        i = self.i if at is None else at
+        raise ParseError(msg, next(islice(_positioned(self.text), i,
+                                          None))[2])
 
     def nested(self, parse, *args):
         """parse(self, *args) one nesting level deeper; every recursive
@@ -303,10 +315,13 @@ def parse_number(text) -> Number:
 def _nexpr(p, mt) -> TruncatedNumber:
     value = _nterm(p, mt)
     while True:
-        if p.accept("+"):
+        op = p.tokens[p.i]
+        if op == "+":
+            p.i += 1
             rhs = _nterm(p, mt)
             value = _combine(value, rhs, add(value.value, rhs.value))
-        elif p.accept("-"):
+        elif op == "-":
+            p.i += 1
             rhs = _nterm(p, mt)
             value = _combine(value, rhs, add(value.value, negate(rhs.value)))
         else:
@@ -316,10 +331,13 @@ def _nexpr(p, mt) -> TruncatedNumber:
 def _nterm(p, mt) -> TruncatedNumber:
     value = _nfact(p, mt)
     while True:
-        if p.accept("*"):
+        op = p.tokens[p.i]
+        if op == "*":
+            p.i += 1
             rhs = _nfact(p, mt)
             value = _combine(value, rhs, mul(value.value, rhs.value))
-        elif p.accept("/"):
+        elif op == "/":
+            p.i += 1
             rhs = _nfact(p, mt)
             q = divide(value.value, rhs.value, mt)
             exact = value.exact and rhs.exact and q.exact
@@ -331,7 +349,8 @@ def _nterm(p, mt) -> TruncatedNumber:
 
 def _nfact(p, mt) -> TruncatedNumber:
     neg = False
-    while p.accept("-"):
+    while p.tokens[p.i] == "-":
+        p.i += 1
         neg = not neg
     value = _nprim(p, mt)
     if not neg:

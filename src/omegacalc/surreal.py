@@ -22,6 +22,14 @@ enough for a bound on every coefficient.  It does so only when the packing
 has no more slots than the sparse sum can have terms; otherwise, and for
 non-real exponents, the powers go through mul and _merge.
 
+A rational operand (one term at exponent 0) is a coefficient scale: mul
+by r and divide by r multiply every coefficient of the other operand by r
+or 1/r, with no exponent sums, no row merge and no inverse.  So a number
+literal's rationals (w^(1/2)*3/2) cost one scale each, and so does ln's
+w*z0 for a real z0.  The leading monomial that invert and exp multiply
+their series by is folded into power_series: on the lattice path it
+shifts each unpacked exponent and joins the final division.
+
 Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
 """
 
@@ -329,7 +337,7 @@ def epsilon(index) -> Number:
 
 
 def omega_pow(x) -> Number:
-    return from_terms([(_coerce(x), Fraction(1))])
+    return Number(((_norm_exp(_coerce(x)), Fraction(1)),))
 
 
 # -- ring operations ------------------------------------------------------
@@ -356,17 +364,41 @@ def _exp_add(e, f):
     return _norm_exp(add(exp_as_number(e), exp_as_number(f)))
 
 
+def _rational(x: Number):
+    """The coefficient of x when x is a nonzero rational (one term at
+    exponent 0), else None."""
+    t = x.terms
+    if len(t) == 1:
+        e, c = t[0]
+        if type(e) is Fraction and not e:
+            return c
+    return None
+
+
+def _scale(x: Number, r) -> Number:
+    return Number(tuple((e, c * r) for e, c in x.terms))
+
+
 def mul(a: Number, b: Number) -> Number:
-    """Sparse product: one row a_i*b per term of the shorter operand, merged
+    """Sparse product.  A rational operand r is a scale: the other operand's
+    coefficients are multiplied by r, and no exponent is added or merged.
+    Otherwise one row a_i*b per term of the shorter operand, merged
     pairwise (Monagan & Pearce's row merge).  Adding a fixed exponent keeps
     a row strictly decreasing, so no row needs sorting.  Two real exponents
-    add as Fractions, and a row for the exponent 0 (a rational factor)
-    keeps b's exponents as they are.  Coefficients are only multiplied, so
-    int operands (inside power_series) give an int product."""
+    add as Fractions, and a row for the exponent 0 keeps b's exponents as
+    they are.  Coefficients are only multiplied, so int operands (inside
+    power_series) give an int product."""
     if len(a.terms) > len(b.terms):
         a, b = b, a
     if not a.terms:
         return ZERO
+    if len(a.terms) == 1:
+        r = _rational(a)
+        if r is not None:
+            return _scale(b, r)
+        r = _rational(b)
+        if r is not None:
+            return _scale(a, r)
     other = b.terms
     rows = []
     for e, c in a.terms:
@@ -400,9 +432,10 @@ class TruncatedNumber:
 _INT_ONE = Number(((_Q0, 1),))
 
 
-def power_series(y: Number, coeffs) -> Number:
-    """sum coeffs[n] * y^n for n < len(coeffs), exactly; each coefficient
-    is an int or a Fraction.
+def power_series(y: Number, coeffs, lead=None) -> Number:
+    """sum coeffs[n] * y^n for n < len(coeffs), exactly, times the monomial
+    w^e*r when lead = (e, r) is given; each coefficient is an int or a
+    Fraction.
 
     Fraction-free (Bareiss): with D the lcm of the denominators of y's
     coefficients, Y = D*y has int coefficients, and so does every power
@@ -418,6 +451,12 @@ def power_series(y: Number, coeffs) -> Number:
     sparse sum can have terms.  Otherwise _row_sum multiplies the powers of
     Y as Numbers with mul and merges them; a zero a_n adds nothing there,
     and no power beyond Y^(N-1) is formed.
+
+    On the lattice path a real lead exponent e is added while the slots
+    are unpacked, and r joins the final division, so each output term costs
+    one Fraction for its exponent and one for its coefficient.  A lead with
+    a non-real exponent, or one on the row path, multiplies the sum with
+    mul.
     """
     n_terms = len(coeffs)
     if not n_terms:
@@ -428,11 +467,17 @@ def power_series(y: Number, coeffs) -> Number:
     lcm_a = lcm(*(a.denominator for a in coeffs))
     ks = [a.numerator * (lcm_a // a.denominator) * den ** (n_terms - 1 - n)
           for n, a in enumerate(coeffs)]
-    acc = _lattice_sum(big_y, ks)
+    q = lcm_a * den ** (n_terms - 1)
+    shift, r = lead or (_Q0, 1)
+    fold = type(shift) is Fraction
+    acc = _lattice_sum(big_y, ks, shift if fold else _Q0)
     if acc is None:
         acc = _row_sum(big_y, ks)
-    q = lcm_a * den ** (n_terms - 1)
-    return Number(tuple((e, Fraction(c, q)) for e, c in acc))
+    elif fold:
+        num, q = r.numerator, q * r.denominator
+        return Number(tuple((e, Fraction(c * num, q)) for e, c in acc))
+    series = Number(tuple((e, Fraction(c, q)) for e, c in acc))
+    return series if lead is None else mul(Number((lead,)), series)
 
 
 def _row_sum(big_y, ks) -> list:
@@ -449,10 +494,10 @@ def _row_sum(big_y, ks) -> list:
     return acc
 
 
-def _lattice_sum(big_y, ks):
-    """sum k_n * Y^n by Kronecker substitution, as a canonical term list,
-    or None when Y is not on a lattice of negative rationals or the
-    packing would be larger than the sparse sum can be.
+def _lattice_sum(big_y, ks, shift):
+    """w^shift * sum k_n * Y^n by Kronecker substitution, as a canonical
+    term list, or None when Y is not on a lattice of negative rationals or
+    the packing would be larger than the sparse sum can be.
 
     Every exponent of Y is a negative Fraction -(g/L)*p_i, where L is the
     lcm of their denominators, g the gcd of the integers -e_i*L and p_i a
@@ -464,7 +509,8 @@ def _lattice_sum(big_y, ks):
     B = sum |k_n| S^n in size with S = sum |C_i|; b is the bit length of B
     plus a sign bit, rounded up to whole bytes, so no slot overflows.
     Adding 2^(b-1) to every slot makes each one a non-negative b-bit
-    digit, and one to_bytes call unpacks them all; a zero slot is skipped.
+    digit, and one to_bytes call unpacks them all; a zero slot is skipped,
+    and slot j's exponent shift - j*g/L is built as one Fraction.
 
     The dense product has (N-1)*p_max + 1 slots, while a sum of N powers of
     a t-term sparse Y has at most C(N+t-1, t) distinct exponents.  When
@@ -494,33 +540,44 @@ def _lattice_sum(big_y, ks):
     half = 1 << (bits - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     raw = (packed + bias).to_bytes(width * slots, "little")
+    # slot j's exponent is (top - j*step) / exp_den
+    exp_den = shift.denominator * step_den
+    top = shift.numerator * step_den
+    step *= shift.denominator
     out = []
     for j in range(slots):
         c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
         if c:
-            out.append((Fraction(-j * step, step_den), c))
+            out.append((Fraction(top - j * step, exp_den), c))
     return out
 
 
 def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
     """Inverse by peeling the leading monomial: x = w^e*r*(1+d) with d
     infinitesimal, 1/x = w^-e/r * sum (-d)^n for n < max_terms, summed by
-    power_series with int coefficients.  Exact iff d = 0."""
+    power_series with int coefficients and w^-e/r as its lead.  Exact iff
+    d = 0."""
     if not x.terms:
         raise DivisionByZero("invert(0)")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     e1, r1 = x.terms[0]
-    neg_e1 = -e1 if type(e1) is Fraction else negate(exp_as_number(e1))
-    inv_lead = Number(((neg_e1, 1 / r1),))
+    neg_e1 = -e1 if type(e1) is Fraction else \
+        _norm_exp(negate(exp_as_number(e1)))
+    inv_r1 = 1 / r1
     if len(x.terms) == 1:
-        return TruncatedNumber(inv_lead, True)
-    neg_delta = negate(mul(Number(x.terms[1:]), inv_lead))
-    series = power_series(neg_delta, [1] * max_terms)
-    return TruncatedNumber(mul(inv_lead, series), False, max_terms)
+        return TruncatedNumber(Number(((neg_e1, inv_r1),)), True)
+    neg_delta = mul(Number(x.terms[1:]), Number(((neg_e1, -inv_r1),)))
+    series = power_series(neg_delta, [1] * max_terms, (neg_e1, inv_r1))
+    return TruncatedNumber(series, False, max_terms)
 
 
 def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:
+    """a/b.  A rational b is a scale by 1/b, exact; otherwise a times
+    invert(b), whose exactness and truncation order the quotient keeps."""
+    r = _rational(b)
+    if r is not None:
+        return TruncatedNumber(_scale(a, 1 / r), True)
     t = invert(b, max_terms)
     return TruncatedNumber(mul(a, t.value), t.exact,
                            0 if t.exact else t.dropped_terms_bound)

@@ -1,11 +1,12 @@
 """Text and JSON codec round trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacalc import (brace_render, epsilon, from_rational, mul,
+from omegacalc import (brace_render, epsilon, from_rational, from_terms, mul,
                        number_from_json, number_to_json,
                        ordinal_from_json, ordinal_to_json, parse_number,
                        parse_number_expr, parse_ordinal, parse_skand,
@@ -14,6 +15,7 @@ from omegacalc.errors import ParseError
 from omegacalc.exprs import parse_setterm
 from omegacalc.ordinals import Ordinal
 from omegacalc.skands import Atom, Constant, Cycle, Fset
+from omegacalc.surreal import EpsilonAtom
 
 
 def test_ordinal_text_forms():
@@ -291,3 +293,133 @@ def test_parse_skand_ordinal_work_is_pinned(monkeypatch):
     for text in WORK_LITERALS:
         parse_skand(text)
     assert calls == {"cmp": 32, "__add__": 4}
+
+
+# -- rational factors in number literals --------------------------------------
+# A term list is drawn as (exponent, coefficient) pairs together with the text
+# of w^exponent, and rendered here with its rationals spelled several ways.
+# The expected value is from_terms of the pairs, so it never goes through
+# mul or divide.
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+SPELLINGS = 5
+
+
+def _spell(power, c, how):
+    """The term power*|c| in one of four spellings, or power*c with the
+    sign inside the rational (how = 4)."""
+    a, b = abs(c.numerator), c.denominator
+    return ("%s*(%d/%d)" % (power, a, b), "%s*%d/%d" % (power, a, b),
+            "(%d/%d)*%s" % (a, b, power), "%s/(%d/%d)" % (power, b, a),
+            "%s*(%d/%d)" % (power, c.numerator, b))[how]
+
+
+def _sum_text(terms, hows, parens):
+    """terms [(power text, coefficient)] joined with + and -; a negative
+    first term gets a leading '-' unless its sign is inside its rational,
+    and a term may be parenthesized."""
+    out = []
+    for (power, c), how, paren in zip(terms, hows, parens):
+        text = _spell(power, c, how)
+        if paren:
+            text = "(%s)" % text
+        neg = c < 0 and how != 4
+        out.append(("- " if neg else "+ ") + text if out else
+                   ("-" if neg else "") + text)
+    return " ".join(out) or "0"
+
+
+@st.composite
+def _inner_sum(draw, depth):
+    """(value, text) of a Number written as a sum, for a nested exponent or
+    an epsilon index; its spellings are drawn."""
+    terms = draw(_term_lists(depth, max_size=2))
+    n = len(terms)
+    text = _sum_text([(t, c) for _, t, c in terms],
+                     draw(st.lists(st.integers(0, SPELLINGS - 1),
+                                   min_size=n, max_size=n)),
+                     draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return from_terms([(e, c) for e, _, c in terms]), text
+
+
+@st.composite
+def _power(draw, depth):
+    """(exponent, text of w^exponent): a real exponent (negative and
+    non-integer ones included), an epsilon atom, or a nested one."""
+    kind = draw(st.sampled_from(["real", "real", "eps"]
+                                + (["nested"] if depth else [])))
+    if kind == "real":
+        q = Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 4)))
+        texts = ["w^(%d/%d)" % (q.numerator, q.denominator)]
+        if q.denominator == 1:
+            texts.append("w^%d" % q if q >= 0 else "w^-%d" % -q)
+        if q == 1:
+            texts.append("w")
+        return q, draw(st.sampled_from(texts))
+    if kind == "nested":
+        value, text = draw(_inner_sum(depth - 1))
+        return value, "w^(%s)" % text
+    if depth:
+        index, text = draw(_inner_sum(depth - 1))
+    else:
+        q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        index = from_terms([(Fraction(0), q)])
+        text = "%d/%d" % (q.numerator, q.denominator)
+    atom = "eps[%s]" % text
+    return EpsilonAtom(index), draw(st.sampled_from([atom,
+                                                     "w^(%s)" % atom]))
+
+
+@st.composite
+def _term_lists(draw, depth=2, max_size=4):
+    """[(exponent, text of w^exponent, nonzero Fraction coefficient)]."""
+    terms = draw(st.lists(st.tuples(_power(depth), _POSITIVE,
+                                    st.booleans()), max_size=max_size))
+    return [(e, text, -c if neg else c) for (e, text), c, neg in terms]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_term_lists(), st.data())
+def test_rational_factors_parse_to_the_built_value(terms, data):
+    want = from_terms([(e, c) for e, _, c in terms])
+    pairs = [(text, c) for _, text, c in terms]
+    n = len(pairs)
+    spellings = [([how] * n, [False] * n) for how in range(SPELLINGS)]
+    spellings.append((data.draw(st.lists(st.integers(0, SPELLINGS - 1),
+                                         min_size=n, max_size=n)),
+                      data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n))))
+    for hows, parens in spellings:
+        text = _sum_text(pairs, hows, parens)
+        for literal in (text, "(%s)" % text):
+            got = parse_number_expr(literal)
+            assert got.exact, literal
+            assert got.value.terms == want.terms, literal
+
+
+def test_rational_literals_make_no_inverse_and_no_sort(monkeypatch):
+    # when x/r went through invert and omega_pow through from_terms's sort,
+    # the first two literals made 3 and 2, and 2 and 1 calls
+    from omegacalc import surreal
+    calls = {"invert": 0, "from_terms": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(surreal, name, counted(name,
+                                                   getattr(surreal, name)))
+
+    def work(text):
+        calls.update(invert=0, from_terms=0)
+        parse_number_expr(text)
+        return dict(calls)
+
+    assert work("w^(1/2)*(3/2) + w^(-1)*2/3 + 4") == \
+        {"invert": 0, "from_terms": 0}
+    assert work("w^((1/3))*(-2/5) + eps[0]*(2)") == \
+        {"invert": 0, "from_terms": 0}
+    assert work("1/(w + 1 + w^-1)")["invert"] == 1

@@ -139,22 +139,25 @@ def test_reflexive_matches_definition():
 
 
 def test_self_similar_matches_definition():
+    # a sampled tail that differs refutes a true verdict; the pinned count
+    # of true verdicts and the known examples refute a predicate that says
+    # false where the definition holds
     rng = random.Random(42)
+    trues = 0
     for _ in range(200):
         s = random_skand(rng)
         got = is_self_similar(s)
+        trues += got
         for p in sample_positions(rng, s):
-            if p == s.start:
-                continue
-            if not skand_equal(restrict(s, p), s):
+            if p != s.start and not skand_equal(restrict(s, p), s):
                 assert not got
                 break
-        else:
-            # every sampled tail matched; the predicate may still say no if
-            # the length is decomposable, which the definition detects at
-            # unsampled positions
-            if got:
-                assert True
+    assert trues == 18
+    for text in ("const({a}):w @ [0,w)", "const(a):w^2 @ [w+2,w^2)",
+                 "const({a}):w;const({a}):w^2 @ [0,w^2)",
+                 "cycle(b,b):w^3 @ [0,w^3)", "const({}):w^w @ [0,w^w)",
+                 "const(a):w;cycle(a,a):w^3 @ [0,w^3)"):
+        assert is_self_similar(parse_skand(text)), text
 
 
 # -- periodicity ----------------------------------------------------------------
@@ -282,10 +285,24 @@ def sample_positions(rng, s, window=None):
     return out
 
 
+def phase_shifted_skand(rng):
+    """cycle(u) over a first block, then cycle over a rotation of u: the
+    shapes on which a shift by P + tau and one by P (+) tau land in
+    different phases, as in cycle(b,a):w;cycle(a,b):w^2 with tau = w+1."""
+    u = rng.sample(VALUES, rng.randrange(2, 4))
+    r = rng.randrange(1, len(u))
+    return make_skand(o(rng.choice(["0", "0", "w"])),
+                      [(o(rng.choice(["w", "w*2", "w^2"])), Cycle(tuple(u))),
+                       (o(rng.choice(["w^2", "w^2*2", "w^3"])),
+                        Cycle(tuple(u[r:] + u[:r])))])
+
+
 def test_weakly_periodic_matches_definition():
     rng = random.Random(43)
-    for _ in range(200):
-        s = random_skand(rng)
+    pool = [random_skand(rng) for _ in range(200)]
+    pool += [phase_shifted_skand(rng) for _ in range(40)]
+    pool.append(parse_skand("cycle({b},{a}):w;cycle({a},{b}):w^2 @ [0,w^2)"))
+    for s in pool:
         for tau in (1, 2, 3, o("w"), o("w+1"), o("w*2+1")):
             assert is_weakly_periodic(s, tau) == \
                 weakly_periodic_oracle(s, tau, rng), \

@@ -70,6 +70,10 @@ def test_invert_examples():
     assert t.value == n("w^-1 - w^-2 + w^-3 - w^-4")
     t = invert(n("2"), 1)
     assert t.exact and t.value == n("1/2")
+    # 1/w^(-eps_0) is w^(eps_0), whose one canonical spelling is the atom
+    t = invert(omega_pow(negate(E0)), 1)
+    assert t.exact and t.value == E0
+    assert_canonical(t.value)
     with pytest.raises(DivisionByZero):
         invert(ZERO)
 
@@ -638,3 +642,56 @@ def test_wide_gap_takes_the_sparse_path():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert out.count("w^") == 527
+
+
+# -- a rational operand is a scale --------------------------------------------
+# mul and divide scale by a rational operand without exponent sums, merges or
+# an inverse; the expected values are formed term by term here.
+
+NONZERO_RATIONALS = RATIONALS.filter(bool)
+
+
+@settings(deadline=None)
+@given(numbers(2), NONZERO_RATIONALS)
+def test_rational_operand_scales_term_by_term(x, r):
+    rn = from_rational(r)
+    want = naive_from_terms((e, c * r) for e, c in x.terms)
+    assert mul(x, rn).terms == want.terms
+    assert mul(rn, x).terms == want.terms
+    q = divide(x, rn)
+    assert (q.exact, q.dropped_terms_bound) == (True, 0)
+    assert q.value.terms == \
+        naive_from_terms((e, c / r) for e, c in x.terms).terms
+
+
+@settings(deadline=None)
+@given(NONZERO_RATIONALS, numbers(2).filter(bool), st.sampled_from([1, 3, 8]))
+def test_rational_over_a_number_scales_its_inverse(r, y, max_terms):
+    inv = invert(y, max_terms)
+    got = divide(from_rational(r), y, max_terms)
+    assert got.value.terms == \
+        naive_from_terms((e, r * c) for e, c in inv.value.terms).terms
+    assert (got.exact, got.dropped_terms_bound) == \
+        (inv.exact, inv.dropped_terms_bound)
+
+
+def test_scale_keeps_int_coefficients():
+    # inside power_series coefficients are ints, and a scale keeps them so
+    ints = Number(((Fraction(-1), 3), (Fraction(-2), -5)))
+    two = Number(((Fraction(0), 2),))
+    for got in (mul(ints, two), mul(two, ints)):
+        assert got.terms == ((Fraction(-1), 6), (Fraction(-2), -10))
+        assert all(type(c) is int for _, c in got.terms)
+    with pytest.raises(DivisionByZero):
+        divide(W, ZERO)
+
+
+def test_non_real_lead_keeps_the_lattice_path(monkeypatch):
+    # the tail peeled off w^w*2 is -w^(-1/2)/2 - w^-1/2, on a lattice: only
+    # the peel and the product with the non-real lead call mul, where the
+    # row merge would add one call per power
+    x = n("w^(w)*2 + w^(w-1/2) + w^(w-1)")
+    calls = counting(monkeypatch, "mul", lambda a, b: 1)
+    got = invert(x, 8)
+    assert calls[0] == 2
+    assert got.value.terms == horner_invert(x, 8).terms
