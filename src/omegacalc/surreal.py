@@ -23,8 +23,9 @@ has no more slots than the sparse sum can have terms; otherwise, and for
 non-real exponents, the powers go through mul and _merge.
 
 A rational operand (one term at exponent 0) is a coefficient scale: mul
-by r and divide by r multiply every coefficient of the other operand by r
-or 1/r, with no exponent sums, no row merge and no inverse.  So a number
+by r is the one row of r's exponent-0 term, and divide by r multiplies
+every coefficient of the other operand by 1/r, with no exponent sums, no
+row merge and no inverse.  So a number
 literal's rationals (w^(1/2)*3/2) cost one scale each, and so does ln's
 w*z0 for a real z0.  The leading monomial that invert and exp multiply
 their series by is folded into power_series: on the lattice path it
@@ -263,8 +264,8 @@ def sign(x: Number) -> int:
 def from_terms(pairs) -> Number:
     """Build a Number from (exponent, coefficient) pairs in any order.
 
-    This is the one constructor that sorts: the parser, the embeddings and
-    omega_pow hand it pairs in no particular order.  Exponents are made
+    This is the one constructor that sorts: the parser and the embeddings
+    hand it pairs in no particular order.  Exponents are made
     canonical here (_norm_exp collapses a real Number to its Fraction and a
     Number equal to eps_a to the atom), so equal exponents are structurally
     equal and lie side by side after one sort by exp_cmp.  Hashing the
@@ -375,30 +376,21 @@ def _rational(x: Number):
     return None
 
 
-def _scale(x: Number, r) -> Number:
-    return Number(tuple((e, c * r) for e, c in x.terms))
-
-
 def mul(a: Number, b: Number) -> Number:
-    """Sparse product.  A rational operand r is a scale: the other operand's
-    coefficients are multiplied by r, and no exponent is added or merged.
-    Otherwise one row a_i*b per term of the shorter operand, merged
-    pairwise (Monagan & Pearce's row merge).  Adding a fixed exponent keeps
-    a row strictly decreasing, so no row needs sorting.  Two real exponents
-    add as Fractions, and a row for the exponent 0 keeps b's exponents as
-    they are.  Coefficients are only multiplied, so int operands (inside
-    power_series) give an int product."""
-    if len(a.terms) > len(b.terms):
+    """Sparse product: one row a_i*b per term of the shorter operand,
+    merged pairwise (Monagan & Pearce's row merge).  Adding a fixed
+    exponent keeps a row strictly decreasing, so no row needs sorting.  Two
+    real exponents add as Fractions, and a row for the exponent 0 keeps b's
+    exponents as they are.  So a rational operand r is a scale: it is made
+    the shorter operand, its one row multiplies the other's coefficients by
+    r, and no exponent is added or merged.  Coefficients are only
+    multiplied, so int operands (inside power_series) give an int
+    product."""
+    na, nb = len(a.terms), len(b.terms)
+    if na > nb or na == nb == 1 and _rational(b) is not None:
         a, b = b, a
     if not a.terms:
         return ZERO
-    if len(a.terms) == 1:
-        r = _rational(a)
-        if r is not None:
-            return _scale(b, r)
-        r = _rational(b)
-        if r is not None:
-            return _scale(a, r)
     other = b.terms
     rows = []
     for e, c in a.terms:
@@ -577,7 +569,9 @@ def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:
     invert(b), whose exactness and truncation order the quotient keeps."""
     r = _rational(b)
     if r is not None:
-        return TruncatedNumber(_scale(a, 1 / r), True)
+        r = 1 / r
+        return TruncatedNumber(Number(tuple((e, c * r) for e, c in a.terms)),
+                               True)
     t = invert(b, max_terms)
     return TruncatedNumber(mul(a, t.value), t.exact,
                            0 if t.exact else t.dropped_terms_bound)
