@@ -202,9 +202,13 @@ def _braces(s, options) -> str:
     return exprs.brace_render(s, options.depth)
 
 
+def _marked(text, exact):
+    """`text`, marked when a series was cut on the way to it."""
+    return text if exact else text + " (inexact)"
+
+
 def _number_text(t, options):
-    text = exprs.render_number(t.value)
-    return text if t.exact else text + " (inexact)"
+    return _marked(exprs.render_number(t.value), t.exact)
 
 
 def _census(rep):
@@ -240,9 +244,9 @@ def _normal_text(n, options):
 
 
 def _coords_text(pairs, options):
-    return "[%s]" % ", ".join("(%s, %s)" % (exprs.render_number(lo),
-                                             exprs.render_number(hi))
-                              for lo, hi in pairs)
+    return _marked("[%s]" % ", ".join("(%s, %s)" % (exprs.render_number(lo),
+                                                     exprs.render_number(hi))
+                                      for lo, hi in pairs), pairs.exact)
 
 
 NUMBER = (_number_text,
@@ -264,9 +268,10 @@ SETTERM = _valued(lambda t, options: exprs.render_setterm(t),
                   exprs.setterm_to_json)
 BRACES = _valued(_braces, exprs.skand_to_json)
 NORMAL = _valued(_normal_text, exprs.skand_to_json)
-COORDS = _valued(_coords_text, lambda pairs: [
-    [exprs.number_to_json(lo), exprs.number_to_json(hi)]
-    for lo, hi in pairs])
+COORDS = (_coords_text, lambda pairs, options: {
+    "value": [[exprs.number_to_json(lo), exprs.number_to_json(hi)]
+              for lo, hi in pairs],
+    "text": _coords_text(pairs, options), "exact": pairs.exact})
 
 
 def _same(value):

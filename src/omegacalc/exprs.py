@@ -34,9 +34,12 @@ runs it only up to the failing token.  The operator loops of both
 expression grammars read each operator token once, by indexing the token
 list.  A literal in Cantor normal form (w^2*3 + w + 4) is collected term
 by term; ordinal + and * run only where a term is out of order or another
-operator follows.  A number literal's rationals (w^(1/2)*3/2) cost a
-coefficient scale each: surreal.mul and surreal.divide treat a rational
-operand as one.
+operator follows.  A number expression evaluates to plain Numbers: w, w^n
+and integers are built as their one term, and a literal's rationals
+(w^(1/2)*3/2) cost a coefficient scale each, since surreal.mul and
+surreal.divide treat a rational operand as one.  Exactness is one count
+per parse of the series that divide, exp and ln cut; parse_number_expr
+wraps the value and that count in the parse's one TruncatedNumber.
 
 Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 """
@@ -51,9 +54,10 @@ from operator import itemgetter
 from .errors import ParseError, PrefixTooLarge
 from .ordinals import OMEGA, ONE, Ordinal
 from .ordinals import ZERO as OZERO
-from .surreal import (Dyadic, EpsilonAtom, Number, TruncatedNumber, add,
-                      divide, epsilon, from_rational, from_terms, mul, negate,
-                      omega_pow, simplest_dyadic_game)
+from .surreal import (OMEGA as NOMEGA, _Q0, Dyadic, EpsilonAtom, Number,
+                      TruncatedNumber, _rational, add, divide, epsilon,
+                      from_rational, from_terms, mul, negate, omega_pow,
+                      simplest_dyadic_game)
 from . import explog
 from . import skands as sk
 
@@ -128,6 +132,7 @@ class _Parser:
         self.tokens = _scan(text)
         self.i = 0
         self.depth = 0
+        self.cuts = 0   # series cut so far by a number expression
 
     def expect(self, value):
         if self.tokens[self.i] != value:
@@ -161,6 +166,13 @@ class _Parser:
         i = self.i if at is None else at
         raise ParseError(msg, next(islice(_positioned(self.text), i,
                                           None))[2])
+
+    def cut(self, t: TruncatedNumber) -> Number:
+        """The value of a divide, exp or ln result; a cut series counts
+        once in self.cuts."""
+        if not t.exact:
+            self.cuts += 1
+        return t.value
 
     def nested(self, parse, *args):
         """parse(self, *args) one nesting level deeper; every recursive
@@ -283,24 +295,20 @@ def ordinal_from_json(data) -> Ordinal:
 
 # -- surreal expressions ------------------------------------------------------
 #
-# evaluation carries exactness: every value is a TruncatedNumber.
+# The descent evaluates to plain Numbers.  Only three calls can cut a series:
+# divide by a non-rational, exp and ln.  Each cut counts once in the
+# parser's `cuts`, and parse_number_expr turns that count into the one
+# TruncatedNumber of the parse.
 
-def _exact(x: Number) -> TruncatedNumber:
-    return TruncatedNumber(x, True)
-
-
-def _combine(a: TruncatedNumber, b: TruncatedNumber, value) -> TruncatedNumber:
-    exact = a.exact and b.exact
-    return TruncatedNumber(value, exact,
-                           0 if exact else max(a.dropped_terms_bound,
-                                               b.dropped_terms_bound))
+_Q1 = Fraction(1)
 
 
 def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
     if max_terms < 1:
         raise ParseError("max_terms must be >= 1, got %d" % max_terms)
     p = _Parser(text)
-    return p.whole(_nexpr(p, max_terms))
+    value = p.whole(_nexpr(p, max_terms))
+    return TruncatedNumber(value, not p.cuts, max_terms if p.cuts else 0)
 
 
 def parse_number(text) -> Number:
@@ -312,82 +320,63 @@ def parse_number(text) -> Number:
     return t.value
 
 
-def _nexpr(p, mt) -> TruncatedNumber:
+def _nexpr(p, mt) -> Number:
     value = _nterm(p, mt)
     while True:
         op = p.tokens[p.i]
         if op == "+":
             p.i += 1
-            rhs = _nterm(p, mt)
-            value = _combine(value, rhs, add(value.value, rhs.value))
+            value = add(value, _nterm(p, mt))
         elif op == "-":
             p.i += 1
-            rhs = _nterm(p, mt)
-            value = _combine(value, rhs, add(value.value, negate(rhs.value)))
+            value = add(value, negate(_nterm(p, mt)))
         else:
             return value
 
 
-def _nterm(p, mt) -> TruncatedNumber:
+def _nterm(p, mt) -> Number:
     value = _nfact(p, mt)
     while True:
         op = p.tokens[p.i]
         if op == "*":
             p.i += 1
-            rhs = _nfact(p, mt)
-            value = _combine(value, rhs, mul(value.value, rhs.value))
+            value = mul(value, _nfact(p, mt))
         elif op == "/":
             p.i += 1
-            rhs = _nfact(p, mt)
-            q = divide(value.value, rhs.value, mt)
-            exact = value.exact and rhs.exact and q.exact
-            value = TruncatedNumber(q.value, exact,
-                                    0 if exact else mt)
+            value = p.cut(divide(value, _nfact(p, mt), mt))
         else:
             return value
 
 
-def _nfact(p, mt) -> TruncatedNumber:
+def _nfact(p, mt) -> Number:
     neg = False
     while p.tokens[p.i] == "-":
         p.i += 1
         neg = not neg
     value = _nprim(p, mt)
-    if not neg:
-        return value
-    return TruncatedNumber(negate(value.value), value.exact,
-                           value.dropped_terms_bound)
+    return negate(value) if neg else value
 
 
-def _nprim(p, mt) -> TruncatedNumber:
+def _nprim(p, mt) -> Number:
     i, text = p.i, p.tokens[p.i]
     if text == "w":
         p.i += 1
-        if p.accept("^"):
-            return _exact(omega_pow(_nexponent(p, mt)))
-        return _exact(omega_pow(from_rational(1)))
+        return _nexponent(p, mt) if p.accept("^") else NOMEGA
     if text == "eps":
         p.i += 1
         p.expect("[")
-        idx = p.nested(_nexpr, mt)
-        p.expect("]")
-        if not idx.exact:
-            p.fail("epsilon index must be exact", i)
-        return _exact(epsilon(idx.value))
+        return epsilon(_exact_nexpr(p, mt, "]", "epsilon index must be exact",
+                                    i))
     if text in ("exp", "ln"):
         p.i += 1
         p.expect("(")
         arg = p.nested(_nexpr, mt)
         p.expect(")")
-        fn = explog.exp if text == "exp" else explog.ln
-        res = fn(arg.value, mt)
-        exact = arg.exact and res.exact
-        return TruncatedNumber(res.value, exact,
-                               0 if exact else max(arg.dropped_terms_bound,
-                                                   res.dropped_terms_bound))
+        return p.cut((explog.exp if text == "exp" else explog.ln)(arg, mt))
     if text.isdigit():
         p.i += 1
-        return _exact(from_rational(int(text)))
+        n = int(text)
+        return Number(((_Q0, Fraction(n)),) if n else ())
     if text == "(":
         p.i += 1
         value = p.nested(_nexpr, mt)
@@ -395,30 +384,39 @@ def _nprim(p, mt) -> TruncatedNumber:
         return value
     if text == "{":
         p.i += 1
-        left = p.nested(_game_side, mt, "|")
+        left = _game_side(p, mt, "|")
         p.expect("|")
-        right = p.nested(_game_side, mt, "}")
+        right = _game_side(p, mt, "}")
         p.expect("}")
-        d = simplest_dyadic_game(left, right)
-        return _exact(from_rational(Fraction(d)))
+        return from_rational(simplest_dyadic_game(left, right))
     p.fail("expected a number")
 
 
+def _exact_nexpr(p, mt, close, msg, at=None) -> Number:
+    """A nested number expression, then the token `close` if one is given,
+    for a place that needs an exact value: if a series was cut inside it,
+    fail with `msg` at token `at` (by default the next unread one)."""
+    cuts = p.cuts
+    value = p.nested(_nexpr, mt)
+    if close:
+        p.expect(close)
+    if p.cuts != cuts:
+        p.fail(msg, at)
+    return value
+
+
 def _nexponent(p, mt) -> Number:
+    """The monomial w^xp, after its '^'."""
     i = p.i
     if p.accept("("):
-        e = p.nested(_nexpr, mt)
-        p.expect(")")
-        if not e.exact:
-            p.fail("exponent must be exact", i)
-        return e.value
+        return omega_pow(_exact_nexpr(p, mt, ")", "exponent must be exact",
+                                      i))
     neg = p.accept("-")
     n = p.tokens[p.i]
     if not n.isdigit():
         p.fail("expected an exponent")
     p.i += 1
-    v = from_rational(int(n))
-    return negate(v) if neg else v
+    return Number(((Fraction(-int(n) if neg else int(n)), _Q1),))
 
 
 def _game_side(p, mt, stop):
@@ -426,15 +424,12 @@ def _game_side(p, mt, stop):
     if p.at(stop):
         return side
     while True:
-        v = _nexpr(p, mt)
-        if not v.exact:
-            p.fail("game members must be exact")
-        q = v.value
-        if q and (len(q.terms) != 1 or type(q.terms[0][0]) is not Fraction
-                  or q.terms[0][0]):
-            p.fail("game members must be dyadic rationals")
+        q = _exact_nexpr(p, mt, None, "game members must be exact")
+        r = _rational(q) if q else 0
         try:
-            side.append(Dyadic(q.terms[0][1] if q.terms else 0))
+            if r is None:
+                raise ValueError("not rational")
+            side.append(Dyadic(r))
         except ValueError:
             p.fail("game members must be dyadic rationals")
         if not p.accept(","):

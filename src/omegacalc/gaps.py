@@ -82,21 +82,24 @@ class ScaledHarmonic:
     direction: int
 
 
-def _label(index: Number) -> GapLabel:
-    s = sign(index)
-    return GapLabel(1 if s >= 0 else -1, index)
-
-
-def _exponents_all_above(b: Number, bound: Fraction) -> bool:
-    return all(exp_cmp(e, bound) > 0 for e, _ in b.terms)
-
-
-def _exponents_all_at_least(b: Number, bound: Fraction) -> bool:
-    return all(exp_cmp(e, bound) >= 0 for e, _ in b.terms)
+# The ramps b +- w^step: (step, the least exp_cmp of every exponent of b
+# against the step, 1 where it must exceed the step and 0 where it may equal
+# it, the family named in the error).  The label is indexed by
+# b + direction * w^step.
+_STEPPED = {DyadicRamp: (Fraction(-1), 1, "1/w"),
+            GeometricRamp: (Fraction(-1, 2), 0, "w^(-1/2)"),
+            ScaledHarmonic: (Fraction(-2), 1, "1/w^2")}
 
 
 def gap_of(s) -> GapLabel:
     """The symbol of infinity of a catalogued monotone sequence."""
+    if type(s) in _STEPPED:
+        step, least, family = _STEPPED[type(s)]
+        if any(exp_cmp(e, step) < least for e, _ in s.base.terms):
+            raise UnsupportedDescriptor("base outside the %s-type family"
+                                        % family)
+        index = add(s.base, from_terms([(step, Fraction(s.direction))]))
+        return GapLabel(1 if sign(index) >= 0 else -1, index)
     if isinstance(s, OrdinalRamp):
         if not s.lam.is_limit():
             raise UnsupportedDescriptor("ordinal ramp needs a limit ordinal")
@@ -115,16 +118,6 @@ def gap_of(s) -> GapLabel:
         if frac is None:
             raise UnsupportedDescriptor("decreasing ramp base must be w/2^beta")
         return GapLabel(1, from_terms([(Fraction(1), frac / 2)]))
-    if isinstance(s, DyadicRamp):
-        if s.base != NZERO and not _exponents_all_above(s.base, Fraction(-1)):
-            raise UnsupportedDescriptor("base outside the 1/w-type family")
-        step = from_terms([(Fraction(-1), Fraction(s.direction))])
-        return _label(add(s.base, step))
-    if isinstance(s, GeometricRamp):
-        if s.base != NZERO and not _exponents_all_at_least(s.base, Fraction(-1, 2)):
-            raise UnsupportedDescriptor("base outside the w^(-1/2)-type family")
-        step = from_terms([(Fraction(-1, 2), Fraction(s.direction))])
-        return _label(add(s.base, step))
     if isinstance(s, HarmonicRamp):
         if not s.lam.is_limit():
             raise UnsupportedDescriptor("harmonic ramp needs a limit ordinal")
@@ -132,11 +125,6 @@ def gap_of(s) -> GapLabel:
             raise UnsupportedDescriptor("harmonic ramp needs a monomial length")
         e, c = s.lam.terms[0]
         return GapLabel(1, from_terms([(negate(from_ordinal(e)), Fraction(1, c))]))
-    if isinstance(s, ScaledHarmonic):
-        if s.base != NZERO and not _exponents_all_above(s.base, Fraction(-2)):
-            raise UnsupportedDescriptor("base outside the 1/w^2-type family")
-        step = from_terms([(Fraction(-2), Fraction(s.direction))])
-        return _label(add(s.base, step))
     raise UnsupportedDescriptor("unknown descriptor %r" % (s,))
 
 
@@ -239,7 +227,6 @@ def in_jump_interior(b: Number, lam: Ordinal) -> bool:
     if not b.terms:
         return False
     mu = lam.leading_exp
-    from .surreal import add, negate
     upper = add(from_ordinal(lam), negate(b))
     return (_exceeds_all_below_monomial(b, mu)
             and _exceeds_all_below_monomial(upper, mu))

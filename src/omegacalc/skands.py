@@ -581,11 +581,18 @@ def prepend_component(s: Skand, component) -> Skand:
 # -- brace coordinates ---------------------------------------------------------
 
 
-def brace_coordinates(s, prefix: int):
+class Coordinates(list):
+    """The (lo, hi) pairs of brace_coordinates.  `exact` is False when a
+    series was cut in some pair: 1/a for a position a that is not a
+    monomial, such as w+1."""
+    exact = True
+
+
+def brace_coordinates(s, prefix: int) -> Coordinates:
     """Conway coordinates of the first `prefix` brace pairs: (-1/a, 1/a) per
     position for skands, (-a, a) for coskands, with the position-0
     conventions (-2, 2) and (-1/2, 1/2)."""
-    out = []
+    out = Coordinates()
     pos = s.start
     for _ in range(prefix):
         if pos.cmp(s.end) >= 0:
@@ -599,8 +606,9 @@ def brace_coordinates(s, prefix: int):
         else:
             v = from_ordinal(pos)
             if not s.ascending:
-                inv = invert(v).value
-                pair = (negate(inv), inv)
+                inv = invert(v)
+                out.exact = out.exact and inv.exact
+                pair = (negate(inv.value), inv.value)
             else:
                 pair = (negate(v), v)
         out.append(pair)

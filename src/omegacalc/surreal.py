@@ -573,8 +573,7 @@ def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:
         return TruncatedNumber(Number(tuple((e, c * r) for e, c in a.terms)),
                                True)
     t = invert(b, max_terms)
-    return TruncatedNumber(mul(a, t.value), t.exact,
-                           0 if t.exact else t.dropped_terms_bound)
+    return TruncatedNumber(mul(a, t.value), t.exact, t.dropped_terms_bound)
 
 
 # -- dyadics, games and birthdays -----------------------------------------

@@ -125,6 +125,24 @@ def test_coords_non_integer_prefix_is_a_parse_error():
         run_line("coskand coords const({a}) @ [1,w) ;; x", O)
 
 
+def test_coords_mark_a_truncated_coordinate():
+    # 1/w is exact; 1/(w+1) and 1/(w+2) are cut at max_terms 8
+    line = "skand coords const({a}) @ [w,w*2) ;; 3"
+    text = run_line(line, O)
+    assert text.startswith("[(w^-1*-1, w^-1*1), (w^-1*-1 + w^-2*1 + ")
+    assert text.endswith("w^-8*-128)] (inexact)")
+    data = json.loads(run_line(line, OJ))
+    assert data["exact"] is False and data["text"] == text
+    hi = number_from_json(data["value"][1][1])
+    assert len(hi.terms) == 8 and hi.terms[1][1] == -1
+    # finite positions, and every coskand coordinate, are exact
+    for line in ("skand coords const({a}) @ [1,w) ;; 2",
+                 "skand coords const({a}) @ [w,w*2) ;; 1",
+                 "coskand coords const({a}) @ [w,w*2) ;; 3"):
+        assert not run_line(line, O).endswith(" (inexact)"), line
+        assert json.loads(run_line(line, OJ))["exact"] is True, line
+
+
 def test_max_terms_below_one_is_a_parse_error(tmp_path, capsys):
     with pytest.raises(ParseError):
         run_line("eval 1/(w+1)", Options(max_terms=0))

@@ -96,6 +96,57 @@ def test_truncated_expression_flags():
     assert not t.exact
 
 
+# (text, exact): a value is inexact iff divide, exp or ln cut a series on the
+# way to it, even where the cut terms cancel or are multiplied away
+EXACT_FLAGS = (
+    ("1 + 2", True), ("w - w", True), ("2*w^-1", True), ("-w", True),
+    ("w/3", True), ("w/w^2", True), ("(w + 1)*(w - 1)", True),
+    ("exp(w)", True), ("ln(w)", True), ("ln(exp(w))", True),
+    ("exp(-(w^2 - w^2))", True), ("1/(w+1)", False), ("-1/(w+1)", False),
+    ("-(1/(w+1))", False), ("((1/(w+1)))", False), ("2 + 1/(w+1)", False),
+    ("1/(w+1) - 1/(w+1)", False), ("0*(1/(w+1))", False),
+    ("(w^2 - 1)/(w + 1)", False), ("exp(w^-1)", False), ("ln(w + 1)", False),
+    ("exp(1/(w+1)-1/(w+1))", False), ("ln(w*(1/(w+1) - 1/(w+1)) + w)", False),
+)
+
+
+@pytest.mark.parametrize("text,exact", EXACT_FLAGS)
+def test_exactness_through_every_operator(text, exact):
+    t = parse_number_expr(text, 5)
+    assert t.exact is exact
+    assert t.dropped_terms_bound == (0 if exact else 5)
+
+
+def test_places_that_need_an_exact_value_reject_a_cut():
+    # positions are in the coordinates of the eval line
+    from omegacalc.cli import Options, run_line
+    for line, detail, position in (
+            ("eval w^(1/(w+1))", "exponent must be exact", 7),
+            ("eval eps[1/(w+1)]", "epsilon index must be exact", 5),
+            ("eval {1, 1/(w+1)|2}", "game members must be exact", 16)):
+        with pytest.raises(ParseError) as info:
+            run_line(line, Options())
+        assert (info.value.detail, info.value.position) == \
+            (detail, position), line
+
+
+def test_an_exact_parse_builds_one_truncated_number(monkeypatch):
+    # when every node of the descent was a TruncatedNumber, this literal
+    # built 23 of them
+    from omegacalc.surreal import TruncatedNumber
+    built = []
+    post_init = TruncatedNumber.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TruncatedNumber, "__post_init__", counted)
+    t = parse_number_expr("(w + 1)*(w - 1) - w^2*3 + eps[w^-1]*2 + "
+                          "w^(w^-2) + {0, 1|}")
+    assert t.exact and built == [t]
+
+
 def test_parse_errors_have_positions():
     with pytest.raises(ParseError):
         parse_number("w +")
