@@ -96,6 +96,15 @@ def _int_kind(what: str, minimum: int = 0):
 _PREFIX = _int_kind("prefix")
 
 
+def _coords_prefix(text, options):
+    """A coords prefix, with the max_terms its 1/a coordinates are cut at."""
+    return _PREFIX(text, options), options.max_terms
+
+
+def _coords(s, prefix):
+    return skands.brace_coordinates(s, *prefix)
+
+
 _DESCRIPTORS = {"ordinal": (gaps.OrdinalRamp, False),
                 "harmonic": (gaps.HarmonicRamp, False),
                 "add": (gaps.AddRamp, True), "dyadic": (gaps.DyadicRamp, True),
@@ -302,14 +311,13 @@ VERBS = {
                        FLAG),
     "skand minperiod": ((_skand,), skands.min_finite_period, PERIOD),
     "skand encode": ((_skand,), skands.encode_skand, SETTERM),
-    "skand coords": ((_skand, _PREFIX), skands.brace_coordinates, COORDS),
+    "skand coords": ((_skand, _coords_prefix), _coords, COORDS),
     "coskand render": ((_coskand,), _same, BRACES),
     "coskand eq": ((_coskand, _coskand), skands.skand_equal, FLAG),
     "coskand at": ((_coskand, _ordinal), skands.value_at, SETTERM),
     "coskand kind": ((_coskand,), skands.coskand_kind, WORD),
     "coskand toset": ((_coskand,), skands.coskand_to_setterm, SETTERM),
-    "coskand coords": ((_coskand, _PREFIX), skands.brace_coordinates,
-                       COORDS),
+    "coskand coords": ((_coskand, _coords_prefix), _coords, COORDS),
     **{"solve " + form: (kinds, lambda *a, make=make:
                          skands.solve_mirimanoff(make(*a)), BRACES)
        for form, (kinds, make) in _EQUATIONS.items()},

@@ -52,7 +52,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .errors import ParseError, PrefixTooLarge
-from .ordinals import OMEGA, ONE, Ordinal
+from .ordinals import OMEGA, ONE, Ordinal, _ecmp, _exp
 from .ordinals import ZERO as OZERO
 from .surreal import (OMEGA as NOMEGA, _Q0, Dyadic, EpsilonAtom, Number,
                       TruncatedNumber, _rational, add, divide, epsilon,
@@ -195,7 +195,7 @@ def parse_ordinal(text) -> Ordinal:
 def _plus(terms: list, b: Ordinal) -> list:
     """The CNF terms of terms + b: b's terms are appended where they
     continue the descending order, and ordinal + is taken otherwise."""
-    if terms and b.terms and terms[-1][0].cmp(b.terms[0][0]) <= 0:
+    if terms and b.terms and _ecmp(terms[-1][0], b.terms[0][0]) <= 0:
         return list((Ordinal(tuple(terms)) + b).terms)
     terms.extend(b.terms)
     return terms
@@ -249,12 +249,12 @@ def _ofact(p) -> Ordinal:
                 p.expect(")")
             elif n.isdigit():
                 p.i += 1
-                e = Ordinal.from_int(int(n))
+                return Ordinal(((int(n), 1),))
             elif p.at("w"):
                 e = p.nested(_ofact)
             else:
                 p.fail("expected an ordinal exponent")
-            return Ordinal(((e, 1),))
+            return Ordinal.omega_pow(e)
         return OMEGA
     if text.isdigit():
         p.i += 1
@@ -275,22 +275,37 @@ def render_ordinal(o: Ordinal) -> str:
         if not e:
             parts.append(str(c))
             continue
-        if e == Ordinal.from_int(1):
+        if e == 1:
             base = "w"
-        elif e.is_finite():
-            base = "w^%d" % e.as_int()
+        elif type(e) is int:
+            base = "w^%d" % e
         else:
             base = "w^(%s)" % render_ordinal(e)
         parts.append(base if c == 1 else "%s*%d" % (base, c))
     return " + ".join(parts)
 
 
-def ordinal_to_json(o: Ordinal):
+def ordinal_to_json(o):
+    """The terms of o as [[exponent, coefficient], ...], recursively; a
+    finite exponent n is the list of the ordinal n."""
+    if type(o) is int:
+        return [[[], o]] if o else []
     return [[ordinal_to_json(e), c] for e, c in o.terms]
 
 
 def ordinal_from_json(data) -> Ordinal:
-    return Ordinal(tuple((ordinal_from_json(e), int(c)) for e, c in data))
+    """The inverse of ordinal_to_json; ValueError unless the exponents
+    strictly decrease and every coefficient is an int >= 1."""
+    terms = []
+    for e, c in data:
+        e = _exp(ordinal_from_json(e))
+        if type(c) is not int or c < 1:
+            raise ValueError("ordinal coefficient must be an int >= 1, got %r"
+                             % (c,))
+        if terms and _ecmp(terms[-1][0], e) <= 0:
+            raise ValueError("ordinal exponents must strictly decrease")
+        terms.append((e, c))
+    return Ordinal(tuple(terms))
 
 
 # -- surreal expressions ------------------------------------------------------

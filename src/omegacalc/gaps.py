@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import NotIndecomposable, NotLimit, UnsupportedDescriptor
 from .ordinals import OMEGA, Ordinal, classify_ordinal, divmod_omega_pow
-from .ordinals import ZERO as OZERO
 from .surreal import (Dyadic, Number, add, exp_as_number, exp_cmp,
                       from_ordinal, from_terms, negate, nf_cmp, sign)
 from .surreal import ZERO as NZERO
@@ -123,8 +122,9 @@ def gap_of(s) -> GapLabel:
             raise UnsupportedDescriptor("harmonic ramp needs a limit ordinal")
         if len(s.lam.terms) != 1:
             raise UnsupportedDescriptor("harmonic ramp needs a monomial length")
-        e, c = s.lam.terms[0]
-        return GapLabel(1, from_terms([(negate(from_ordinal(e)), Fraction(1, c))]))
+        c = s.lam.terms[0][1]
+        return GapLabel(1, from_terms([(negate(from_ordinal(s.lam.leading_exp)),
+                                        Fraction(1, c))]))
     raise UnsupportedDescriptor("unknown descriptor %r" % (s,))
 
 
@@ -170,37 +170,38 @@ def jump_report(lam: Ordinal) -> JumpReport:
     form ends in a w^v term.  Computed symbolically from the normal form."""
     if not lam.is_limit():
         raise NotLimit("%r is not a limit ordinal" % (lam,))
-    lead = lam.leading_exp
-    if not lead.is_finite():
+    lead = lam.terms[0][0]
+    if type(lead) is not int:
         raise UnsupportedDescriptor(
             "census needs a leading exponent below w (finite jump-size list)")
     indec = classify_ordinal(lam).is_additively_indecomposable
     census = []
-    for v in range(1, lead.as_int() + 1):
-        size = Ordinal.omega_pow(Ordinal.from_int(v))
-        q, r = divmod_omega_pow(lam, Ordinal.from_int(v + 1))
+    for v in range(1, lead + 1):
+        size = Ordinal.omega_pow(v)
+        q, r = divmod_omega_pow(lam, v + 1)
         a = 0
-        if r.terms and r.terms[0][0] == Ordinal.from_int(v):
+        if r.terms and r.terms[0][0] == v:
             a = r.terms[0][1]
         count = OMEGA * q + a
-        if count != OZERO:
+        if count:
             census.append((size, count))
     return JumpReport(lam, indec, indec, indec, tuple(census))
 
 
 def _exceeds_all_ordinals_below(y: Number, mu: Ordinal) -> bool:
     """True iff y > kappa for every ordinal kappa < mu (mu >= 1)."""
-    if mu == Ordinal.from_int(1):
+    if mu == 1:
         return nf_cmp(y, NZERO) > 0
     if mu.is_successor():
-        pred = Ordinal(mu.terms[:-1] + (((OZERO, mu.terms[-1][1] - 1),)
+        pred = Ordinal(mu.terms[:-1] + (((0, mu.terms[-1][1] - 1),)
                                         if mu.terms[-1][1] > 1 else ()))
         return nf_cmp(y, from_ordinal(pred)) > 0
     # mu limit: peel one copy of its last term w^m and recurse on the rest
     last_e, last_c = mu.terms[-1]
     head = Ordinal(mu.terms[:-1] + (((last_e, last_c - 1),) if last_c > 1 else ()))
     d = add(y, negate(from_ordinal(head)))
-    return _exceeds_all_below_monomial(d, last_e)
+    return _exceeds_all_below_monomial(
+        d, Ordinal.from_int(last_e) if type(last_e) is int else last_e)
 
 
 def _exceeds_all_below_monomial(d: Number, m: Ordinal) -> bool:
@@ -209,7 +210,7 @@ def _exceeds_all_below_monomial(d: Number, m: Ordinal) -> bool:
         return False
     e1 = exp_as_number(d.terms[0][0])
     if m.is_successor():
-        pred = Ordinal(m.terms[:-1] + (((OZERO, m.terms[-1][1] - 1),)
+        pred = Ordinal(m.terms[:-1] + (((0, m.terms[-1][1] - 1),)
                                        if m.terms[-1][1] > 1 else ()))
         return nf_cmp(e1, from_ordinal(pred)) > 0
     return _exceeds_all_ordinals_below(e1, m)

@@ -1,9 +1,16 @@
 """Ordinal arithmetic in hereditary Cantor normal form.
 
 An ordinal is a finite descending sum  w^e1*c1 + w^e2*c2 + ... + w^ek*ck
-with ordinal exponents e1 > e2 > ... > ek and integer coefficients ci >= 1.
+with exponents e1 > e2 > ... > ek and integer coefficients ci >= 1.
 The empty sum is 0.  Everything representable lies below epsilon_0, which
 keeps all algorithms total.
+
+Every exponent has one spelling: a finite exponent is an `int` and only an
+infinite one is an `Ordinal`, so comparing and summing the exponents of the
+common case is `int` arithmetic.  `Ordinal(terms)` is the raw constructor and
+takes canonical terms; `from_int`, `omega_pow` and the operations build them.
+`_coerce` turns an `int` operand into an `Ordinal` at the public boundary
+only: the operators and the free `ord_*` functions.
 
 Both the usual (non-commutative) sum/product and the Hessenberg natural
 sum/product are provided.  `a + b` and `a * b` are the usual operations;
@@ -28,6 +35,36 @@ def _coerce(x) -> "Ordinal":
     raise TypeError("cannot interpret %r as an ordinal" % (x,))
 
 
+# -- exponents: an int when finite, an infinite Ordinal otherwise -----------
+
+def _exp(x):
+    """The exponent spelling of the ordinal or non-negative int x."""
+    if type(x) is int and x >= 0:
+        return x
+    t = _coerce(x).terms
+    if not t:
+        return 0
+    if len(t) == 1 and not t[0][0]:
+        return t[0][1]
+    return x
+
+
+def _ecmp(a, b) -> int:
+    """Compare two exponents; every int lies below every Ordinal."""
+    if type(a) is int:
+        if type(b) is int:
+            return EQ if a == b else GT if a > b else LT
+        return LT
+    return GT if type(b) is int else a.cmp(b)
+
+
+def _enat_add(a, b):
+    """The natural sum of two exponents."""
+    if type(a) is int and type(b) is int:
+        return a + b
+    return _coerce(a).nat_add(b)
+
+
 @dataclass(frozen=True)
 class Ordinal:
     terms: tuple = ()
@@ -40,11 +77,11 @@ class Ordinal:
             raise ValueError("ordinals are non-negative")
         if n == 0:
             return ZERO
-        return Ordinal(((ZERO, n),))
+        return Ordinal(((0, n),))
 
     @staticmethod
     def omega_pow(exp, coeff: int = 1) -> "Ordinal":
-        exp = _coerce(exp)
+        exp = _exp(exp)
         if coeff < 1:
             raise ValueError("coefficient must be >= 1")
         return Ordinal(((exp, coeff),))
@@ -58,7 +95,7 @@ class Ordinal:
     def leading_exp(self) -> "Ordinal":
         if not self.terms:
             raise ValueError("0 has no leading term")
-        return self.terms[0][0]
+        return _coerce(self.terms[0][0])
 
     def is_finite(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
@@ -90,9 +127,10 @@ class Ordinal:
     # -- order ---------------------------------------------------------
 
     def cmp(self, other) -> int:
-        other = _coerce(other)
+        if type(other) is not Ordinal:
+            other = _coerce(other)
         for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
-            c = ea.cmp(eb)
+            c = _ecmp(ea, eb)
             if c:
                 return c
             if ca != cb:
@@ -130,15 +168,16 @@ class Ordinal:
     # -- usual arithmetic (non-commutative) -----------------------------
 
     def __add__(self, other) -> "Ordinal":
-        other = _coerce(other)
-        if not other:
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+        if not other.terms:
             return self
-        if not self:
+        if not self.terms:
             return other
         lead = other.terms[0][0]
         kept = []
         for e, c in self.terms:
-            r = e.cmp(lead)
+            r = _ecmp(e, lead)
             if r == GT:
                 kept.append((e, c))
             elif r == EQ:
@@ -152,13 +191,16 @@ class Ordinal:
         return _coerce(other) + self
 
     def __mul__(self, other) -> "Ordinal":
-        other = _coerce(other)
-        if not self or not other:
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+        if not self.terms or not other.terms:
             return ZERO
         acc = ZERO
         lead = self.terms[0][0]
         for f, d in other.terms:
             if f:
+                # an exponent sum: int + int is an int, and a sum with an
+                # infinite Ordinal is an infinite Ordinal
                 acc = acc + Ordinal(((lead + f, d),))
             else:
                 # right factor finite: w^lead*(c1*d) + lower terms of self
@@ -170,11 +212,12 @@ class Ordinal:
 
     def sub_left(self, prefix) -> "Ordinal":
         """The unique r with  prefix + r = self;  PrefixTooLarge if prefix > self."""
-        prefix = _coerce(prefix)
+        if type(prefix) is not Ordinal:
+            prefix = _coerce(prefix)
         i = 0
         while i < len(self.terms) and i < len(prefix.terms):
             (et, ct), (ep, cp) = self.terms[i], prefix.terms[i]
-            r = ep.cmp(et)
+            r = _ecmp(ep, et)
             if r == LT:
                 return Ordinal(self.terms[i:])
             if r == GT:
@@ -191,18 +234,20 @@ class Ordinal:
     # -- natural (Hessenberg) arithmetic --------------------------------
 
     def nat_add(self, other) -> "Ordinal":
-        other = _coerce(other)
+        if type(other) is not Ordinal:
+            other = _coerce(other)
         merged = {}
         for e, c in self.terms + other.terms:
             merged[e] = merged.get(e, 0) + c
         return _from_dict(merged)
 
     def nat_mul(self, other) -> "Ordinal":
-        other = _coerce(other)
+        if type(other) is not Ordinal:
+            other = _coerce(other)
         merged = {}
         for e, c in self.terms:
             for f, d in other.terms:
-                g = e.nat_add(f)
+                g = _enat_add(e, f)
                 merged[g] = merged.get(g, 0) + c * d
         return _from_dict(merged)
 
@@ -218,13 +263,13 @@ class Ordinal:
 
 def _from_dict(merged: dict) -> Ordinal:
     items = [(e, c) for e, c in merged.items() if c]
-    items.sort(key=cmp_to_key(lambda a, b: a[0].cmp(b[0])), reverse=True)
+    items.sort(key=cmp_to_key(lambda a, b: _ecmp(a[0], b[0])), reverse=True)
     return Ordinal(tuple(items))
 
 
 ZERO = Ordinal()
 ONE = Ordinal.from_int(1)
-OMEGA = Ordinal(((ONE, 1),))
+OMEGA = Ordinal(((1, 1),))
 
 
 @dataclass(frozen=True)
@@ -265,9 +310,11 @@ def ord_sub_left(total, prefix) -> Ordinal:
 def classify_ordinal(a) -> OrdinalClass:
     a = _coerce(a)
     indec = len(a.terms) == 1 and a.terms[0][1] == 1
-    # main (Jacobsthal): w^(w^kappa), i.e. the exponent is itself w^kappa
-    main = indec and bool(a.terms[0][0]) and \
-        len(a.terms[0][0].terms) == 1 and a.terms[0][0].terms[0][1] == 1
+    # main (Jacobsthal): w^(w^kappa), i.e. the exponent is itself w^kappa;
+    # the only finite such exponent is 1 = w^0
+    e = a.terms[0][0] if indec else 0
+    main = e == 1 if type(e) is int else \
+        len(e.terms) == 1 and e.terms[0][1] == 1
     return OrdinalClass(
         is_zero=not a,
         is_limit=a.is_limit(),
@@ -279,12 +326,12 @@ def classify_ordinal(a) -> OrdinalClass:
 
 def divmod_omega_pow(a, k) -> tuple:
     """(q, r) with  a = w^k * q + r  and  r < w^k."""
-    a, k = _coerce(a), _coerce(k)
+    a, k = _coerce(a), _exp(k)
     hi = []
     i = 0
     for e, c in a.terms:
-        if e.cmp(k) >= 0:
-            hi.append((e.sub_left(k), c))
+        if _ecmp(e, k) >= 0:
+            hi.append((e - k if type(e) is int else _exp(e.sub_left(k)), c))
             i += 1
         else:
             break

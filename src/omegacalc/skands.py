@@ -83,7 +83,10 @@ def nat_code(n: int) -> Fset:
     return t
 
 
-def ordinal_code(o: Ordinal) -> Fset:
+def ordinal_code(o) -> Fset:
+    """The code of an ordinal or of a finite exponent n (the code of n)."""
+    if type(o) is int:
+        return Fset.of(kpair(EMPTY, nat_code(o))) if o else EMPTY
     return Fset(frozenset(kpair(ordinal_code(e), nat_code(c))
                           for e, c in o.terms))
 
@@ -588,10 +591,11 @@ class Coordinates(list):
     exact = True
 
 
-def brace_coordinates(s, prefix: int) -> Coordinates:
+def brace_coordinates(s, prefix: int, max_terms: int = 8) -> Coordinates:
     """Conway coordinates of the first `prefix` brace pairs: (-1/a, 1/a) per
     position for skands, (-a, a) for coskands, with the position-0
-    conventions (-2, 2) and (-1/2, 1/2)."""
+    conventions (-2, 2) and (-1/2, 1/2).  A 1/a that is not exact is cut
+    after max_terms terms."""
     out = Coordinates()
     pos = s.start
     for _ in range(prefix):
@@ -606,7 +610,7 @@ def brace_coordinates(s, prefix: int) -> Coordinates:
         else:
             v = from_ordinal(pos)
             if not s.ascending:
-                inv = invert(v)
+                inv = invert(v, max_terms)
                 out.exact = out.exact and inv.exact
                 pair = (negate(inv.value), inv.value)
             else:

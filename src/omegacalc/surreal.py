@@ -330,7 +330,9 @@ OMEGA = Number(((Fraction(1), Fraction(1)),))
 
 
 def from_ordinal(a: Ordinal) -> Number:
-    return from_terms((from_ordinal(e), Fraction(c)) for e, c in a.terms)
+    # a finite exponent is an int, whose exponent here is its Fraction
+    return from_terms((Fraction(e) if type(e) is int else from_ordinal(e),
+                       Fraction(c)) for e, c in a.terms)
 
 
 def epsilon(index) -> Number:

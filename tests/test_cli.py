@@ -143,6 +143,20 @@ def test_coords_mark_a_truncated_coordinate():
         assert json.loads(run_line(line, OJ))["exact"] is True, line
 
 
+def test_coords_honour_max_terms():
+    # a transfinite position's 1/a is cut where eval cuts it
+    two = Options(max_terms=2)
+    text = run_line("skand coords const({a}) @ [w+1,w*2) ;; 1", two)
+    assert text == "[(w^-1*-1 + w^-2*1, w^-1*1 + w^-2*-1)] (inexact)"
+    assert text == "[(%s, %s)] (inexact)" % (
+        run_line("eval -1/(w+1)", two)[:-len(" (inexact)")],
+        run_line("eval 1/(w+1)", two)[:-len(" (inexact)")])
+    data = json.loads(run_line("skand coords const({a}) @ [w+1,w*2) ;; 1",
+                               Options(max_terms=2, json=True)))
+    assert data["exact"] is False
+    assert [len(number_from_json(x).terms) for x in data["value"][0]] == [2, 2]
+
+
 def test_max_terms_below_one_is_a_parse_error(tmp_path, capsys):
     with pytest.raises(ParseError):
         run_line("eval 1/(w+1)", Options(max_terms=0))

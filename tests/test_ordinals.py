@@ -11,9 +11,12 @@ the lower classes of the left summand vanish.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omegacalc import (OMEGA, Ordinal, classify_ordinal, ord_add, ord_cmp,
-                       ord_mul, ord_nat_add, ord_nat_mul, ord_sub_left,
+import oracles
+from omegacalc import (OMEGA, Ordinal, classify_ordinal, divmod_omega_pow,
+                       ord_add, ord_cmp, ord_mul, ord_nat_add, ord_nat_mul,
+                       ord_sub_left, ordinal_from_json, ordinal_to_json,
                        parse_ordinal, render_ordinal)
 from omegacalc.errors import PrefixTooLarge
 
@@ -23,7 +26,7 @@ o = parse_ordinal
 def tri(x: Ordinal):
     coeffs = [0, 0, 0]
     for e, c in x.terms:
-        coeffs[e.as_int()] = c
+        coeffs[e] = c
     return coeffs[2], coeffs[1], coeffs[0]
 
 
@@ -54,8 +57,9 @@ def random_ordinal(rng, depth=3, max_terms=3, coeff_max=4):
     while len(exps) < rng.randrange(1, max_terms + 1):
         exps.add(random_ordinal(rng, depth - 1, 2, 3))
     terms = sorted(exps, reverse=True)
-    return Ordinal(tuple((e, rng.randrange(1, coeff_max + 1))
-                         for e in terms))
+    # a finite exponent is stored as its int
+    return Ordinal(tuple((e.as_int() if e.is_finite() else e,
+                          rng.randrange(1, coeff_max + 1)) for e in terms))
 
 
 def test_cmp_examples():
@@ -193,3 +197,111 @@ def test_finite_ordinals_hash_as_ints():
         assert hash(Ordinal.from_int(k)) == hash(k)
     assert len({Ordinal.from_int(3), 3}) == 1
     assert hash(OMEGA) != hash(1)
+
+
+# -- the kernel against the naive tuple oracle ---------------------------------
+# Operands are drawn as oracle tuples of hereditary depth up to 3 and built
+# with the raw constructor; a finite operand is sometimes passed as its int.
+# Every result is read back into a tuple, which checks the stored form: each
+# exponent an int or an infinite Ordinal, coefficients ints >= 1, exponents
+# strictly decreasing.
+
+
+def _finite(m) -> bool:
+    return all(e == () for e in m)
+
+
+def ordinal_of(m) -> Ordinal:
+    terms = []
+    for e in m:
+        spelled = len(e) if _finite(e) else ordinal_of(e)
+        if terms and terms[-1][0] == spelled:
+            terms[-1][1] += 1
+        else:
+            terms.append([spelled, 1])
+    return Ordinal(tuple((e, c) for e, c in terms))
+
+
+def tuple_of(x: Ordinal) -> tuple:
+    assert type(x) is Ordinal
+    out, last = (), None
+    for e, c in x.terms:
+        if type(e) is int:
+            assert e >= 0
+            m = ((),) * e
+        else:
+            m = tuple_of(e)
+            assert not _finite(m), "a finite exponent stored as an Ordinal"
+        assert type(c) is int and c >= 1
+        assert last is None or oracles.ord_compare(last, m) > 0
+        out, last = out + (m,) * c, m
+    return out
+
+
+def agrees(x, m):
+    """x is the canonical Ordinal of the tuple m, and == and hash agree
+    with the int of a finite one."""
+    assert tuple_of(x) == m
+    y = ordinal_of(m)
+    assert x == y and hash(x) == hash(y)
+    if _finite(m):
+        n = len(m)
+        assert x == n and n == x and hash(x) == hash(n)
+    else:
+        assert x != len(m) and len(m) != x
+
+
+def _tuples(depth):
+    if depth == 0:
+        return st.integers(0, 3).map(lambda n: ((),) * n)
+    term = st.tuples(_tuples(depth - 1), st.integers(1, 3))
+    return st.lists(term, max_size=3).map(
+        lambda ts: oracles.ord_sorted(e for e, c in ts for _ in range(c)))
+
+
+TUPLES = _tuples(3)
+
+
+def operand(m, as_int):
+    return len(m) if as_int and _finite(m) else ordinal_of(m)
+
+
+@settings(deadline=None, max_examples=400)
+@given(TUPLES, TUPLES, st.booleans(), st.booleans())
+def test_kernel_agrees_with_the_tuple_oracle(a, b, a_int, b_int):
+    x, y = operand(a, a_int), operand(b, b_int)
+    assert ord_cmp(x, y) == oracles.ord_compare(a, b)
+    agrees(ord_add(x, y), oracles.ord_plus(a, b))
+    agrees(ord_mul(x, y), oracles.ord_times(a, b))
+    agrees(ord_nat_add(x, y), oracles.ord_nat_plus(a, b))
+    agrees(ord_nat_mul(x, y), oracles.ord_nat_times(a, b))
+    r = oracles.ord_minus_left(a, b)
+    if r is None:
+        with pytest.raises(PrefixTooLarge):
+            ord_sub_left(x, y)
+    else:
+        agrees(ord_sub_left(x, y), r)
+    q, r = oracles.ord_divmod_omega_pow(a, b)
+    got = divmod_omega_pow(x, y)
+    agrees(got[0], q)
+    agrees(got[1], r)
+    c = classify_ordinal(x)
+    assert c.is_additively_indecomposable == (len(a) == 1)
+    # main: w^(w^k), whose one exponent has one term
+    assert c.is_main == (len(a) == 1 and len(a[0]) == 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(TUPLES)
+def test_constructors_and_codecs_store_finite_exponents_as_ints(m):
+    x = ordinal_of(m)
+    agrees(x, m)
+    agrees(parse_ordinal(render_ordinal(x)), m)
+    agrees(ordinal_from_json(ordinal_to_json(x)), m)
+    # w^x from the Ordinal x, finite or not, and from the int of a finite x
+    agrees(Ordinal.omega_pow(x, 2), (m, m))
+    if _finite(m):
+        agrees(Ordinal.omega_pow(len(m)), (m,))
+        agrees(Ordinal.from_int(len(m)), m)
+    if m:
+        agrees(x.leading_exp, m[0])

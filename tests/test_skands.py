@@ -18,7 +18,7 @@ from omegacalc import (Atom, Constant, Cycle, Extraordinary, Fset,
                        is_periodic, is_reflexive, is_self_similar,
                        is_solution, is_strictly_periodic, is_weakly_periodic,
                        make_coskand, make_skand, min_finite_period, normalize,
-                       ord_add, parse_number, parse_ordinal,
+                       ord_add, ord_cmp, parse_number, parse_ordinal,
                        prepend_component, restrict, skand_equal,
                        solve_mirimanoff, value_at)
 from omegacalc import skands
@@ -839,7 +839,7 @@ def position_type(x):
     """The coefficients (w^3, w^2, w, 1) of x < w^4, with the w^2 one capped
     at 2, the w one at 4, and the finite one n, when n >= 3, replaced by the
     one of 3, 4 with n's parity."""
-    k = {e.as_int(): c for e, c in x.terms}
+    k = dict(x.terms)
     n = k.get(0, 0)
     return (k.get(3, 0), min(k.get(2, 0), 2), min(k.get(1, 0), 4),
             n if n < 3 else 3 + (n - 3) % 2)
@@ -852,7 +852,7 @@ TYPES = {(a, b, c, n): W3 * a + W2 * b + W * c + n
 
 
 def multiple_of_omega_pow(x, exp):
-    return all(e.cmp(exp) >= 0 for e, _ in x.terms)
+    return all(ord_cmp(e, exp) >= 0 for e, _ in x.terms)
 
 
 def period_pairs(tau):
