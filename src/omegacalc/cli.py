@@ -84,6 +84,11 @@ def _int_kind(what: str, minimum: int = 0):
         try:
             n = int(text)
         except ValueError:
+            digits = text[1:] if text[:1] in ("+", "-") else text
+            limit = sys.get_int_max_str_digits()
+            if digits.isdecimal() and len(digits) > limit:
+                raise ParseError("%s has more than %d digits"
+                                 % (what, limit), 0) from None
             raise ParseError("%s must be an integer, got %r" % (what, text),
                              0) from None
         if n < minimum:

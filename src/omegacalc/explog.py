@@ -7,7 +7,7 @@ y = w^(z0) * r0 * (1 + d):  ln y = w*z0 + ln(1+d), restricted to r0 = 1 and
 to leading exponents whose own exponents all exceed -1 (the domain in which
 a logarithm exists at all).  Both series are truncated after max_terms
 orders and flag exactness; each is one call to surreal.power_series, which
-sums the powers with int coefficients and returns Fraction ones, and which
+sums the powers with int coefficients and divides once at the end, and which
 multiplies exp's sum by its exact factor as it builds the output terms.
 """
 
@@ -27,15 +27,15 @@ from .surreal import (MINUS_ONE, OMEGA, Number, TruncatedNumber, add,
 @dataclass(frozen=True)
 class Decomposition:
     purely_infinite: Number
-    real_part: Fraction
+    real_part: int | Fraction
     infinitesimal: Number
 
 
 def decompose(x: Number) -> Decomposition:
     """Split by exponent sign: positive / zero / negative."""
-    inf, real, small = [], Fraction(0), []
+    inf, real, small = [], 0, []
     for e, c in x.terms:
-        s = exp_cmp(e, Fraction(0))
+        s = exp_cmp(e, 0)
         if s > 0:
             inf.append((e, c))
         elif s == 0:
@@ -70,7 +70,7 @@ def in_ln_domain(y: Number) -> bool:
     if sign(y) <= 0:
         return False
     z0 = exp_as_number(y.terms[0][0])
-    return all(exp_cmp(t, Fraction(-1)) > 0 for t, _ in z0.terms)
+    return all(exp_cmp(t, -1) > 0 for t, _ in z0.terms)
 
 
 def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
@@ -100,4 +100,4 @@ def leader(y: Number) -> Number:
     """w^z0, the simplest member of y's commensurability class."""
     if not y.terms:
         raise ZeroInput("leader(0)")
-    return Number(((y.terms[0][0], Fraction(1)),))
+    return Number(((y.terms[0][0], 1),))

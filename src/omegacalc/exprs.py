@@ -47,6 +47,7 @@ Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
@@ -54,7 +55,7 @@ from operator import itemgetter
 from .errors import ParseError, PrefixTooLarge
 from .ordinals import OMEGA, ONE, Ordinal, _ecmp, _exp
 from .ordinals import ZERO as OZERO
-from .surreal import (OMEGA as NOMEGA, _Q0, Dyadic, EpsilonAtom, Number,
+from .surreal import (OMEGA as NOMEGA, Dyadic, EpsilonAtom, Number,
                       TruncatedNumber, _rational, add, divide, epsilon,
                       from_rational, from_terms, mul, negate, omega_pow,
                       simplest_dyadic_game)
@@ -160,6 +161,21 @@ class _Parser:
             self.fail("trailing input")
         return value
 
+    def run(self, parse, *args):
+        """parse(self, *args) over the whole text.  int() refuses a digit
+        token longer than sys.get_int_max_str_digits(), and every reader
+        converts a digit token before it steps past it, so that refusal is
+        a ParseError at the current token.  The readers call int() inline:
+        a helper call per digit token would cost a frame each."""
+        try:
+            return self.whole(parse(self, *args))
+        except ValueError:
+            text = self.tokens[self.i]
+            limit = sys.get_int_max_str_digits()
+            if not (text.isdigit() and limit and len(text) > limit):
+                raise
+        self.fail("integer literal has more than %d digits" % limit)
+
     def fail(self, msg, at=None):
         """Raise a ParseError at token `at`, by default the next unread
         one."""
@@ -188,8 +204,7 @@ class _Parser:
 # -- ordinal expressions ----------------------------------------------------
 
 def parse_ordinal(text) -> Ordinal:
-    p = _Parser(text)
-    return p.whole(_oexpr(p))
+    return _Parser(text).run(_oexpr)
 
 
 def _plus(terms: list, b: Ordinal) -> list:
@@ -225,8 +240,8 @@ def _oterm(p) -> Ordinal:
             n = p.tokens[p.i]
             if n.isdigit() and value:
                 # times a finite n: n scales the leading coefficient
-                p.i += 1
                 n, t = int(n), value.terms
+                p.i += 1
                 value = Ordinal(((t[0][0], t[0][1] * n),) + t[1:]) \
                     if n else OZERO
             else:
@@ -248,8 +263,9 @@ def _ofact(p) -> Ordinal:
                 e = p.nested(_oexpr)
                 p.expect(")")
             elif n.isdigit():
+                e = int(n)
                 p.i += 1
-                return Ordinal(((int(n), 1),))
+                return Ordinal(((e, 1),))
             elif p.at("w"):
                 e = p.nested(_ofact)
             else:
@@ -257,8 +273,9 @@ def _ofact(p) -> Ordinal:
             return Ordinal.omega_pow(e)
         return OMEGA
     if text.isdigit():
+        value = Ordinal.from_int(int(text))
         p.i += 1
-        return Ordinal.from_int(int(text))
+        return value
     if text == "(":
         p.i += 1
         value = p.nested(_oexpr)
@@ -315,14 +332,11 @@ def ordinal_from_json(data) -> Ordinal:
 # parser's `cuts`, and parse_number_expr turns that count into the one
 # TruncatedNumber of the parse.
 
-_Q1 = Fraction(1)
-
-
 def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
     if max_terms < 1:
         raise ParseError("max_terms must be >= 1, got %d" % max_terms)
     p = _Parser(text)
-    value = p.whole(_nexpr(p, max_terms))
+    value = p.run(_nexpr, max_terms)
     return TruncatedNumber(value, not p.cuts, max_terms if p.cuts else 0)
 
 
@@ -389,9 +403,9 @@ def _nprim(p, mt) -> Number:
         p.expect(")")
         return p.cut((explog.exp if text == "exp" else explog.ln)(arg, mt))
     if text.isdigit():
-        p.i += 1
         n = int(text)
-        return Number(((_Q0, Fraction(n)),) if n else ())
+        p.i += 1
+        return Number(((0, n),) if n else ())
     if text == "(":
         p.i += 1
         value = p.nested(_nexpr, mt)
@@ -430,8 +444,9 @@ def _nexponent(p, mt) -> Number:
     n = p.tokens[p.i]
     if not n.isdigit():
         p.fail("expected an exponent")
+    n = int(n)
     p.i += 1
-    return Number(((Fraction(-int(n) if neg else int(n)), _Q1),))
+    return Number(((-n if neg else n, 1),))
 
 
 def _game_side(p, mt, stop):
@@ -460,13 +475,13 @@ def render_number(x: Number) -> str:
             base = "eps[%s]" % render_number(e.index)
             parts.append(base if c == 1 else "%s*%s" % (base, c))
             continue
-        if type(e) is not Fraction:
+        if type(e) is Number:
             parts.append("w^(%s)*%s" % (render_number(e), c))
         elif not e:
             parts.append(str(c))
         elif e == 1:
             parts.append("w*%s" % c)
-        elif e.denominator == 1:
+        elif type(e) is int:
             parts.append("w^%s*%s" % (e, c))
         else:
             parts.append("w^(%s)*%s" % (e, c))
@@ -476,7 +491,7 @@ def render_number(x: Number) -> str:
 def number_to_json(x: Number):
     out = []
     for e, c in x.terms:
-        if type(e) is Fraction:
+        if type(e) is int or type(e) is Fraction:
             # a real exponent q is written as the Number q, [[0, q]]
             ej = [[[], [e.numerator, e.denominator]]] if e else []
         elif isinstance(e, EpsilonAtom):
@@ -488,6 +503,8 @@ def number_to_json(x: Number):
 
 
 def number_from_json(data) -> Number:
+    """The inverse of number_to_json; each [num, den] pair is read as one
+    rational, which from_terms spells as an int when it is integral."""
     pairs = []
     for ej, (num, den) in data:
         if isinstance(ej, dict):
@@ -659,7 +676,10 @@ def _resolve_lengths(segs, total, p):
 
 def parse_skand(text) -> object:
     """Parse skand or coskand text (see the module docstring)."""
-    p = _Parser(text)
+    return _Parser(text).run(_skand)
+
+
+def _skand(p):
     asc = p.accept("asc")
     if asc or not p.at("{"):
         segs = _segments(p)

@@ -85,9 +85,9 @@ class ScaledHarmonic:
 # against the step, 1 where it must exceed the step and 0 where it may equal
 # it, the family named in the error).  The label is indexed by
 # b + direction * w^step.
-_STEPPED = {DyadicRamp: (Fraction(-1), 1, "1/w"),
+_STEPPED = {DyadicRamp: (-1, 1, "1/w"),
             GeometricRamp: (Fraction(-1, 2), 0, "w^(-1/2)"),
-            ScaledHarmonic: (Fraction(-2), 1, "1/w^2")}
+            ScaledHarmonic: (-2, 1, "1/w^2")}
 
 
 def gap_of(s) -> GapLabel:
@@ -97,7 +97,7 @@ def gap_of(s) -> GapLabel:
         if any(exp_cmp(e, step) < least for e, _ in s.base.terms):
             raise UnsupportedDescriptor("base outside the %s-type family"
                                         % family)
-        index = add(s.base, from_terms([(step, Fraction(s.direction))]))
+        index = add(s.base, from_terms([(step, s.direction)]))
         return GapLabel(1 if sign(index) >= 0 else -1, index)
     if isinstance(s, OrdinalRamp):
         if not s.lam.is_limit():
@@ -111,12 +111,12 @@ def gap_of(s) -> GapLabel:
             beta = _as_finite_multiple_of_omega(s.base)
             if beta is None:
                 raise UnsupportedDescriptor("increasing ramp base must be beta*w")
-            return GapLabel(1, from_terms([(Fraction(1), Fraction(beta + 1))]))
+            return GapLabel(1, from_terms([(1, beta + 1)]))
         # (w/2^beta - alpha) -> +inf_{w/2^(beta+1)}
         frac = _as_dyadic_multiple_of_omega(s.base)
         if frac is None:
             raise UnsupportedDescriptor("decreasing ramp base must be w/2^beta")
-        return GapLabel(1, from_terms([(Fraction(1), frac / 2)]))
+        return GapLabel(1, from_terms([(1, frac / 2)]))
     if isinstance(s, HarmonicRamp):
         if not s.lam.is_limit():
             raise UnsupportedDescriptor("harmonic ramp needs a limit ordinal")
@@ -135,8 +135,8 @@ def _as_finite_multiple_of_omega(b: Number):
     if len(b.terms) != 1:
         return None
     e, c = b.terms[0]
-    if type(e) is Fraction and e == 1 and c.denominator == 1 and c > 0:
-        return int(c)
+    if type(e) is int and e == 1 and type(c) is int and c > 0:
+        return c
     return None
 
 
@@ -145,7 +145,7 @@ def _as_dyadic_multiple_of_omega(b: Number):
     if len(b.terms) != 1:
         return None
     e, c = b.terms[0]
-    if not (type(e) is Fraction and e == 1) or not 0 < c <= 1:
+    if not (type(e) is int and e == 1) or not 0 < c <= 1:
         return None
     try:
         return Fraction(Dyadic(c))
@@ -261,7 +261,7 @@ def classify(x: Number) -> str:
     if not x.terms:
         return "zero"
     word = "positive" if sign(x) > 0 else "negative"
-    c = exp_cmp(x.terms[0][0], Fraction(0))
+    c = exp_cmp(x.terms[0][0], 0)
     if c > 0:
         return word + " infinite"
     if c == 0:

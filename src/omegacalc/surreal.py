@@ -2,30 +2,32 @@
 
 A Number is a finite normal form  sum of w^e * r  where the exponents e are
 in strictly decreasing order and the coefficients r are nonzero rationals.
-The empty sum is 0.  Each exponent has one canonical spelling: a real
-exponent is its Fraction, eps_a is an EpsilonAtom, and any other exponent
-is a non-real Number (itself in normal form).  Ordinals, reals with
-terminating expansions, w-powers with arbitrary Number exponents and
-epsilon-numbers (as atomic leaves) all live in this fragment; arithmetic on
-it is exact except for inversion, which sums a geometric series and is
-truncated after a caller-chosen number of terms.
+The empty sum is 0.  Every rational, a coefficient or a real exponent, has
+one spelling: an int when its denominator is 1 and a Fraction otherwise
+(_q makes an arithmetic result so), as PARI/GP keeps t_INT apart from
+t_FRAC.  Most rationals met are integers, and int arithmetic skips the
+Python code of the fractions module.  Each exponent has one canonical
+spelling: a real exponent is its rational, eps_a is an EpsilonAtom, and any
+other exponent is a non-real Number (itself in normal form).  Ordinals,
+reals with terminating expansions, w-powers with arbitrary Number exponents
+and epsilon-numbers (as atomic leaves) all live in this fragment;
+arithmetic on it is exact except for inversion, which sums a geometric
+series and is truncated after a caller-chosen number of terms.
 
-Every Number this module returns has Fraction coefficients.  The one place
-where coefficients are ints is inside power_series, which sums a truncated
-series over a scaled copy of its variable and divides once at the end
-(fraction-free arithmetic); _merge and mul never look at a coefficient's
-type, so they serve both.  When every exponent of the variable is a
-negative rational, the exponents are scaled too: they lie on a lattice
--(g/L)*Z, so the variable is an int polynomial, and power_series packs its
-powers into one Python int (Kronecker substitution) whose slots are wide
-enough for a bound on every coefficient.  It does so only when the packing
-has no more slots than the sparse sum can have terms; otherwise, and for
-non-real exponents, the powers go through mul and _merge.
+power_series sums a truncated series over a scaled copy of its variable
+whose coefficients are all ints, and divides once at the end (fraction-free
+arithmetic).  When every exponent of the variable is a negative rational,
+the exponents are scaled too: they lie on a lattice -(g/L)*Z, so the
+variable is an int polynomial, and power_series packs its powers into one
+Python int (Kronecker substitution) whose slots are wide enough for a bound
+on every coefficient.  It does so only when the packing has no more slots
+than the sparse sum can have terms; otherwise, and for non-real exponents,
+the powers go through mul and _merge.
 
 A rational operand (one term at exponent 0) is a coefficient scale: mul
-by r is the one row of r's exponent-0 term, and divide by r multiplies
-every coefficient of the other operand by 1/r, with no exponent sums, no
-row merge and no inverse.  So a number
+by r is the one row of r's exponent-0 term, and divide by r divides every
+coefficient of the other operand by r (a Fraction or an int, never a
+float), with no exponent sums, no row merge and no inverse.  So a number
 literal's rationals (w^(1/2)*3/2) cost one scale each, and so does ln's
 w*z0 for a real z0.  The leading monomial that invert and exp multiply
 their series by is folded into power_series: on the lattice path it
@@ -80,7 +82,7 @@ class Number:
         return self.terms == other.terms
 
     def __hash__(self):
-        # a rational hashes as its Fraction, so that == and hash agree
+        # a rational hashes as its int or Fraction, so that == and hash agree
         t = self.terms
         if len(t) < 2 and (not t or not t[0][0]):
             return hash(t[0][1]) if t else 0
@@ -143,48 +145,74 @@ def _coerce(x) -> Number:
     raise TypeError("cannot interpret %r as a Number" % (x,))
 
 
-_Q0 = Fraction(0)
+def _q(x):
+    """The canonical spelling of a rational result x (an int or a
+    Fraction): an int when its denominator is 1, else x itself."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _rational_of(x):
+    """The canonical spelling of any rational x: a bool, a Fraction
+    subclass such as Dyadic, or a float is first made a Fraction."""
+    return x if type(x) is int else \
+        _q(x if type(x) is Fraction else Fraction(x))
+
+
+def _div(c, r):
+    """c/r for canonical rationals c and r != 0, canonical.  Two ints give
+    an int when r divides c and one Fraction otherwise; c / r of two ints
+    would be a float, so it is taken only when one of them is a Fraction."""
+    if type(c) is int and type(r) is int:
+        return c // r if not c % r else Fraction(c, r)
+    return _q(c / r)
 
 
 def _norm_exp(e):
-    """Canonical exponent: a real Number (0 or a single w^0 term) collapses
-    to its Fraction, and a Number equal to eps_a collapses to the atom.
-    Every other exponent stays as it is."""
-    if isinstance(e, Number):
+    """Canonical exponent: a Fraction with denominator 1 becomes its int, a
+    real Number (0 or a single w^0 term) collapses to its rational, and a
+    Number equal to eps_a collapses to the atom.  Every other exponent
+    stays as it is."""
+    te = type(e)
+    if te is Fraction:
+        return _q(e)
+    if te is Number:
         t = e.terms
         if not t:
-            return _Q0
+            return 0
         if len(t) == 1:
             inner, coeff = t[0]
-            if type(inner) is Fraction:
-                if not inner:
-                    return coeff
-            elif isinstance(inner, EpsilonAtom) and coeff == 1:
+            if type(inner) is int and not inner:
+                return coeff
+            if type(inner) is EpsilonAtom and coeff == 1:
                 return inner
     return e
 
 
 def exp_as_number(e) -> Number:
-    """The Number an exponent stands for (a Fraction or an atom lifted)."""
-    if type(e) is Fraction:
-        return Number(((_Q0, e),)) if e else ZERO
-    if isinstance(e, EpsilonAtom):
-        return Number(((e, Fraction(1)),))
+    """The Number an exponent stands for (a rational or an atom lifted)."""
+    te = type(e)
+    if te is int or te is Fraction:
+        return Number(((0, e),)) if e else ZERO
+    if te is EpsilonAtom:
+        return Number(((e, 1),))
     return e
 
 
 def exp_cmp(e, f) -> int:
-    """Total order on canonical exponents: Fractions, epsilon atoms and
-    non-real Numbers mixed.  Two Fractions compare by cross-multiplying
-    their integers; a Fraction against anything else goes through
-    _cmp_real, which allocates nothing."""
+    """Total order on canonical exponents: rationals (ints and Fractions),
+    epsilon atoms and non-real Numbers mixed.  Two ints compare directly,
+    and two rationals otherwise by cross-multiplying their integers; a
+    rational against anything else goes through _cmp_real, which allocates
+    nothing."""
     te, tf = type(e), type(f)
-    if te is Fraction:
-        if tf is Fraction:
+    if te is int or te is Fraction:
+        if tf is int or tf is Fraction:
+            if te is tf is int:
+                return GT if e > f else (LT if e < f else EQ)
             d = e.numerator * f.denominator - f.numerator * e.denominator
             return GT if d > 0 else (LT if d else EQ)
         return _cmp_real(e, f)
-    if tf is Fraction:
+    if tf is int or tf is Fraction:
         return -_cmp_real(f, e)
     if te is EpsilonAtom:
         if tf is EpsilonAtom:
@@ -195,7 +223,7 @@ def exp_cmp(e, f) -> int:
     return nf_cmp(e, f)
 
 
-def _cmp_real(q: Fraction, t) -> int:
+def _cmp_real(q, t) -> int:
     # the rational q against a non-real exponent t (an atom or a Number):
     # an atom is infinite; a Number is decided by its leading term, and by
     # its second one when it leads with q itself.
@@ -203,10 +231,11 @@ def _cmp_real(q: Fraction, t) -> int:
         return LT
     e1, r1 = t.terms[0]
     # s has the sign of t's leading exponent e1
-    if type(e1) is Fraction:
+    te = type(e1)
+    if te is int or te is Fraction:
         s = e1.numerator
     else:
-        s = 1 if type(e1) is EpsilonAtom else e1.terms[0][1].numerator
+        s = 1 if te is EpsilonAtom else e1.terms[0][1].numerator
     if s > 0:
         return LT if r1 > 0 else GT
     if s < 0:
@@ -265,20 +294,19 @@ def from_terms(pairs) -> Number:
     """Build a Number from (exponent, coefficient) pairs in any order.
 
     This is the one constructor that sorts: the parser and the embeddings
-    hand it pairs in no particular order.  Exponents are made
-    canonical here (_norm_exp collapses a real Number to its Fraction and a
-    Number equal to eps_a to the atom), so equal exponents are structurally
-    equal and lie side by side after one sort by exp_cmp.  Hashing the
-    exponents instead would re-hash every Fraction in them, which costs
-    more.
+    hand it pairs in no particular order.  Exponents and coefficients are
+    made canonical here (_norm_exp collapses a real Number to its rational
+    and a Number equal to eps_a to the atom; a rational becomes an int when
+    it is integral), so equal exponents are structurally equal and lie side
+    by side after one sort by exp_cmp.  Hashing the exponents instead would
+    re-hash every rational in them, which costs more.
     """
-    terms = [(_norm_exp(e), c if type(c) is Fraction else Fraction(c))
-             for e, c in pairs if c]
+    terms = [(_norm_exp(e), _rational_of(c)) for e, c in pairs if c]
     terms.sort(key=cmp_to_key(lambda p, q: exp_cmp(p[0], q[0])), reverse=True)
     merged = []
     for e, c in terms:
         if merged and merged[-1][0] == e:
-            c += merged.pop()[1]
+            c = _q(c + merged.pop()[1])
         merged.append((e, c))
     return Number(tuple(p for p in merged if p[1]))
 
@@ -287,10 +315,10 @@ def _merge(s, t) -> list:
     """The sum of two canonical term sequences, as a canonical list.
 
     A canonical sequence has canonical exponents in strictly decreasing
-    exp_cmp order and nonzero coefficients: Fractions, as every returned
-    Number's terms are, or ints inside power_series.  A single linear pass
-    keeps the invariant: the larger head goes first, equal heads add their
-    coefficients, and a zero sum is dropped.
+    exp_cmp order and nonzero canonical coefficients: ints, or Fractions
+    with a denominator above 1.  A single linear pass keeps the invariant:
+    the larger head goes first, equal heads add their coefficients (and a
+    sum of two Fractions may be an int), and a zero sum is dropped.
     """
     out = []
     i = j = 0
@@ -308,7 +336,7 @@ def _merge(s, t) -> list:
         else:
             c += d
             if c:
-                out.append((e, c))
+                out.append((e, _q(c)))
             i += 1
             j += 1
     out.extend(s[i:])
@@ -319,28 +347,29 @@ def _merge(s, t) -> list:
 # -- embeddings ---------------------------------------------------------
 
 def from_rational(q) -> Number:
-    q = Fraction(q)
+    q = _rational_of(q)
     if not q:
         return ZERO
-    return Number(((_Q0, q),))
+    return Number(((0, q),))
 
 
+ONE = from_rational(1)
 MINUS_ONE = from_rational(-1)
-OMEGA = Number(((Fraction(1), Fraction(1)),))
+OMEGA = Number(((1, 1),))
 
 
 def from_ordinal(a: Ordinal) -> Number:
-    # a finite exponent is an int, whose exponent here is its Fraction
-    return from_terms((Fraction(e) if type(e) is int else from_ordinal(e),
-                       Fraction(c)) for e, c in a.terms)
+    # a finite exponent is an int, and so is every coefficient
+    return from_terms((e if type(e) is int else from_ordinal(e), c)
+                      for e, c in a.terms)
 
 
 def epsilon(index) -> Number:
-    return Number(((EpsilonAtom(_coerce(index)), Fraction(1)),))
+    return Number(((EpsilonAtom(_coerce(index)), 1),))
 
 
 def omega_pow(x) -> Number:
-    return Number(((_norm_exp(_coerce(x)), Fraction(1)),))
+    return Number(((_norm_exp(_coerce(x)), 1),))
 
 
 # -- ring operations ------------------------------------------------------
@@ -363,7 +392,11 @@ def sub(a: Number, b: Number) -> Number:
 
 def _exp_add(e, f):
     """The canonical sum of two canonical exponents that are not both
-    real: non-real exponents can sum to a real one or to eps_a."""
+    ints: two rationals add as such, and non-real exponents can sum to a
+    real one or to eps_a."""
+    te, tf = type(e), type(f)
+    if (te is int or te is Fraction) and (tf is int or tf is Fraction):
+        return _q(e + f)
     return _norm_exp(add(exp_as_number(e), exp_as_number(f)))
 
 
@@ -373,7 +406,7 @@ def _rational(x: Number):
     t = x.terms
     if len(t) == 1:
         e, c = t[0]
-        if type(e) is Fraction and not e:
+        if type(e) is int and not e:
             return c
     return None
 
@@ -382,12 +415,11 @@ def mul(a: Number, b: Number) -> Number:
     """Sparse product: one row a_i*b per term of the shorter operand,
     merged pairwise (Monagan & Pearce's row merge).  Adding a fixed
     exponent keeps a row strictly decreasing, so no row needs sorting.  Two
-    real exponents add as Fractions, and a row for the exponent 0 keeps b's
+    int exponents add as ints, and a row for the exponent 0 keeps b's
     exponents as they are.  So a rational operand r is a scale: it is made
     the shorter operand, its one row multiplies the other's coefficients by
-    r, and no exponent is added or merged.  Coefficients are only
-    multiplied, so int operands (inside power_series) give an int
-    product."""
+    r, and no exponent is added or merged.  Each coefficient product is
+    made canonical by _q, so two ints multiply as ints."""
     na, nb = len(a.terms), len(b.terms)
     if na > nb or na == nb == 1 and _rational(b) is not None:
         a, b = b, a
@@ -396,11 +428,11 @@ def mul(a: Number, b: Number) -> Number:
     other = b.terms
     rows = []
     for e, c in a.terms:
-        if type(e) is Fraction and not e:
-            rows.append([(f, c * d) for f, d in other])
+        if type(e) is int and not e:
+            rows.append([(f, _q(c * d)) for f, d in other])
             continue
-        rows.append([(e + f if type(e) is type(f) is Fraction
-                      else _exp_add(e, f), c * d) for f, d in other])
+        rows.append([(e + f if type(e) is type(f) is int else _exp_add(e, f),
+                      _q(c * d)) for f, d in other])
     while len(rows) > 1:
         odd = rows[-1:] if len(rows) % 2 else []
         rows = [_merge(s, t) for s, t in zip(rows[::2], rows[1::2])] + odd
@@ -423,9 +455,6 @@ class TruncatedNumber:
             raise ValueError("exact results drop nothing")
 
 
-_INT_ONE = Number(((_Q0, 1),))
-
-
 def power_series(y: Number, coeffs, lead=None) -> Number:
     """sum coeffs[n] * y^n for n < len(coeffs), exactly, times the monomial
     w^e*r when lead = (e, r) is given; each coefficient is an int or a
@@ -439,7 +468,7 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
     once: one gcd per term instead of two per product and per merge step.
 
     The sum of the k_n * Y^n is formed by one of two paths, which give the
-    same terms.  When every exponent of y is a negative Fraction, y lies on
+    same terms.  When every exponent of y is a negative rational, y lies on
     a lattice and _lattice_sum packs the whole sum into one int (Kronecker
     substitution), unless that packing would have more slots than the
     sparse sum can have terms.  Otherwise _row_sum multiplies the powers of
@@ -448,9 +477,9 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
 
     On the lattice path a real lead exponent e is added while the slots
     are unpacked, and r joins the final division, so each output term costs
-    one Fraction for its exponent and one for its coefficient.  A lead with
-    a non-real exponent, or one on the row path, multiplies the sum with
-    mul.
+    one rational for its exponent and one for its coefficient, and an
+    integral one builds no Fraction.  A lead with a non-real exponent, or
+    one on the row path, multiplies the sum with mul.
     """
     n_terms = len(coeffs)
     if not n_terms:
@@ -462,15 +491,15 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
     ks = [a.numerator * (lcm_a // a.denominator) * den ** (n_terms - 1 - n)
           for n, a in enumerate(coeffs)]
     q = lcm_a * den ** (n_terms - 1)
-    shift, r = lead or (_Q0, 1)
-    fold = type(shift) is Fraction
-    acc = _lattice_sum(big_y, ks, shift if fold else _Q0)
+    shift, r = lead or (0, 1)
+    fold = type(shift) is int or type(shift) is Fraction
+    acc = _lattice_sum(big_y, ks, shift if fold else 0)
     if acc is None:
         acc = _row_sum(big_y, ks)
     elif fold:
         num, q = r.numerator, q * r.denominator
-        return Number(tuple((e, Fraction(c * num, q)) for e, c in acc))
-    series = Number(tuple((e, Fraction(c, q)) for e, c in acc))
+        return Number(tuple((e, _div(c * num, q)) for e, c in acc))
+    series = Number(tuple((e, _div(c, q)) for e, c in acc))
     return series if lead is None else mul(Number((lead,)), series)
 
 
@@ -479,7 +508,7 @@ def _row_sum(big_y, ks) -> list:
     # of the previous power by Y, and each nonzero k_n merges its power in
     big_y = Number(big_y)
     acc = []
-    power = _INT_ONE
+    power = ONE
     for n, k in enumerate(ks):
         if n:
             power = mul(power, big_y) if n > 1 else big_y
@@ -493,7 +522,7 @@ def _lattice_sum(big_y, ks, shift):
     term list, or None when Y is not on a lattice of negative rationals or
     the packing would be larger than the sparse sum can be.
 
-    Every exponent of Y is a negative Fraction -(g/L)*p_i, where L is the
+    Every exponent of Y is a negative rational -(g/L)*p_i, where L is the
     lcm of their denominators, g the gcd of the integers -e_i*L and p_i a
     positive int; so Y is an int polynomial sum C_i z^p_i in z = w^(-g/L).
     Evaluating at z = 2^b gives the int X = sum C_i 2^(b*p_i), and Horner's
@@ -504,15 +533,15 @@ def _lattice_sum(big_y, ks, shift):
     plus a sign bit, rounded up to whole bytes, so no slot overflows.
     Adding 2^(b-1) to every slot makes each one a non-negative b-bit
     digit, and one to_bytes call unpacks them all; a zero slot is skipped,
-    and slot j's exponent shift - j*g/L is built as one Fraction.
+    and slot j's exponent shift - j*g/L is built as one rational.
 
     The dense product has (N-1)*p_max + 1 slots, while a sum of N powers of
     a t-term sparse Y has at most C(N+t-1, t) distinct exponents.  When
     the slots are more (a wide gap between the exponents), the row merge
     is cheaper, so None is returned.
     """
-    if not big_y or any(type(e) is not Fraction or e.numerator >= 0
-                        for e, _ in big_y):
+    if not big_y or any((type(e) is not int and type(e) is not Fraction)
+                        or e.numerator >= 0 for e, _ in big_y):
         return None
     step_den = lcm(*(e.denominator for e, _ in big_y))
     scaled = [-e.numerator * (step_den // e.denominator) for e, _ in big_y]
@@ -542,7 +571,7 @@ def _lattice_sum(big_y, ks, shift):
     for j in range(slots):
         c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
         if c:
-            out.append((Fraction(top - j * step, exp_den), c))
+            out.append((_div(top - j * step, exp_den), c))
     return out
 
 
@@ -556,9 +585,9 @@ def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     e1, r1 = x.terms[0]
-    neg_e1 = -e1 if type(e1) is Fraction else \
+    neg_e1 = -e1 if type(e1) is int or type(e1) is Fraction else \
         _norm_exp(negate(exp_as_number(e1)))
-    inv_r1 = 1 / r1
+    inv_r1 = _div(1, r1)
     if len(x.terms) == 1:
         return TruncatedNumber(Number(((neg_e1, inv_r1),)), True)
     neg_delta = mul(Number(x.terms[1:]), Number(((neg_e1, -inv_r1),)))
@@ -571,9 +600,8 @@ def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:
     invert(b), whose exactness and truncation order the quotient keeps."""
     r = _rational(b)
     if r is not None:
-        r = 1 / r
-        return TruncatedNumber(Number(tuple((e, c * r) for e, c in a.terms)),
-                               True)
+        return TruncatedNumber(Number(tuple((e, _div(c, r))
+                                            for e, c in a.terms)), True)
     t = invert(b, max_terms)
     return TruncatedNumber(mul(a, t.value), t.exact, t.dropped_terms_bound)
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -287,11 +288,42 @@ def test_golden_output_matches_snapshot(capsys):
     expected = (ROOT / "tests" / "golden.out").read_text()
     assert run_script(golden, Options(strict=True)) == 0
     assert capsys.readouterr().out == expected
+    # the JSON [num, den] pairs are where a slip in a rational's spelling
+    # would show, so the JSON answers are pinned byte for byte too
     assert run_script(golden, Options(strict=True, json=True)) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 40
-    for line in out:
-        assert isinstance(json.loads(line), dict), line
+    assert capsys.readouterr().out == \
+        (ROOT / "tests" / "golden.jsonl").read_text()
+
+
+_LONG = 5000   # digits, more than int() converts by default
+
+
+@pytest.mark.parametrize("line, position, what", [
+    ("eval " + "1" * _LONG, 5, "integer literal"),
+    ("ord w*" + "1" * _LONG, 6, "integer literal"),
+    ("eval w^" + "2" * _LONG, 7, "integer literal"),
+    ("skand eq const(a):" + "1" * _LONG
+     + ";const(b) @ [0,w) ;; const(a) @ [0,w)", 18, "integer literal"),
+    ("leftright " + "1" * _LONG, 10, "leftright steps"),
+])
+def test_an_over_long_integer_is_a_parse_error_where_it_stands(
+        tmp_path, capsys, line, position, what):
+    limit = sys.get_int_max_str_digits()
+    message = "%s has more than %d digits" % (what, limit)
+    with pytest.raises(ParseError, match=message) as exc:
+        run_line(line, O)
+    assert exc.value.position == position
+    script = tmp_path / "long.calc"
+    script.write_text(line + "\n")
+    assert main([str(script), "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["kind"], error["position"]) == ("ParseError", position)
+
+
+def test_a_long_digit_atom_is_still_an_atom():
+    # a set term reads a run of digits as an atom's name, never as an int
+    atom = "7" * _LONG
+    assert run_line("skand at const(%s) @ [0,w) ;; 3" % atom, O) == atom
 
 
 def test_coskand_toset_with_atom_components_is_a_calc_error():

@@ -16,6 +16,7 @@ from omegacalc.errors import DivisionByZero
 from omegacalc import explog
 from omegacalc.surreal import (ZERO, EpsilonAtom, _norm_exp, exp_as_number,
                                exp_cmp, power_series)
+from test_ordinals import TUPLES, ordinal_of
 
 n = parse_number
 W = n("w")
@@ -251,7 +252,9 @@ def naive_from_terms(pairs):
                 break
         else:
             merged.append((e, c))
-    merged = [(e, c) for e, c in merged if c]
+    # each rational in its one spelling: an int when it is integral
+    merged = [(e, c.numerator if c.denominator == 1 else c)
+              for e, c in merged if c]
     merged.sort(key=cmp_to_key(lambda p, q: exp_cmp(p[0], q[0])),
                 reverse=True)
     return Number(tuple(merged))
@@ -277,6 +280,8 @@ def numbers(depth):
 
 def rebuilt(e):
     """A structurally equal copy of e that shares no outer object with it."""
+    if type(e) is int:
+        return e
     if type(e) is Fraction:
         return Fraction(e.numerator, e.denominator)
     if isinstance(e, EpsilonAtom):
@@ -340,20 +345,27 @@ def oracle_mul(a, b):
 def is_real_number(e):
     """True for a Number that spells a rational: 0 or one w^0 term."""
     t = e.terms
-    return not t or (len(t) == 1 and type(t[0][0]) is Fraction
+    return not t or (len(t) == 1 and type(t[0][0]) in (int, Fraction)
                      and not t[0][0])
 
 
+def is_stored_rational(q):
+    """The one spelling of a rational in a Number: an int, or a Fraction
+    with denominator > 1; never a float or a bool."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
 def assert_canonical(x):
-    """Strictly decreasing exponents, nonzero Fraction coefficients, every
-    real exponent a Fraction and no Number exponent spelling an eps atom,
-    all the way down."""
+    """Strictly decreasing exponents, nonzero coefficients and real
+    exponents each an int or a Fraction with denominator > 1, and no Number
+    exponent spelling an eps atom, all the way down."""
     exps = [e for e, _ in x.terms]
-    assert all(type(c) is Fraction and c for _, c in x.terms)
+    assert all(is_stored_rational(c) and c for _, c in x.terms), x.terms
     assert all(exp_cmp(e, f) > 0 for e, f in zip(exps, exps[1:]))
     for e in exps:
-        assert type(e) in (Fraction, EpsilonAtom, Number)
-        if type(e) is Fraction:
+        assert type(e) in (int, Fraction, EpsilonAtom, Number)
+        if type(e) in (int, Fraction):
+            assert is_stored_rational(e), e
             continue
         assert _norm_exp(e) is e
         if isinstance(e, EpsilonAtom):
@@ -457,7 +469,7 @@ def horner_invert(x, max_terms):
     e1, r1 = x.terms[0]
     lead = naive_from_terms(
         [(naive_from_terms((f, -c) for f, c in exp_as_number(e1).terms),
-          1 / r1)])
+          Fraction(1, r1))])
     neg_delta = naive_from_terms(
         (e, -c) for e, c in oracle_mul(Number(x.terms[1:]), lead).terms)
     one = from_rational(1)
@@ -676,11 +688,11 @@ def test_rational_over_a_number_scales_its_inverse(r, y, max_terms):
 
 
 def test_scale_keeps_int_coefficients():
-    # inside power_series coefficients are ints, and a scale keeps them so
-    ints = Number(((Fraction(-1), 3), (Fraction(-2), -5)))
-    two = Number(((Fraction(0), 2),))
+    # an integral coefficient is an int, and a scale by an int keeps it so
+    ints = Number(((-1, 3), (-2, -5)))
+    two = Number(((0, 2),))
     for got in (mul(ints, two), mul(two, ints)):
-        assert got.terms == ((Fraction(-1), 6), (Fraction(-2), -10))
+        assert got.terms == ((-1, 6), (-2, -10))
         assert all(type(c) is int for _, c in got.terms)
     with pytest.raises(DivisionByZero):
         divide(W, ZERO)
@@ -695,3 +707,101 @@ def test_non_real_lead_keeps_the_lattice_path(monkeypatch):
     got = invert(x, 8)
     assert calls[0] == 2
     assert got.value.terms == horner_invert(x, 8).terms
+
+
+# -- one spelling per rational ----------------------------------------------------
+# A coefficient or real exponent is an int when it is integral and a Fraction
+# otherwise; every kernel operation and both codecs keep that, at any depth.
+
+
+@settings(deadline=None)
+@given(pair_lists(), numbers(2), numbers(2), st.sampled_from([1, 3, 8]),
+       st.lists(SERIES_COEFFS, min_size=1, max_size=4))
+# Fraction sums and products that are integral: in a merge, in the row of
+# a rational scale and in a general row
+@example([], n("w/3 + 1/2"), n("w*2/3 + 1/2"), 1, [1])
+@example([], n("w*2/3 + 1/2"), n("3/2"), 1, [1])
+@example([], n("w*3/2 + 1"), n("w*2/3 + w^-1"), 1, [1])
+def test_every_kernel_result_spells_its_rationals_once(pairs, x, y, max_terms,
+                                                       coeffs):
+    from omegacalc import number_from_json, number_to_json
+    got = [surreal.from_terms(pairs), add(x, y), mul(x, y), negate(x),
+           power_series(y, coeffs), number_from_json(number_to_json(x)),
+           parse_number(render_number(x))]
+    if y:
+        got += [divide(x, y, max_terms).value, invert(y, max_terms).value]
+        # y scaled to leading coefficient 1, for ln
+        one_led = divide(y, from_rational(y.terms[0][1])).value
+        if explog.in_ln_domain(one_led):
+            got.append(explog.ln(one_led, max_terms).value)
+    # x without its real part, for exp
+    got.append(explog.exp(Number(tuple(t for t in x.terms
+                                       if exp_cmp(t[0], 0))), max_terms).value)
+    for value in got:
+        assert_canonical(value)
+
+
+@settings(deadline=None)
+@given(TUPLES)
+def test_from_ordinal_spells_its_rationals_once(m):
+    x = from_ordinal(ordinal_of(m))
+    assert_canonical(x)
+    if x:
+        assert_canonical(invert(x, 3).value)
+
+
+def test_integral_rationals_agree_in_every_spelling():
+    from omegacalc import Ordinal, number_from_json
+    two = Ordinal.from_int(2)
+    for x in (from_rational(Fraction(6, 3)), from_rational(2),
+              number_from_json([[[], [6, 3]]]), parse_number("6/3")):
+        assert x.terms == ((0, 2),)
+        assert type(x.terms[0][0]) is int and type(x.terms[0][1]) is int
+        assert x == two and hash(x) == hash(two) == hash(2)
+
+
+def test_a_reciprocal_is_a_fraction_not_a_float():
+    q = divide(n("w*2 + 1"), from_rational(3)).value
+    assert q.terms == ((1, Fraction(2, 3)), (0, Fraction(1, 3)))
+    assert all(type(c) is Fraction for _, c in q.terms)
+    assert divide(n("w*3"), from_rational(3)).value.terms == ((1, 1),)
+    inv = invert(n("3 + w^-1"), 4).value
+    assert inv.terms == ((0, Fraction(1, 3)), (-1, Fraction(-1, 9)),
+                         (-2, Fraction(1, 27)), (-3, Fraction(-1, 81)))
+    assert all(type(c) is Fraction for _, c in inv.terms)
+    assert_canonical(inv)
+
+
+def fraction_constructions(work) -> int:
+    """The number of Fractions built while work() runs (Dyadic's included),
+    counted by wrapping Fraction.__new__ and restoring it afterwards."""
+    saved = Fraction.__dict__["__new__"]
+    inner = saved.__func__
+    count = [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return inner(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        work()
+    finally:
+        Fraction.__new__ = saved
+    return count[0]
+
+
+def test_integral_literals_build_no_fraction():
+    from omegacalc.cli import Options, run_line
+    texts = ("w^2*3 + w + 4", "w^(2)*(3) + w^(-1)*(2)")
+
+    def integral():
+        for text in texts:
+            assert parse_number(render_number(parse_number(text))) == \
+                parse_number(text)
+        assert run_line("cmp %s ;; %s" % texts, Options()) == "GT"
+
+    assert fraction_constructions(integral) == 0
+    # 1/2 and 3/2 are one Fraction each, and the scale by 3/2 makes one
+    assert 0 < fraction_constructions(
+        lambda: render_number(parse_number("w^(1/2)*(3/2)"))) <= 3
