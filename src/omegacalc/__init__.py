@@ -5,8 +5,9 @@ from .errors import (CalcError, DivisionByZero, IllFormedGame, InfiniteLength,
                      InvalidPeriod, IoError, LeadingCoefficientNotOne,
                      NoConvergenceDetected, NonPositive, NotASet,
                      NotInDomain, NotIndecomposable, NotLimit,
-                     OutOfClutchRegion, ParseError, PrefixTooLarge,
-                     RealPartNotZero, UnsupportedDescriptor, ZeroInput)
+                     OutOfClutchRegion, OutputTooLarge, ParseError,
+                     PrefixTooLarge, RealPartNotZero, UnsupportedDescriptor,
+                     ZeroInput)
 from .ordinals import (OMEGA, Ordinal, OrdinalClass, classify_ordinal,
                        divmod_omega_pow, ord_add, ord_cmp, ord_mul,
                        ord_nat_add, ord_nat_mul, ord_sub_left)

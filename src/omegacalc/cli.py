@@ -34,7 +34,7 @@ import json
 import sys
 from dataclasses import dataclass
 from . import exprs, gaps, skands
-from .errors import CalcError, IoError, ParseError
+from .errors import CalcError, IoError, OutputTooLarge, ParseError
 from .surreal import nf_cmp, real_limit_from_sequences
 
 
@@ -351,9 +351,16 @@ def run_line(line: str, options: Options) -> str:
     # rest is a suffix of command, which starts after the line's indent
     offset = len(line) - len(line.lstrip()) + len(command) - len(rest)
     value = fn(*_args(kinds, parts, options, offset))
-    if options.json:
-        return json.dumps(to_json(value, options), sort_keys=True)
-    return text(value, options)
+    try:
+        if options.json:
+            return json.dumps(to_json(value, options), sort_keys=True)
+        return text(value, options)
+    except ValueError as exc:
+        # str() and json refuse an int longer than the int string limit
+        if "integer string conversion" not in str(exc):
+            raise
+    raise OutputTooLarge("the answer has an integer of more than %d digits"
+                         % sys.get_int_max_str_digits())
 
 
 def _report(exc, options, where="", stream=None) -> int:

@@ -98,3 +98,9 @@ class NotASet(CalcError):
 
 class IoError(CalcError):
     pass
+
+
+# output
+
+class OutputTooLarge(CalcError):
+    pass

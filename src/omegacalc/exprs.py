@@ -30,12 +30,15 @@ length n, braces past the n-th layer are elements of that layer.
 A text is scanned once, by one findall over the token table _TOKENS, and
 kinds are read off the token texts.  Only a Unicode alias runs the
 positional scan, built from the same table, over the whole text; an error
-runs it only up to the failing token.  The operator loops of both
-expression grammars read each operator token once, by indexing the token
-list.  A literal in Cantor normal form (w^2*3 + w + 4) is collected term
-by term; ordinal + and * run only where a term is out of order or another
-operator follows.  A number expression evaluates to plain Numbers: w, w^n
-and integers are built as their one term, and a literal's rationals
+runs it only up to the failing token.  Both expression grammars are read
+by one precedence-climbing loop, _infix, over a table per sort (_ORDINAL,
+_NUMBER) that maps each operator token to the operation behind it; each
+operator token is read once, by indexing the token list.  Ordinal + joins
+a literal in Cantor normal form (w^2*3 + w + 4) term by term and takes
+ordinal + only where a term is out of order, and a finite factor (w^2*3)
+scales a leading coefficient inside Ordinal.__mul__.  A number expression
+evaluates to plain Numbers: w, w^n and integers are built as their one
+term, and a literal's rationals
 (w^(1/2)*3/2) cost a coefficient scale each, since surreal.mul and
 surreal.divide treat a rational operand as one.  Exactness is one count
 per parse of the series that divide, exp and ln cut; parse_number_expr
@@ -117,9 +120,10 @@ def _scan(text):
     return [t for _, t, _ in tokenize(text)]
 
 
-# Deepest bracket or exponent nesting a parser accepts.  Each level costs up
-# to six Python frames, so this keeps well inside the default recursion
-# limit of 1000.
+# Deepest bracket or exponent nesting a parser accepts.  Each level costs at
+# most seven Python frames: a number nested through -w^(...) or -{...|}
+# passes _infix twice, _nfact twice, _nexponent or _game_side, _exact_nexpr
+# and nested.  So this keeps well inside the default recursion limit of 1000.
 MAX_DEPTH = 100
 
 
@@ -128,11 +132,12 @@ class _Parser:
     is read off its text, and its position is looked up only when an error
     is raised, by a positional scan that stops at the failing token."""
 
-    def __init__(self, text):
+    def __init__(self, text, max_terms=None):
         self.text = text
         self.tokens = _scan(text)
         self.i = 0
         self.depth = 0
+        self.max_terms = max_terms   # where a number expression cuts series
         self.cuts = 0   # series cut so far by a number expression
 
     def expect(self, value):
@@ -201,56 +206,52 @@ class _Parser:
         return value
 
 
+# -- the precedence core ------------------------------------------------------
+#
+# A sort of expression is its precedence levels, loosest first, as a chain
+# of pairs (level, the levels inside it), which ends in None.  A level maps
+# each of its operator tokens to a row, a function of (parser, left, right),
+# and the operands of the innermost level are read by the sort's primary
+# reader.  Every operator is left-associative.  A row calls the kernel
+# through a module global (add, mul, ...) or a class operator, never through
+# a function object stored in the table, so that wrapping either (as
+# bench/tracing.py does) reaches every operator.
+
+def _infix(p, levels, primary):
+    """The value of one expression of the sort `levels`, read by precedence
+    climbing: one loop and one Python frame per level, as a hand-written
+    descent takes."""
+    ops, inner = levels
+    tokens = p.tokens
+    value = _infix(p, inner, primary) if inner else primary(p)
+    while True:
+        row = ops.get(tokens[p.i])
+        if row is None:
+            return value
+        p.i += 1
+        value = row(p, value, _infix(p, inner, primary) if inner
+                    else primary(p))
+
+
 # -- ordinal expressions ----------------------------------------------------
 
+def _plus(a: Ordinal, b: Ordinal) -> Ordinal:
+    """a + b.  b's terms are appended where they continue a's descending
+    order, so a literal in CNF (w^2*3 + w + 4) is joined term by term, and
+    ordinal + is taken only where a term is out of order."""
+    if a.terms and b.terms and _ecmp(a.terms[-1][0], b.terms[0][0]) <= 0:
+        return a + b
+    return Ordinal(a.terms + b.terms)
+
+
+_ORDINAL = ({"+": lambda p, a, b: _plus(a, b),
+             "(+)": lambda p, a, b: a.nat_add(b)},
+            ({"*": lambda p, a, b: a * b,
+              "(*)": lambda p, a, b: a.nat_mul(b)}, None))
+
+
 def parse_ordinal(text) -> Ordinal:
-    return _Parser(text).run(_oexpr)
-
-
-def _plus(terms: list, b: Ordinal) -> list:
-    """The CNF terms of terms + b: b's terms are appended where they
-    continue the descending order, and ordinal + is taken otherwise."""
-    if terms and b.terms and _ecmp(terms[-1][0], b.terms[0][0]) <= 0:
-        return list((Ordinal(tuple(terms)) + b).terms)
-    terms.extend(b.terms)
-    return terms
-
-
-def _oexpr(p) -> Ordinal:
-    # a literal in CNF, w^2*3 + w + 4, is collected term by term
-    terms = list(_oterm(p).terms)
-    while True:
-        op = p.tokens[p.i]
-        if op == "+":
-            p.i += 1
-            terms = _plus(terms, _oterm(p))
-        elif op == "(+)":
-            p.i += 1
-            terms = list(Ordinal(tuple(terms)).nat_add(_oterm(p)).terms)
-        else:
-            return Ordinal(tuple(terms))
-
-
-def _oterm(p) -> Ordinal:
-    value = _ofact(p)
-    while True:
-        op = p.tokens[p.i]
-        if op == "*":
-            p.i += 1
-            n = p.tokens[p.i]
-            if n.isdigit() and value:
-                # times a finite n: n scales the leading coefficient
-                n, t = int(n), value.terms
-                p.i += 1
-                value = Ordinal(((t[0][0], t[0][1] * n),) + t[1:]) \
-                    if n else OZERO
-            else:
-                value = value * _ofact(p)
-        elif op == "(*)":
-            p.i += 1
-            value = value.nat_mul(_ofact(p))
-        else:
-            return value
+    return _Parser(text).run(_infix, _ORDINAL, _ofact)
 
 
 def _ofact(p) -> Ordinal:
@@ -260,7 +261,7 @@ def _ofact(p) -> Ordinal:
         if p.accept("^"):
             n = p.tokens[p.i]
             if p.accept("("):
-                e = p.nested(_oexpr)
+                e = p.nested(_infix, _ORDINAL, _ofact)
                 p.expect(")")
             elif n.isdigit():
                 e = int(n)
@@ -273,12 +274,12 @@ def _ofact(p) -> Ordinal:
             return Ordinal.omega_pow(e)
         return OMEGA
     if text.isdigit():
-        value = Ordinal.from_int(int(text))
+        n = int(text)
         p.i += 1
-        return value
+        return Ordinal(((0, n),)) if n else OZERO
     if text == "(":
         p.i += 1
-        value = p.nested(_oexpr)
+        value = p.nested(_infix, _ORDINAL, _ofact)
         p.expect(")")
         return value
     p.fail("expected an ordinal")
@@ -335,8 +336,8 @@ def ordinal_from_json(data) -> Ordinal:
 def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
     if max_terms < 1:
         raise ParseError("max_terms must be >= 1, got %d" % max_terms)
-    p = _Parser(text)
-    value = p.run(_nexpr, max_terms)
+    p = _Parser(text, max_terms)
+    value = p.run(_infix, _NUMBER, _nfact)
     return TruncatedNumber(value, not p.cuts, max_terms if p.cuts else 0)
 
 
@@ -349,84 +350,62 @@ def parse_number(text) -> Number:
     return t.value
 
 
-def _nexpr(p, mt) -> Number:
-    value = _nterm(p, mt)
-    while True:
-        op = p.tokens[p.i]
-        if op == "+":
-            p.i += 1
-            value = add(value, _nterm(p, mt))
-        elif op == "-":
-            p.i += 1
-            value = add(value, negate(_nterm(p, mt)))
-        else:
-            return value
+_NUMBER = ({"+": lambda p, a, b: add(a, b),
+            "-": lambda p, a, b: add(a, negate(b))},
+           ({"*": lambda p, a, b: mul(a, b),
+             "/": lambda p, a, b: p.cut(divide(a, b, p.max_terms))}, None))
 
 
-def _nterm(p, mt) -> Number:
-    value = _nfact(p, mt)
-    while True:
-        op = p.tokens[p.i]
-        if op == "*":
-            p.i += 1
-            value = mul(value, _nfact(p, mt))
-        elif op == "/":
-            p.i += 1
-            value = p.cut(divide(value, _nfact(p, mt), mt))
-        else:
-            return value
-
-
-def _nfact(p, mt) -> Number:
-    neg = False
-    while p.tokens[p.i] == "-":
-        p.i += 1
-        neg = not neg
-    value = _nprim(p, mt)
-    return negate(value) if neg else value
-
-
-def _nprim(p, mt) -> Number:
+def _nfact(p) -> Number:
+    """A primary, after a run of unary minus signs."""
     i, text = p.i, p.tokens[p.i]
+    if text == "-":
+        neg = False
+        while p.tokens[p.i] == "-":
+            p.i += 1
+            neg = not neg
+        value = _nfact(p)   # one frame: the next token is not a '-'
+        return negate(value) if neg else value
     if text == "w":
         p.i += 1
-        return _nexponent(p, mt) if p.accept("^") else NOMEGA
+        return _nexponent(p) if p.accept("^") else NOMEGA
     if text == "eps":
         p.i += 1
         p.expect("[")
-        return epsilon(_exact_nexpr(p, mt, "]", "epsilon index must be exact",
+        return epsilon(_exact_nexpr(p, "]", "epsilon index must be exact",
                                     i))
     if text in ("exp", "ln"):
         p.i += 1
         p.expect("(")
-        arg = p.nested(_nexpr, mt)
+        arg = p.nested(_infix, _NUMBER, _nfact)
         p.expect(")")
-        return p.cut((explog.exp if text == "exp" else explog.ln)(arg, mt))
+        return p.cut((explog.exp if text == "exp" else explog.ln)(
+            arg, p.max_terms))
     if text.isdigit():
         n = int(text)
         p.i += 1
         return Number(((0, n),) if n else ())
     if text == "(":
         p.i += 1
-        value = p.nested(_nexpr, mt)
+        value = p.nested(_infix, _NUMBER, _nfact)
         p.expect(")")
         return value
     if text == "{":
         p.i += 1
-        left = _game_side(p, mt, "|")
+        left = _game_side(p, "|")
         p.expect("|")
-        right = _game_side(p, mt, "}")
+        right = _game_side(p, "}")
         p.expect("}")
         return from_rational(simplest_dyadic_game(left, right))
     p.fail("expected a number")
 
 
-def _exact_nexpr(p, mt, close, msg, at=None) -> Number:
+def _exact_nexpr(p, close, msg, at=None) -> Number:
     """A nested number expression, then the token `close` if one is given,
     for a place that needs an exact value: if a series was cut inside it,
     fail with `msg` at token `at` (by default the next unread one)."""
     cuts = p.cuts
-    value = p.nested(_nexpr, mt)
+    value = p.nested(_infix, _NUMBER, _nfact)
     if close:
         p.expect(close)
     if p.cuts != cuts:
@@ -434,12 +413,11 @@ def _exact_nexpr(p, mt, close, msg, at=None) -> Number:
     return value
 
 
-def _nexponent(p, mt) -> Number:
+def _nexponent(p) -> Number:
     """The monomial w^xp, after its '^'."""
     i = p.i
     if p.accept("("):
-        return omega_pow(_exact_nexpr(p, mt, ")", "exponent must be exact",
-                                      i))
+        return omega_pow(_exact_nexpr(p, ")", "exponent must be exact", i))
     neg = p.accept("-")
     n = p.tokens[p.i]
     if not n.isdigit():
@@ -449,12 +427,12 @@ def _nexponent(p, mt) -> Number:
     return Number(((-n if neg else n, 1),))
 
 
-def _game_side(p, mt, stop):
+def _game_side(p, stop):
     side = []
     if p.at(stop):
         return side
     while True:
-        q = _exact_nexpr(p, mt, None, "game members must be exact")
+        q = _exact_nexpr(p, None, "game members must be exact")
         r = _rational(q) if q else 0
         try:
             if r is None:
@@ -628,7 +606,8 @@ def _segments(p):
         else:
             p.fail("expected const(...) or cycle(...)")
         p.expect(")")
-        segs.append((_oexpr(p) if p.accept(":") else None, pat))
+        length = _infix(p, _ORDINAL, _ofact) if p.accept(":") else None
+        segs.append((length, pat))
         if not p.accept(";"):
             return segs
 
@@ -637,9 +616,9 @@ def _interval(p):
     """The clutch region '@ [start, end)' as (start, end - start)."""
     p.expect("@")
     p.expect("[")
-    start = _oexpr(p)
+    start = _infix(p, _ORDINAL, _ofact)
     p.expect(",")
-    end = _oexpr(p)
+    end = _infix(p, _ORDINAL, _ofact)
     p.expect(")")
     try:
         total = end.sub_left(start)
@@ -656,13 +635,13 @@ def _resolve_lengths(segs, total, p):
     lengths are summed once and the sum is compared with the total once:
     partial sums only grow, so no prefix exceeds the total unless the whole
     sum does."""
-    used = []
+    used = OZERO
     for i, (length, pat) in enumerate(segs):
         if length is None:
             break
         used = _plus(used, length)
     try:
-        left = total.sub_left(Ordinal(tuple(used)))
+        left = total.sub_left(used)
     except PrefixTooLarge:
         p.fail("segment lengths exceed the clutch region")
     if length is None:

@@ -193,18 +193,22 @@ class Ordinal:
     def __mul__(self, other) -> "Ordinal":
         if type(other) is not Ordinal:
             other = _coerce(other)
-        if not self.terms or not other.terms:
+        t, u = self.terms, other.terms
+        if not t or not u:
             return ZERO
+        if len(u) == 1 and not u[0][0]:
+            # times a finite n: n scales the leading coefficient
+            return Ordinal(((t[0][0], t[0][1] * u[0][1]),) + t[1:])
         acc = ZERO
-        lead = self.terms[0][0]
-        for f, d in other.terms:
+        lead = t[0][0]
+        for f, d in u:
             if f:
                 # an exponent sum: int + int is an int, and a sum with an
                 # infinite Ordinal is an infinite Ordinal
                 acc = acc + Ordinal(((lead + f, d),))
             else:
-                # right factor finite: w^lead*(c1*d) + lower terms of self
-                acc = acc + Ordinal(((lead, self.terms[0][1] * d),) + self.terms[1:])
+                # the finite last term d: w^lead*(c1*d) + lower terms of self
+                acc = acc + Ordinal(((lead, t[0][1] * d),) + t[1:])
         return acc
 
     def __rmul__(self, other) -> "Ordinal":

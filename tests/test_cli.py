@@ -320,6 +320,39 @@ def test_an_over_long_integer_is_a_parse_error_where_it_stands(
     assert (error["kind"], error["position"]) == ("ParseError", position)
 
 
+_NINES = "9" * 4300   # a literal int() accepts; a product of two does not
+
+
+@pytest.mark.parametrize("line", [
+    "eval %s*%s" % (_NINES, _NINES),
+    "ord w*%s*%s" % (_NINES, _NINES),
+    "nf w^(%s*%s)" % (_NINES, _NINES),
+    "leftright 15000",
+], ids=["eval", "ord", "nf", "leftright"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_answer_with_an_over_long_integer_is_a_calc_error(
+        tmp_path, capsys, line, as_json):
+    message = "the answer has an integer of more than %d digits" \
+        % sys.get_int_max_str_digits()
+    script = tmp_path / "big.calc"
+    script.write_text(line + "\n")
+    assert main([str(script)] + ["--json"] * as_json) == 1
+    out = capsys.readouterr()
+    if as_json:
+        assert json.loads(out.out) == {"error": {
+            "kind": "OutputTooLarge", "message": message, "position": None}}
+    else:
+        assert (out.out, out.err) == ("", "error on line 1: %s\n" % message)
+
+
+def test_only_the_int_string_limit_is_output_too_large(monkeypatch):
+    def refuse(o):
+        raise ValueError("some other refusal")
+    monkeypatch.setattr(cli.exprs, "render_ordinal", refuse)
+    with pytest.raises(ValueError, match="some other refusal"):
+        run_line("ord w", O)
+
+
 def test_a_long_digit_atom_is_still_an_atom():
     # a set term reads a run of digits as an atom's name, never as an int
     atom = "7" * _LONG

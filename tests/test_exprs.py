@@ -1,16 +1,18 @@
 """Text and JSON codec round trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacalc import (brace_render, epsilon, from_rational, from_terms, mul,
-                       number_from_json, number_to_json,
-                       ordinal_from_json, ordinal_to_json, parse_number,
-                       parse_number_expr, parse_ordinal, parse_skand,
-                       render_number, render_ordinal)
+from omegacalc import (add, brace_render, divide, epsilon, from_rational,
+                       from_terms, mul, negate, number_from_json,
+                       number_to_json, omega_pow, ordinal_from_json,
+                       ordinal_to_json, parse_number, parse_number_expr,
+                       parse_ordinal, parse_skand, render_number,
+                       render_ordinal)
 from omegacalc.errors import ParseError
 from omegacalc.exprs import parse_setterm
 from omegacalc.ordinals import Ordinal
@@ -24,6 +26,7 @@ def test_ordinal_text_forms():
     assert render_ordinal(parse_ordinal("0")) == "0"
     assert parse_ordinal("w^w") == parse_ordinal("w^(w)")
     assert parse_ordinal("w^(w+1)*2") == parse_ordinal("w^(w+1) + w^(w+1)")
+    assert render_ordinal(parse_ordinal("w+1*2")) == "w + 2"
 
 
 def test_ordinal_json_round_trip():
@@ -59,6 +62,9 @@ def test_ordinal_json_rejects_non_canonical_terms(data):
 
 def test_number_text_forms():
     assert render_number(parse_number("(w+1)*(w-1)")) == "w^2*1 + -1"
+    # every operator is left-associative
+    assert render_number(parse_number("1-2-3")) == "-4"
+    assert render_number(parse_number("2/4/2")) == "1/4"
     assert parse_number("2/3") == from_rational(2) * parse_number("1/3")
     assert parse_number("w^(1/2)") == parse_number("w^(1/2)*1")
     assert parse_number("eps[0]*2") == mul(epsilon(from_rational(0)),
@@ -306,6 +312,182 @@ def test_ordinal_literals_parse_to_the_folded_value(case):
     text, value = case
     assert parse_ordinal(text) == value, text
     assert parse_ordinal(render_ordinal(value)) == value
+
+
+# -- the parser against the number operations ---------------------------------
+
+@st.composite
+def number_exprs(draw, depth=2):
+    """(text, value) of a random number expression: sums and differences of
+    products and quotients of factors, each factor an integer, w^n, w^(e)
+    or a parenthesised expression after a run of unary minus signs.  The
+    value is folded here with add, negate, mul and divide, in the parser's
+    precedence: unary minus binds tightest, then '*' and '/', then '+' and
+    '-', each left-associative.  A divisor is a rational or a monomial, so
+    every value is exact."""
+    text, value = draw(_number_product(depth))
+    for _ in range(draw(st.integers(0, 3))):
+        t, v = draw(_number_product(depth))
+        if draw(st.booleans()):
+            text, value = "%s + %s" % (text, t), add(value, v)
+        else:
+            text, value = "%s - %s" % (text, t), add(value, negate(v))
+    return text, value
+
+
+@st.composite
+def _number_product(draw, depth):
+    text, value = draw(_number_factor(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            t, v = draw(_number_factor(depth))
+            text, value = "%s*%s" % (text, t), mul(value, v)
+        else:
+            t, v = draw(_number_divisor(depth))
+            text, value = "%s/%s" % (text, t), divide(value, v).value
+    return text, value
+
+
+def _minus_run(draw, text, value):
+    n = draw(st.integers(0, 3))
+    return "-" * n + text, negate(value) if n % 2 else value
+
+
+@st.composite
+def _number_factor(draw, depth):
+    kinds = ["int", "w^n"] + (["w^(e)", "(e)"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        n = draw(st.integers(0, 5))
+        text, value = str(n), from_rational(n)
+    elif kind == "w^n":
+        n = draw(st.integers(-3, 3))
+        text, value = "w^%d" % n if n >= 0 else "w^-%d" % -n, omega_pow(n)
+    else:
+        t, v = draw(number_exprs(depth - 1))
+        text, value = ("(%s)" % t, v) if kind == "(e)" else \
+            ("w^(%s)" % t, omega_pow(v))
+    return _minus_run(draw, text, value)
+
+
+@st.composite
+def _number_divisor(draw, depth):
+    """A nonzero integer, (p/q), w, w^n or w^(e), after a minus run."""
+    kind = draw(st.sampled_from(["int", "p/q", "w", "w^n"]
+                                + (["w^(e)"] if depth else [])))
+    if kind == "int":
+        n = draw(st.integers(1, 5))
+        text, value = str(n), from_rational(n)
+    elif kind == "p/q":
+        q = Fraction(draw(st.integers(-5, 5).filter(bool)),
+                     draw(st.integers(1, 5)))
+        text = "(%d/%d)" % (q.numerator, q.denominator)
+        value = from_rational(q)
+    elif kind == "w":
+        text, value = "w", omega_pow(1)
+    elif kind == "w^n":
+        n = draw(st.integers(0, 3))
+        text, value = "w^%d" % n, omega_pow(n)
+    else:
+        t, v = draw(number_exprs(depth - 1))
+        text, value = "w^(%s)" % t, omega_pow(v)
+    return _minus_run(draw, text, value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(number_exprs())
+def test_number_expressions_parse_to_the_folded_value(case):
+    text, value = case
+    got = parse_number_expr(text)
+    assert got.exact, text
+    assert got.value == value, text
+    assert parse_number(render_number(value)) == value
+
+
+_CHAIN = 20000   # operators, far more than the Python stack has frames
+
+
+@pytest.mark.parametrize("op, atom, want", [
+    ("+", "1", from_rational(_CHAIN + 1)),
+    ("-", "1", from_rational(1 - _CHAIN)),
+    ("*", "w", omega_pow(_CHAIN + 1)),
+    ("/", "w", omega_pow(1 - _CHAIN)),
+])
+def test_a_flat_number_chain_needs_no_recursion(op, atom, want):
+    got = parse_number_expr(op.join([atom] * (_CHAIN + 1)))
+    assert got.exact and got.value == want
+
+
+@pytest.mark.parametrize("op, atom, want", [
+    ("+", "w", Ordinal.omega_pow(1, _CHAIN + 1)),
+    ("(+)", "w", Ordinal.omega_pow(1, _CHAIN + 1)),
+    ("*", "w", Ordinal.omega_pow(_CHAIN + 1)),
+    ("(*)", "w", Ordinal.omega_pow(_CHAIN + 1)),
+])
+def test_a_flat_ordinal_chain_needs_no_recursion(op, atom, want):
+    assert parse_ordinal(op.join([atom] * (_CHAIN + 1))) == want
+
+
+# -- stack headroom -----------------------------------------------------------
+# Each shape nests through a different reader: parentheses, an exponent, a
+# game, an ordinal exponent, and an exponent after a unary minus.
+
+def _frames():
+    f, n = sys._getframe(1), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def _called_at_depth(frames, fn):
+    """fn(), called with `frames` frames on the Python stack."""
+    return fn() if _frames() >= frames else _called_at_depth(frames, fn)
+
+
+@pytest.mark.parametrize("verb, opening, closing", [
+    ("eval", "1+1*(", ")"), ("eval", "1+1*w^(", ")"),
+    ("eval", "{1+1*", "|}"), ("ord", "1+1*w^(", ")"),
+    ("eval", "1+1*-w^(", ")"),   # the deepest: a minus run costs a frame
+])
+def test_max_depth_fits_on_a_filled_stack(verb, opening, closing):
+    from omegacalc.cli import Options, run_line
+    from omegacalc.exprs import MAX_DEPTH
+
+    def line(depth):
+        return lambda: run_line("%s %s1%s" % (verb, opening * depth,
+                                              closing * depth), Options())
+
+    assert _called_at_depth(250, line(MAX_DEPTH))
+    with pytest.raises(ParseError, match="nested more than %d deep"
+                       % MAX_DEPTH):
+        _called_at_depth(250, line(MAX_DEPTH + 1))
+
+
+# -- what a tracer can wrap ---------------------------------------------------
+
+def test_every_operator_calls_the_kernel_through_a_patchable_name(
+        monkeypatch):
+    # wrapping a module global or a class operator, as bench/tracing.py
+    # does, must reach every operator of both expression sorts
+    from omegacalc import exprs
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("add", "mul", "divide", "negate"):
+        counted(exprs, name)
+    for name in ("__add__", "__mul__", "nat_add", "nat_mul"):
+        counted(Ordinal, name)
+    parse_number_expr("(w + 1)*(w - 1)/(w + 1) - w")
+    parse_ordinal("(w + 1)*w (+) w (*) w + 1 + w")
+    assert all(calls.values()), calls
 
 
 # -- one set-term grammar -------------------------------------------------------
