@@ -73,24 +73,24 @@ def _coskand(text, options):
 
 def _components(text, options):
     t = exprs.parse_setterm(text)
-    if isinstance(t, skands.Atom):
+    if isinstance(t, str):
         raise ParseError("components must be a set, e.g. {a,b}", 0)
-    return t.elements
+    return t
 
 
 def _int_kind(what: str, minimum: int = 0):
-    """The kind of a decimal integer argument of at least `minimum`."""
+    """The kind of an integer argument of at least `minimum`: an optionally
+    signed run of decimal digits, as the expression scanner reads one (int()
+    would also take '_' separators)."""
     def kind(text, options):
-        try:
-            n = int(text)
-        except ValueError:
-            digits = text[1:] if text[:1] in ("+", "-") else text
-            limit = sys.get_int_max_str_digits()
-            if digits.isdecimal() and len(digits) > limit:
-                raise ParseError("%s has more than %d digits"
-                                 % (what, limit), 0) from None
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not digits.isdecimal():
             raise ParseError("%s must be an integer, got %r" % (what, text),
-                             0) from None
+                             0)
+        limit = sys.get_int_max_str_digits()
+        if limit and len(digits) > limit:
+            raise ParseError("%s has more than %d digits" % (what, limit), 0)
+        n = int(text)
         if n < minimum:
             raise ParseError("%s must be >= %d, got %d" % (what, minimum, n),
                              0)
@@ -102,7 +102,10 @@ _PREFIX = _int_kind("prefix")
 
 
 def _coords_prefix(text, options):
-    """A coords prefix, with the max_terms its 1/a coordinates are cut at."""
+    """A coords prefix, with the max_terms its 1/a coordinates are cut at;
+    a max_terms below 1 is the ParseError that eval gives."""
+    if options.max_terms < 1:
+        raise ParseError("max_terms must be >= 1, got %d" % options.max_terms)
     return _PREFIX(text, options), options.max_terms
 
 
@@ -120,7 +123,8 @@ _DESCRIPTORS = {"ordinal": (gaps.OrdinalRamp, False),
 def _descriptor(text, options):
     """KIND(BASE) or KIND(BASE, +|-).  The base is read first, so a bad
     character in it is reported where it stands; a wrong argument count
-    just after the base; a bad direction where it starts."""
+    just after the base; a bad direction where it starts.  A comma inside
+    braces belongs to a game in the base."""
     head, paren, inner = text.partition("(")
     kind = head.rstrip()
     if kind not in _DESCRIPTORS:
@@ -130,7 +134,12 @@ def _descriptor(text, options):
                          len(text))
     cls, signed = _DESCRIPTORS[kind]
     closed = inner.endswith(")")
-    args = (inner[:-1] if closed else inner).split(",")
+    args = []
+    for piece in (inner[:-1] if closed else inner).split(","):
+        if args and args[-1].count("{") > args[-1].count("}"):
+            args[-1] += "," + piece
+        else:
+            args.append(piece)
     at = len(head) + 1   # where the base starts
     made = [_within(at, args[0], exprs.parse_number if signed
                     else exprs.parse_ordinal)]
@@ -350,13 +359,14 @@ def run_line(line: str, options: Options) -> str:
         parts = [";;".join(parts[:-1]), parts[-1]]
     # rest is a suffix of command, which starts after the line's indent
     offset = len(line) - len(line.lstrip()) + len(command) - len(rest)
-    value = fn(*_args(kinds, parts, options, offset))
     try:
+        value = fn(*_args(kinds, parts, options, offset))
         if options.json:
             return json.dumps(to_json(value, options), sort_keys=True)
         return text(value, options)
     except ValueError as exc:
-        # str() and json refuse an int longer than the int string limit
+        # str() and json refuse an int longer than the int string limit,
+        # in the answer or in an error message built on the way to it
         if "integer string conversion" not in str(exc):
             raise
     raise OutputTooLarge("the answer has an integer of more than %d digits"

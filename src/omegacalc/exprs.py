@@ -504,11 +504,11 @@ def _fold_setterm(t, fset, memo):
     node's key and result are computed once even where one subterm is
     referenced repeatedly (the encodings built by skands.kpair and nat_code
     are such DAGs)."""
-    if isinstance(t, sk.Atom):
-        return (0, t.name), t.name
+    if isinstance(t, str):
+        return (0, t), t
     got = memo.get(id(t))
     if got is None:
-        kids = [_fold_setterm(e, fset, memo) for e in t.elements]
+        kids = [_fold_setterm(e, fset, memo) for e in t]
         kids.sort(key=itemgetter(0))
         got = memo[id(t)] = ((1, tuple([k for k, _ in kids])),
                              fset([r for _, r in kids]))
@@ -545,7 +545,7 @@ def _setterm(p, layers=None):
     text = p.tokens[p.i]
     if _is_atom(text):
         p.i += 1
-        return sk.Atom(text)
+        return text
     if text != "{":
         p.fail("expected a set term" if layers is None
                else "expected a set term or nested brace")
@@ -565,9 +565,9 @@ def _setterm(p, layers=None):
             if inner and inner[-1][0] is None:
                 p.fail("'...' cannot appear inside a set term")
     p.expect("}")
-    t = sk.Fset(frozenset(elems))
+    t = sk.Fset(elems)
     if inner:
-        layers.append((sk.Fset(frozenset(elems[:-1])), t))
+        layers.append((sk.Fset(elems[:-1]), t))
         layers += inner
     elif layers is not None:
         layers.append((t, t))
@@ -579,11 +579,10 @@ def _setterm(p, layers=None):
 def render_segments(m: sk.TransfiniteMap) -> str:
     parts = []
     for i, (length, pat) in enumerate(m.segments):
-        if isinstance(pat, sk.Constant):
-            body = "const(%s)" % render_setterm(pat.value)
+        if len(pat) == 1:
+            body = "const(%s)" % render_setterm(pat[0])
         else:
-            body = "cycle(%s)" % ",".join(render_setterm(v)
-                                          for v in pat.values)
+            body = "cycle(%s)" % ",".join(render_setterm(v) for v in pat)
         if i + 1 < len(m.segments):
             body += ":%s" % render_ordinal(length)
         parts.append(body)
@@ -596,13 +595,13 @@ def _segments(p):
     while True:
         if p.accept("const"):
             p.expect("(")
-            pat = sk.Constant(_setterm(p))
+            pat = (_setterm(p),)
         elif p.accept("cycle"):
             p.expect("(")
             vals = [_setterm(p)]
             while p.accept(","):
                 vals.append(_setterm(p))
-            pat = sk.Cycle(tuple(vals))
+            pat = tuple(vals)
         else:
             p.fail("expected const(...) or cycle(...)")
         p.expect(")")
@@ -672,7 +671,7 @@ def _skand(p):
         # bare braces: a finite coskand, innermost layer first (greedy)
         if tail is not False:
             p.fail("a bare-brace coskand cannot contain '...'")
-        return sk.make_coskand(0, [(ONE, sk.Constant(c))
+        return sk.make_coskand(0, [(ONE, (c,))
                                    for c, _ in reversed(layers)])
     start, total = p.whole(_interval(p))
     if total.is_finite() and len(layers) + (tail is not False) > \
@@ -682,7 +681,7 @@ def _skand(p):
             p.fail("'...' cannot appear inside a set term")
         n = total.as_int()
         layers[n - 1:] = [(layers[n - 1][1], None)]
-    segs = [(ONE, sk.Constant(c)) for c, _ in layers]
+    segs = [(ONE, (c,)) for c, _ in layers]
     if tail is None:
         if not layers:
             p.fail("'...' needs a preceding component to continue")
@@ -704,7 +703,7 @@ def brace_render(s, depth: int = 4) -> str:
         return "asc %s%s" % (render_segments(s.mapping), suffix)
     comps = [s.mapping.value_at(Ordinal.from_int(i))
              for i in range(s.length.as_int() if complete else depth)]
-    if not all(isinstance(c, sk.Fset) for c in comps):
+    if not all(isinstance(c, frozenset) for c in comps):
         # atom-valued components have no element list to splat: keep the
         # whole description behind the ellipsis marker
         return ("asc %s%s" if s.ascending else "{...%s}%s") % (
@@ -714,7 +713,7 @@ def brace_render(s, depth: int = 4) -> str:
     else:
         tail = s.mapping.slice_from(Ordinal.from_int(depth))
         text = "{...}" if len(tail.segments) == 1 and \
-            tail.segments[0][1] == sk.Constant(comps[-1]) \
+            tail.segments[0][1] == (comps[-1],) \
             else "{...%s}" % render_segments(tail)
     for c in comps if s.ascending else reversed(comps):
         text = _layer_text(c, text)
@@ -722,7 +721,7 @@ def brace_render(s, depth: int = 4) -> str:
 
 
 def _layer_text(component, inner):
-    if not isinstance(component, sk.Fset):
+    if not isinstance(component, frozenset):
         raise ValueError("brace rendering needs set-valued components")
     elems = render_setterm(component)[1:-1]  # the text inside its braces
     if inner is None:
@@ -735,11 +734,11 @@ def _layer_text(component, inner):
 def skand_to_json(s) -> dict:
     segs = []
     for length, pat in s.mapping.segments:
-        if isinstance(pat, sk.Constant):
-            segs.append({"const": setterm_to_json(pat.value),
+        if len(pat) == 1:
+            segs.append({"const": setterm_to_json(pat[0]),
                          "length": render_ordinal(length)})
         else:
-            segs.append({"cycle": [setterm_to_json(v) for v in pat.values],
+            segs.append({"cycle": [setterm_to_json(v) for v in pat],
                          "length": render_ordinal(length)})
     return {"kind": "coskand" if s.ascending else "skand",
             "start": render_ordinal(s.start), "segments": segs}
@@ -750,10 +749,10 @@ def skand_from_json(data):
     for seg in data["segments"]:
         length = parse_ordinal(seg["length"])
         if "const" in seg:
-            segs.append((length, sk.Constant(_setterm_unjson(seg["const"]))))
+            segs.append((length, (_setterm_unjson(seg["const"]),)))
         else:
-            segs.append((length, sk.Cycle(tuple(_setterm_unjson(v)
-                                                for v in seg["cycle"]))))
+            segs.append((length, tuple(_setterm_unjson(v)
+                                       for v in seg["cycle"])))
     return sk.Skand(parse_ordinal(data["start"]),
                     sk.TransfiniteMap.from_segments(segs),
                     data.get("kind") == "coskand")
@@ -761,5 +760,5 @@ def skand_from_json(data):
 
 def _setterm_unjson(data):
     if isinstance(data, str):
-        return sk.Atom(data)
-    return sk.Fset(frozenset(_setterm_unjson(e) for e in data))
+        return data
+    return sk.Fset(_setterm_unjson(e) for e in data)

@@ -189,14 +189,9 @@ def jump_report(lam: Ordinal) -> JumpReport:
 
 
 def _exceeds_all_ordinals_below(y: Number, mu: Ordinal) -> bool:
-    """True iff y > kappa for every ordinal kappa < mu (mu >= 1)."""
-    if mu == 1:
-        return nf_cmp(y, NZERO) > 0
-    if mu.is_successor():
-        pred = Ordinal(mu.terms[:-1] + (((0, mu.terms[-1][1] - 1),)
-                                        if mu.terms[-1][1] > 1 else ()))
-        return nf_cmp(y, from_ordinal(pred)) > 0
-    # mu limit: peel one copy of its last term w^m and recurse on the rest
+    """True iff y > kappa for every ordinal kappa < mu, a limit ordinal
+    (its only caller passes a limit).  Peels one copy of mu's last term w^m
+    and recurses on the rest."""
     last_e, last_c = mu.terms[-1]
     head = Ordinal(mu.terms[:-1] + (((last_e, last_c - 1),) if last_c > 1 else ()))
     d = add(y, negate(from_ordinal(head)))

@@ -7,6 +7,11 @@ are described by finitely many segments, each a constant or a repeating
 cycle over an ordinal length.  Cycle values restart at limit positions: the
 value at offset limit+m is values[m mod n].
 
+Values are plain Python values.  An atom is a str, and a set term an Fset:
+a frozenset of atoms and set terms, which, built bottom-up, is a
+hereditarily finite founded set.  A pattern is the tuple of a cycle's
+values, and a constant is the 1-tuple of its value (Constant(x) is (x,)).
+
 Every description has one canonical form, computed in a single pass
 (`canonical_segments`).  The positions split into w-blocks [lambda,
 lambda+w), lambda zero or a limit.  A block's components form a word
@@ -44,22 +49,16 @@ from .surreal import from_ordinal, from_rational, invert, negate
 
 # -- founded-set terms ------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-    def __str__(self):
-        return self.name
+Atom = str
 
 
-@dataclass(frozen=True)
-class Fset:
-    elements: frozenset = frozenset()
+class Fset(frozenset):
+    """A set term: a frozenset of atoms (str) and set terms."""
+    __slots__ = ()
 
     @staticmethod
     def of(*elems) -> "Fset":
-        return Fset(frozenset(elems))
+        return Fset(elems)
 
     def __str__(self):
         from .exprs import render_setterm
@@ -79,7 +78,7 @@ def nat_code(n: int) -> Fset:
     codes = []
     for _ in range(n):
         codes.append(t)
-        t = Fset(frozenset(codes))
+        t = Fset(codes)
     return t
 
 
@@ -87,38 +86,27 @@ def ordinal_code(o) -> Fset:
     """The code of an ordinal or of a finite exponent n (the code of n)."""
     if type(o) is int:
         return Fset.of(kpair(EMPTY, nat_code(o))) if o else EMPTY
-    return Fset(frozenset(kpair(ordinal_code(e), nat_code(c))
-                          for e, c in o.terms))
+    return Fset(kpair(ordinal_code(e), nat_code(c)) for e, c in o.terms)
 
 
 # -- patterns and transfinite maps -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: object
+def Constant(value) -> tuple:
+    """The pattern of a constant: the 1-tuple of its value."""
+    return (value,)
 
 
-@dataclass(frozen=True)
-class Cycle:
-    values: tuple
+Cycle = tuple
 
 
 def _primitive(values: tuple) -> tuple:
+    """The primitive root of a pattern; a constant is its own."""
     n = len(values)
     for p in range(1, n):
         if n % p == 0 and values == values[p:] + values[:p]:
             return values[:p]
     return values
-
-
-def _norm_pattern(pat):
-    if isinstance(pat, Cycle):
-        vals = _primitive(tuple(pat.values))
-        if len(vals) == 1:
-            return Constant(vals[0])
-        return pat if vals == pat.values else Cycle(vals)
-    return pat
 
 
 @dataclass(frozen=True)
@@ -144,8 +132,8 @@ class TransfiniteMap:
                 length = Ordinal.from_int(length)
             if not length:
                 continue
-            pat = _norm_pattern(pat)
-            if out and isinstance(pat, Constant) and out[-1][1] == pat:
+            pat = _primitive(pat)
+            if out and len(pat) == 1 and out[-1][1] == pat:
                 out[-1] = (out[-1][0] + length, pat)
             else:
                 out.append((length, pat))
@@ -190,24 +178,17 @@ class TransfiniteMap:
 
 
 def _pattern_value(pat, offset: Ordinal):
-    if isinstance(pat, Constant):
-        return pat.value
-    m = offset.finite_part()
-    return pat.values[m % len(pat.values)]
+    return pat[offset.finite_part() % len(pat)]
 
 
 def _cut_pattern_tail(pat, offset: Ordinal, remaining: Ordinal):
     """Segments describing a pattern's tail from `offset`, given that
     `remaining` positions are left.  Cycles restart at limit positions, so a
     mid-phase cut needs a rotated head block up to the next limit."""
-    if isinstance(pat, Constant):
-        return [(remaining, pat)]
-    values = pat.values
-    n = len(values)
-    phase = offset.finite_part() % n
+    phase = offset.finite_part() % len(pat)
     if phase == 0:
         return [(remaining, pat)]
-    rotated = Cycle(values[phase:] + values[:phase])
+    rotated = pat[phase:] + pat[:phase]
     if remaining.cmp(OMEGA) <= 0:
         return [(remaining, rotated)]
     return [(OMEGA, rotated), (remaining.sub_left(OMEGA), pat)]
@@ -232,10 +213,6 @@ def _extend_runs(runs: list, values: tuple, count: int) -> list:
     return runs
 
 
-def _values(pat) -> tuple:
-    return pat.values if isinstance(pat, Cycle) else (pat.value,)
-
-
 def _canonical_pieces(m: TransfiniteMap):
     """The w-block pieces of m, in order, before adjacent equal patterns
     merge.  `head` holds the open block's finite prefix as [value, count]
@@ -245,8 +222,7 @@ def _canonical_pieces(m: TransfiniteMap):
     because the segment's later blocks restart p at their limits."""
     head = []
     for length, pat in m.segments:
-        pat = _norm_pattern(pat)
-        values = _values(pat)
+        values = _primitive(pat)
         n = len(values)
         if length.is_finite():
             _extend_runs(head, values, length.as_int())
@@ -259,15 +235,15 @@ def _canonical_pieces(m: TransfiniteMap):
                 head.pop()
             period = period[-1:] + period[:-1]
         for value, count in head:
-            yield Ordinal.from_int(count), Constant(value)
+            yield Ordinal.from_int(count), (value,)
         if period == values:
-            yield length.limit_part(), pat
+            yield length.limit_part(), values
         else:
-            yield OMEGA, Cycle(period)
-            yield length.sub_left(OMEGA).limit_part(), pat
+            yield OMEGA, period
+            yield length.sub_left(OMEGA).limit_part(), values
         head = _extend_runs([], values, length.finite_part())
     for value, count in head:
-        yield Ordinal.from_int(count), Constant(value)
+        yield Ordinal.from_int(count), (value,)
 
 
 def canonical_segments(m: TransfiniteMap):
@@ -293,8 +269,7 @@ def _first_segment(m: TransfiniteMap):
     the canonical h is shortest, the first w positions form a word p^w
     exactly when this length is infinite, and p is then the period.  Only
     the segments up to the first pattern change are read."""
-    for length, pat in canonical_segments(m):
-        return length, _values(pat)
+    return next(canonical_segments(m))
 
 
 def _leading_period(m: TransfiniteMap):
@@ -354,11 +329,11 @@ def make_coskand(start, segments) -> Skand:
 
 
 def constant_skand(value, length, start=0) -> Skand:
-    return make_skand(start, [(_ord(length), Constant(value))])
+    return make_skand(start, [(_ord(length), (value,))])
 
 
 def cycle_skand(values, length, start=0) -> Skand:
-    return make_skand(start, [(_ord(length), Cycle(tuple(values)))])
+    return make_skand(start, [(_ord(length), tuple(values))])
 
 
 def _ord(x) -> Ordinal:
@@ -406,7 +381,7 @@ def is_self_similar(s: Skand) -> bool:
     additively indecomposable length >= w."""
     segs = canonical_segments(s.mapping)
     length, pat = next(segs)
-    return isinstance(pat, Constant) and next(segs, None) is None and \
+    return len(pat) == 1 and next(segs, None) is None and \
         length.cmp(OMEGA) >= 0 and \
         classify_ordinal(length).is_additively_indecomposable
 
@@ -501,7 +476,7 @@ def _periodic_segment_count(s: Skand, tau) -> int:
     for length, pat in canonical_segments(s.mapping):
         aligned = length.is_limit() if finite else \
             not divmod_omega_pow(length, exp1)[1]
-        if not aligned or t % len(_values(pat)):
+        if not aligned or t % len(pat):
             return 0
         count += 1
     return count
@@ -531,11 +506,10 @@ def min_finite_period(s: Skand):
 
 
 def _pattern_code(pat) -> Fset:
-    if isinstance(pat, Constant):
-        return kpair(Atom("const"), pat.value)
-    listing = Fset(frozenset(kpair(nat_code(i), v)
-                             for i, v in enumerate(pat.values)))
-    return kpair(Atom("cycle"), listing)
+    if len(pat) == 1:
+        return kpair("const", pat[0])
+    return kpair("cycle", Fset(kpair(nat_code(i), v)
+                               for i, v in enumerate(pat)))
 
 
 def encode_skand(s: Skand) -> Fset:
@@ -547,7 +521,7 @@ def encode_skand(s: Skand) -> Fset:
     for off, (length, pat) in zip(n.mapping.boundaries(), n.mapping.segments):
         elems.append(kpair(_pattern_code(pat),
                            kpair(ordinal_code(off), ordinal_code(length))))
-    return Fset(frozenset(elems))
+    return Fset(elems)
 
 
 # -- coskand specifics --------------------------------------------------------
@@ -567,18 +541,18 @@ def coskand_to_setterm(c: Skand) -> Fset:
     n = c.length.as_int()
     comps = [c.mapping.value_at(Ordinal.from_int(i)) for i in range(n)]
     for comp in comps:
-        if not isinstance(comp, Fset):
+        if not isinstance(comp, frozenset):
             raise NotASet("components must be set terms, got %s" % (comp,))
     acc = comps[0]
     for comp in comps[1:]:
-        acc = Fset(comp.elements | frozenset([acc]))
+        acc = Fset(comp | {acc})
     return acc
 
 
 def prepend_component(s: Skand, component) -> Skand:
     """The set {component-elements, s}: one more layer of decreasing nesting."""
     return Skand(OZERO, TransfiniteMap.from_segments(
-        ((OONE, Constant(component)),) + s.mapping.segments))
+        ((OONE, (component,)),) + s.mapping.segments))
 
 
 # -- brace coordinates ---------------------------------------------------------
@@ -642,27 +616,20 @@ class Extraordinary:
     prefix_length: int
 
 
-def _block_set(b) -> Fset:
-    if isinstance(b, Fset):
-        return b
-    return Fset(frozenset(b))
-
-
 def solve_mirimanoff(eq) -> Skand:
     """The canonical witness over [0, w); the solution family also contains
     every longer skand with the same first-w prefix."""
     if isinstance(eq, Reflexive):
         return constant_skand(Fset(eq.components), OMEGA)
     if isinstance(eq, Periodic):
-        vals = tuple(_block_set(b) for b in eq.blocks)
-        return cycle_skand(vals, OMEGA)
+        return cycle_skand(map(Fset, eq.blocks), OMEGA)
     if isinstance(eq, Extraordinary):
-        blocks = [_block_set(b) for i, b in
-                  zip(range(eq.prefix_length), eq.blocks)]
+        blocks = [Fset(b) for _, b in zip(range(eq.prefix_length),
+                                            eq.blocks)]
         if not blocks:
             raise ValueError("prefix_length must be >= 1")
-        segs = [(OONE, Constant(b)) for b in blocks[:-1]]
-        segs.append((OMEGA, Constant(blocks[-1])))
+        segs = [(OONE, (b,)) for b in blocks[:-1]]
+        segs.append((OMEGA, (blocks[-1],)))
         return make_skand(0, segs)
     raise TypeError("not a Mirimanoff equation: %r" % (eq,))
 
@@ -675,11 +642,11 @@ def is_solution(s: Skand, eq) -> bool:
         return _leading_period(s.mapping) == (Fset(eq.components),)
     if isinstance(eq, Periodic):
         # two purely periodic words are equal iff their primitive roots are
-        vals = tuple(_block_set(b) for b in eq.blocks)
+        vals = tuple(map(Fset, eq.blocks))
         return _leading_period(s.mapping) == _primitive(vals)
     if isinstance(eq, Extraordinary):
-        blocks = [_block_set(b) for i, b in
-                  zip(range(eq.prefix_length), eq.blocks)]
+        blocks = [Fset(b) for _, b in zip(range(eq.prefix_length),
+                                            eq.blocks)]
         return all(s.mapping.value_at(Ordinal.from_int(i)) == b
                    for i, b in enumerate(blocks))
     raise TypeError("not a Mirimanoff equation: %r" % (eq,))

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -59,6 +61,21 @@ def test_gap_ramp_takes_one_argument():
                  "gap ordinal(w, 2)"):
         with pytest.raises(ParseError, match="expected"):
             run_line(line, O)
+
+
+@pytest.mark.parametrize("game, value", [
+    ("dyadic({0,1|2}, +)", "dyadic(3/2, +)"),
+    ("add({0,1|}, -)", "add(2, -)"),
+    ("scaledharmonic({1,2|3}, +)", "scaledharmonic(5/2, +)"),
+])
+def test_a_comma_inside_a_game_base_belongs_to_the_game(game, value):
+    def outcome(line):
+        try:
+            return run_line(line, O)
+        except (ParseError, CalcError) as exc:
+            return type(exc), str(exc)
+    assert outcome("gap " + game) == outcome("gap " + value)
+    assert run_line("gap dyadic({0,1|2}, +)", O) == "+inf_{3/2 + w^-1*1}"
 
 
 def test_jumps():
@@ -119,6 +136,18 @@ def test_leftright_non_integer_is_a_parse_error():
         run_line("leftright abc", O)
 
 
+@pytest.mark.parametrize("line, position, message", [
+    ("leftright 1_0", 10, "leftright steps must be an integer, got '1_0'"),
+    ("skand coords const({a}) @ [0,w) ;; 0_2", 35,
+     "prefix must be an integer, got '0_2'"),
+])
+def test_a_count_is_a_run_of_decimal_digits(line, position, message):
+    # int() takes '_' separators; a count, like an integer in eval, does not
+    with pytest.raises(ParseError, match=message) as exc:
+        run_line(line, O)
+    assert exc.value.position == position
+
+
 def test_coords_non_integer_prefix_is_a_parse_error():
     with pytest.raises(ParseError):
         run_line("skand coords const({a}) @ [1,w) ;; x", O)
@@ -159,8 +188,11 @@ def test_coords_honour_max_terms():
 
 
 def test_max_terms_below_one_is_a_parse_error(tmp_path, capsys):
-    with pytest.raises(ParseError):
-        run_line("eval 1/(w+1)", Options(max_terms=0))
+    for line in ("eval 1/(w+1)",
+                 "skand coords const({a}) @ [w+1,w*2) ;; 2",
+                 "coskand coords const({a}) @ [w+1,w*2) ;; 2"):
+        with pytest.raises(ParseError, match="max_terms must be >= 1, got 0"):
+            run_line(line, Options(max_terms=0))
     script = tmp_path / "s.calc"
     script.write_text("eval 1/(w+1)\n")
     for flag in ("--max-terms", "--depth"):
@@ -295,6 +327,20 @@ def test_golden_output_matches_snapshot(capsys):
         (ROOT / "tests" / "golden.jsonl").read_text()
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_golden_output_does_not_depend_on_string_hashing(seed):
+    # atoms hash as strings, so set iteration order follows PYTHONHASHSEED;
+    # the renderers' canonical sort must keep text and JSON fixed
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for flags, snapshot in (([], "golden.out"), (["--json"], "golden.jsonl")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "omegacalc.cli", str(ROOT / "golden.calc")]
+            + flags, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, (ROOT / "tests" / snapshot).read_text(), "")
+
+
 _LONG = 5000   # digits, more than int() converts by default
 
 
@@ -328,7 +374,10 @@ _NINES = "9" * 4300   # a literal int() accepts; a product of two does not
     "ord w*%s*%s" % (_NINES, _NINES),
     "nf w^(%s*%s)" % (_NINES, _NINES),
     "leftright 15000",
-], ids=["eval", "ord", "nf", "leftright"])
+    # the int string limit also bounds the error messages built on the way
+    "skand render const(a) @ [w*%s*%s, 1)" % (_NINES, _NINES),
+    "skand at const(a) @ [0,w) ;; w*%s*%s" % (_NINES, _NINES),
+], ids=["eval", "ord", "nf", "leftright", "render", "at"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_an_answer_with_an_over_long_integer_is_a_calc_error(
         tmp_path, capsys, line, as_json):

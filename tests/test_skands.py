@@ -470,7 +470,29 @@ def test_encode_examples():
     assert encode_skand(x) == encode_skand(constant_skand(SA, W, start=7))
     e = constant_skand(EMPTY, W)
     code = encode_skand(e)
-    assert isinstance(code, Fset) and len(code.elements) == 1
+    assert isinstance(code, Fset) and len(code) == 1
+
+
+def test_skand_values_are_plain_python_values():
+    # an atom is a str, a set term a frozenset and a pattern a tuple, so
+    # equality and hashing run in C; a wrapper would put a Python-level
+    # __eq__/__hash__ back on every comparison
+    assert skands.Atom is str
+    assert type(Constant(A)) is tuple and type(Cycle([A, B])) is tuple
+    assert Fset.__eq__ is frozenset.__eq__
+    assert Fset.__hash__ is frozenset.__hash__
+    assert Fset.__slots__ == ()
+    assert Atom("a") == "a" and Fset([A]) == frozenset([A])
+    assert Constant(SA) == Cycle((SA,))
+
+
+def test_a_plain_frozenset_is_a_set_term():
+    # Fset(x) == frozenset(x), so equal skands render and unroll alike
+    plain = constant_skand(frozenset([A]), W)
+    assert skand_equal(plain, constant_skand(SA, W))
+    assert brace_render(plain) == brace_render(constant_skand(SA, W))
+    e3 = make_coskand(0, [(o("3"), Constant(frozenset()))])
+    assert coskand_to_setterm(e3) == Fset.of(Fset.of(EMPTY))
 
 
 # -- brace coordinates ------------------------------------------------------------
