@@ -362,7 +362,10 @@ def run_line(line: str, options: Options) -> str:
     try:
         value = fn(*_args(kinds, parts, options, offset))
         if options.json:
-            return json.dumps(to_json(value, options), sort_keys=True)
+            # each to_json tree is built fresh for its answer, so it has no
+            # cycle; setterm_to_json's memo shares sub-lists, a DAG
+            return json.dumps(to_json(value, options), sort_keys=True,
+                              check_circular=False)
         return text(value, options)
     except ValueError as exc:
         # str() and json refuse an int longer than the int string limit,
@@ -381,7 +384,8 @@ def _report(exc, options, where="", stream=None) -> int:
     if options.json:
         print(json.dumps({"error": {
             "kind": type(exc).__name__, "message": str(exc),
-            "position": getattr(exc, "position", None)}}, sort_keys=True))
+            "position": getattr(exc, "position", None)}}, sort_keys=True,
+            check_circular=False))
     else:
         print("%s%s: %s" % ("parse error" if status == 2 else "error", where,
                             exc), file=stream or sys.stderr)

@@ -24,7 +24,7 @@ from .surreal import (MINUS_ONE, OMEGA, Number, TruncatedNumber, add,
                       power_series, sign)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Decomposition:
     purely_infinite: Number
     real_part: int | Fraction

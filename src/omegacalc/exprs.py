@@ -126,6 +126,11 @@ def _scan(text):
 # and nested.  So this keeps well inside the default recursion limit of 1000.
 MAX_DEPTH = 100
 
+# Most characters an answer may print.  An answer whose size is known in
+# advance to exceed it is refused with OutputTooLarge before it is built.
+# The longest answer on the benchmark's workloads has 1 169 characters.
+MAX_OUTPUT = 1 << 20
+
 
 class _Parser:
     """Recursive descent over the token texts of one text.  A token's kind

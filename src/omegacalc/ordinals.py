@@ -12,6 +12,9 @@ takes canonical terms; `from_int`, `omega_pow` and the operations build them.
 `_coerce` turns an `int` operand into an `Ordinal` at the public boundary
 only: the operators and the free `ord_*` functions.
 
+An `Ordinal` is a slotted dataclass, immutable by convention as `Fraction`
+is: no frozen guard on each construction.
+
 Both the usual (non-commutative) sum/product and the Hessenberg natural
 sum/product are provided.  `a + b` and `a * b` are the usual operations;
 natural ones are named methods.
@@ -65,7 +68,7 @@ def _enat_add(a, b):
     return _coerce(a).nat_add(b)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ordinal:
     terms: tuple = ()
 

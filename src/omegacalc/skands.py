@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import InfiniteLength, InvalidPeriod, NotASet, \
-    OutOfClutchRegion
+    OutOfClutchRegion, OutputTooLarge
 from .ordinals import OMEGA, ONE as OONE, ZERO as OZERO, Ordinal, \
     classify_ordinal, divmod_omega_pow
 from .surreal import from_ordinal, from_rational, invert, negate
@@ -109,7 +109,7 @@ def _primitive(values: tuple) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TransfiniteMap:
     """(length, pattern) segments in order.  `total`, the sum of the
     lengths, is stored: a constructor that knows it passes it, and it is
@@ -122,7 +122,7 @@ class TransfiniteMap:
             t = OZERO
             for length, _ in self.segments:
                 t = t + length
-            object.__setattr__(self, "total", t)
+            self.total = t
 
     @staticmethod
     def from_segments(segs, total=None) -> "TransfiniteMap":
@@ -294,7 +294,7 @@ def map_equal(a: TransfiniteMap, b: TransfiniteMap) -> bool:
 # -- skand / coskand values --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Skand:
     """A skand, or with `ascending` a coskand: the same finite description,
     nested downward or upward."""
@@ -512,16 +512,32 @@ def _pattern_code(pat) -> Fset:
                                for i, v in enumerate(pat)))
 
 
+def _largest_natural(o) -> int:
+    """The largest n for which ordinal_code(o) builds nat_code(n)."""
+    if type(o) is int:
+        return o
+    return max((max(c, _largest_natural(e)) for e, c in o.terms), default=0)
+
+
 def encode_skand(s: Skand) -> Fset:
     """Injective founded encoding of the canonical description: one ordered
     pair (pattern, (start offset, length)) per segment, so equal skands get
-    equal codes."""
+    equal codes.
+
+    nat_code(n) holds 2^(n-1) empty sets, so any text or JSON form of a code
+    that contains it has at least 2^n characters.  A code whose largest
+    natural n has 2^n > exprs.MAX_OUTPUT is refused before it is built."""
+    from .exprs import MAX_OUTPUT
     n = normalize(s)
-    elems = []
-    for off, (length, pat) in zip(n.mapping.boundaries(), n.mapping.segments):
-        elems.append(kpair(_pattern_code(pat),
-                           kpair(ordinal_code(off), ordinal_code(length))))
-    return Fset(elems)
+    segs = list(zip(n.mapping.boundaries(), n.mapping.segments))
+    top = max(max(_largest_natural(off), _largest_natural(length),
+                  len(pat) - 1) for off, (length, pat) in segs)
+    if top >= MAX_OUTPUT.bit_length():
+        raise OutputTooLarge("the encoding has more than %d characters"
+                             % MAX_OUTPUT)
+    return Fset(kpair(_pattern_code(pat),
+                      kpair(ordinal_code(off), ordinal_code(length)))
+                for off, (length, pat) in segs)
 
 
 # -- coskand specifics --------------------------------------------------------

@@ -33,6 +33,9 @@ w*z0 for a real z0.  The leading monomial that invert and exp multiply
 their series by is folded into power_series: on the lattice path it
 shifts each unpacked exponent and joins the final division.
 
+Number, EpsilonAtom and TruncatedNumber are slotted dataclasses, immutable
+by convention as Fraction is: no frozen guard on each construction.
+
 Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
 """
 
@@ -50,7 +53,7 @@ from .ordinals import Ordinal
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EpsilonAtom:
     """The epsilon-number with the given Number index, kept atomic.
 
@@ -63,7 +66,7 @@ class EpsilonAtom:
         return "eps[%r]" % (self.index,)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Number:
     terms: tuple = ()
 
@@ -439,7 +442,7 @@ def mul(a: Number, b: Number) -> Number:
     return Number(tuple(rows[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TruncatedNumber:
     """A normal-form prefix of a possibly non-terminating expansion.
 

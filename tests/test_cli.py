@@ -394,6 +394,55 @@ def test_an_answer_with_an_over_long_integer_is_a_calc_error(
         assert (out.out, out.err) == ("", "error on line 1: %s\n" % message)
 
 
+@pytest.mark.parametrize("line", [
+    "skand encode const(a) @ [w,w*22)",
+    "skand encode const(a) @ [w,w*74)",
+    "skand encode const({}) @ [0,40)",
+    "skand encode cycle(a,b):100;const(c) @ [0,w)",
+], ids=["w*22", "w*74", "const-40", "cycle-100"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_encoding_over_the_output_budget_is_a_calc_error(
+        tmp_path, capsys, line, as_json):
+    # nat_code(n) prints at least 2^n characters, so the size is known
+    # before any set term is built
+    message = "the encoding has more than %d characters" \
+        % cli.exprs.MAX_OUTPUT
+    script = tmp_path / "big.calc"
+    script.write_text(line + "\n")
+    assert main([str(script)] + ["--json"] * as_json) == 1
+    out = capsys.readouterr()
+    if as_json:
+        assert json.loads(out.out) == {"error": {
+            "kind": "OutputTooLarge", "message": message, "position": None}}
+    else:
+        assert (out.out, out.err) == ("", "error on line 1: %s\n" % message)
+
+
+def test_an_encoding_under_the_output_budget_still_answers():
+    assert len(run_line("skand encode const(a) @ [w,w*16)", O)) == 82025
+
+
+def test_a_json_answer_with_shared_subterms_dumps_as_by_default():
+    # setterm_to_json shares the list of a repeated subterm: a DAG, which
+    # run_line dumps without the encoder's cycle markers
+    arg = "cycle({a},b,{}):3;const({}) @ [w,w*4)"
+    tree = cli.SETTERM[1](
+        cli.skands.encode_skand(cli.exprs.parse_skand(arg)), OJ)
+    seen, shared = set(), []
+
+    def walk(t):
+        if isinstance(t, list):
+            if id(t) in seen:
+                shared.append(t)
+            seen.add(id(t))
+            for e in t:
+                walk(e)
+    walk(tree["value"])
+    assert shared
+    assert run_line("skand encode " + arg, OJ) == \
+        json.dumps(tree, sort_keys=True)
+
+
 def test_only_the_int_string_limit_is_output_too_large(monkeypatch):
     def refuse(o):
         raise ValueError("some other refusal")

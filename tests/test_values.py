@@ -1,0 +1,128 @@
+"""The value types built once per kernel operation are slotted dataclasses,
+immutable by convention as fractions.Fraction is: no instance __dict__,
+== and hash as before, and no store to a field after construction
+anywhere in the library (a static check over its source)."""
+
+import ast
+import dataclasses
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+import omegacalc
+from omegacalc import (EpsilonAtom, Ordinal, Skand, TransfiniteMap,
+                       TruncatedNumber, decompose, from_rational,
+                       make_skand, parse_number, parse_ordinal)
+from omegacalc.explog import Decomposition
+from omegacalc.surreal import Number
+
+o = parse_ordinal
+VALUES = (Number, EpsilonAtom, TruncatedNumber, Ordinal, TransfiniteMap,
+          Skand, Decomposition)
+
+
+def _instances():
+    s = make_skand(o("w"), [(o("w*2"), ("a", "b"))])
+    return [parse_number("w + 1"), EpsilonAtom(from_rational(1)),
+            TruncatedNumber(parse_number("w"), True), o("w^2+3"), s.mapping,
+            s, decompose(parse_number("w + 2 + w^-1"))]
+
+
+def test_values_have_no_instance_dict():
+    got = _instances()
+    assert [type(x) for x in got] == list(VALUES)
+    for x in got:
+        assert not hasattr(x, "__dict__"), type(x).__name__
+
+
+def test_equality_and_hash_are_unchanged():
+    two = Ordinal.from_int(2)
+    assert two == 2 and hash(two) == hash(2)
+    six_thirds = from_rational(Fraction(6, 3))
+    assert six_thirds == 2 and hash(six_thirds) == hash(2)
+    # an epsilon atom is a dict key, so a Number with an eps exponent hashes
+    table = {EpsilonAtom(from_rational(1)): "eps[1]"}
+    assert table[EpsilonAtom(parse_number("1"))] == "eps[1]"
+    assert hash(parse_number("w^(eps[1])*2")) == \
+        hash(parse_number("w^(eps[1])*2"))
+    # a map's stored total takes no part in == and hash
+    segs = ((o("w"), ("a",)),)
+    assert TransfiniteMap(segs) == TransfiniteMap(segs, o("w+1"))
+    assert hash(TransfiniteMap(segs)) == hash(TransfiniteMap(segs, o("w+1")))
+    x = make_skand(3, [(o("w"), ("a", "b"))])
+    y = make_skand(3, [(o("w"), ("a", "b"))])
+    assert x is not y and x == y and hash(x) == hash(y)
+
+
+def test_post_init_checks_still_run():
+    with pytest.raises(ValueError, match="length >= 1"):
+        Skand(o("0"), TransfiniteMap(()))
+    with pytest.raises(ValueError, match="drop nothing"):
+        TruncatedNumber(parse_number("w"), True, 8)
+
+
+# -- the static immutability check -------------------------------------------
+
+FIELDS = {f.name for t in VALUES for f in dataclasses.fields(t)}
+NAMES = {t.__name__ for t in VALUES}
+
+
+def _receivers(fn):
+    """Names a function binds to a new Coordinates, a list subclass whose
+    `exact` flag is set while the pairs are collected."""
+    return {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "Coordinates"
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
+def _violations(source, where="<source>"):
+    """Every store or delete of a value-type field outside that type's own
+    __post_init__, and every use of object.__setattr__."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name in NAMES:
+            for fn in cls.body:
+                if getattr(fn, "name", None) == "__post_init__":
+                    allowed.update(map(id, ast.walk(fn)))
+    coords = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = _receivers(fn)
+            coords.update(id(n) for n in ast.walk(fn)
+                          if isinstance(n, ast.Attribute)
+                          and getattr(n.value, "id", None) in names)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "__setattr__" and \
+                getattr(node.value, "id", None) == "object":
+            out.append("%s:%d object.__setattr__" % (where, node.lineno))
+        elif isinstance(node.ctx, (ast.Store, ast.Del)) and \
+                node.attr in FIELDS and id(node) not in allowed | coords:
+            out.append("%s:%d store to .%s" % (where, node.lineno, node.attr))
+    return out
+
+
+def test_no_value_field_is_stored_after_construction():
+    src = pathlib.Path(omegacalc.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 9
+    assert [v for f in files
+            for v in _violations(f.read_text(), f.name)] == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(x):\n    x.terms = ()\n",
+    "def f(s):\n    s.mapping.total += 1\n",
+    "def f(x):\n    del x.index\n",
+    "def f(x):\n    object.__setattr__(x, 'terms', ())\n",
+    "class Ordinal:\n    def cmp(self):\n        self.terms = ()\n",
+    # a Coordinates receiver is excused only in the function that built it
+    "def f(out):\n    out.exact = False\n",
+])
+def test_the_immutability_check_sees_a_store(source):
+    assert len(_violations(source)) == 1
