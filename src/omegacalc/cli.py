@@ -32,18 +32,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from . import exprs, gaps, skands
-from .errors import CalcError, IoError, OutputTooLarge, ParseError
+from .errors import CalcError, IoError, OutputTooLarge, ParseError, Record
 from .surreal import nf_cmp, real_limit_from_sequences
 
 
-@dataclass(frozen=True)
-class Options:
-    max_terms: int = 8
-    json: bool = False
-    depth: int = 4
-    strict: bool = False
+class Options(Record):
+    __slots__ = ("max_terms", "json", "depth", "strict")
+
+    def __init__(self, max_terms: int = 8, json: bool = False,
+                 depth: int = 4, strict: bool = False):
+        self.max_terms = max_terms
+        self.json = json
+        self.depth = depth
+        self.strict = strict
 
 
 # -- argument kinds -----------------------------------------------------------
@@ -109,8 +111,43 @@ def _coords_prefix(text, options):
     return _PREFIX(text, options), options.max_terms
 
 
+def _too_large(size):
+    """Refuse an answer that is known, before it is built, to print at
+    least `size` characters, when that is over exprs.MAX_OUTPUT."""
+    if size > exprs.MAX_OUTPUT:
+        raise OutputTooLarge("the answer has more than %d characters"
+                             % exprs.MAX_OUTPUT)
+
+
 def _coords(s, prefix):
+    """The brace coordinates for prefix = (count, max_terms): each of the
+    min(count, length) pairs prints at least 8 characters, '(x, y), '."""
+    count, length = prefix[0], s.length
+    _too_large(8 * (min(count, length.as_int()) if length.is_finite()
+                    else count))
     return skands.brace_coordinates(s, *prefix)
+
+
+def _jumps(lam):
+    """The jump report of lam.  Its census has one entry per v in
+    1..(leading exponent), each of at least 6 characters ('w: 1; ')."""
+    if lam.is_limit() and type(lam.terms[0][0]) is int:
+        _too_large(6 * lam.terms[0][0])
+    return gaps.jump_report(lam)
+
+
+def _leftright(steps):
+    """The left-right construction.  Halving k prints a dyadic with a
+    numerator of at least 2^k over 2^(k+1), together more than
+    (2k+1)*log10(2) + 1 digits and slash, so the n+1 halvings of n steps
+    print more than (n+1)*((n+1)*log10(2) + 1) characters.  When the last
+    denominator, 2^(n+1), is past the int string limit, that is the
+    refusal str() would give."""
+    limit = sys.get_int_max_str_digits()
+    if limit and steps + 1 >= (10 ** limit).bit_length():
+        raise _long_integer()
+    _too_large((steps + 1) * (30102 * (steps + 1) + 100000) // 100000)
+    return gaps.left_right_construct(steps)
 
 
 _DESCRIPTORS = {"ordinal": (gaps.OrdinalRamp, False),
@@ -211,10 +248,11 @@ def _as_result(v, options):
 
 
 def _valued(text, codec):
-    """Prints text(value, options); in JSON {"value": codec(value), "text":
-    that same text}."""
-    return (text, lambda v, options: {"value": codec(v),
-                                      "text": text(v, options)})
+    """Prints text(value, options); in JSON {"text": that same text, "value":
+    codec(value)}, the text first, so that a refusal on the way to it comes
+    before the codec builds anything."""
+    return (text, lambda v, options: {"text": text(v, options),
+                                      "value": codec(v)})
 
 
 def _braces(s, options) -> str:
@@ -272,6 +310,14 @@ def _coords_text(pairs, options):
                                       for lo, hi in pairs), pairs.exact)
 
 
+def _setterm_text(t, options):
+    """render_setterm(t), refused first when the printed answer, the text
+    or under --json {"text": ..., "value": ...}, is over the budget."""
+    _too_large(exprs.setterm_size(t, options.json)
+               + (len('{"text": "", "value": }') if options.json else 0))
+    return exprs.render_setterm(t)
+
+
 NUMBER = (_number_text,
           lambda t, options: {"value": exprs.number_to_json(t.value),
                               "exact": t.exact})
@@ -287,8 +333,7 @@ FLAG = (lambda v, options: "true" if v else "false", _as_result)
 PERIOD = (lambda n, options: "none" if n is None else str(n), _as_result)
 ORDINAL = _valued(lambda o, options: exprs.render_ordinal(o),
                   exprs.ordinal_to_json)
-SETTERM = _valued(lambda t, options: exprs.render_setterm(t),
-                  exprs.setterm_to_json)
+SETTERM = _valued(_setterm_text, exprs.setterm_to_json)
 BRACES = _valued(_braces, exprs.skand_to_json)
 NORMAL = _valued(_normal_text, exprs.skand_to_json)
 COORDS = (_coords_text, lambda pairs, options: {
@@ -309,9 +354,8 @@ VERBS = {
             WORD),
     "ord": ((_ordinal,), _same, ORDINAL),
     "gap": ((_descriptor,), gaps.gap_of, GAP),
-    "jumps": ((_ordinal,), gaps.jump_report, JUMPS),
-    "leftright": ((_int_kind("leftright steps", 1),),
-                  gaps.left_right_construct, LEFTRIGHT),
+    "jumps": ((_ordinal,), _jumps, JUMPS),
+    "leftright": ((_int_kind("leftright steps", 1),), _leftright, LEFTRIGHT),
     "skand render": ((_skand,), _same, BRACES),
     "skand normalize": ((_skand,), skands.normalize, NORMAL),
     "skand eq": ((_skand, _skand), skands.skand_equal, FLAG),
@@ -372,8 +416,12 @@ def run_line(line: str, options: Options) -> str:
         # in the answer or in an error message built on the way to it
         if "integer string conversion" not in str(exc):
             raise
-    raise OutputTooLarge("the answer has an integer of more than %d digits"
-                         % sys.get_int_max_str_digits())
+    raise _long_integer()
+
+
+def _long_integer():
+    return OutputTooLarge("the answer has an integer of more than %d digits"
+                          % sys.get_int_max_str_digits())
 
 
 def _report(exc, options, where="", stream=None) -> int:

@@ -2,8 +2,35 @@
 
 Domain errors (bad values for an otherwise well-formed request) derive from
 CalcError; ParseError is separate so the CLI can map the two onto distinct
-exit codes.
+exit codes.  Record is the base of the library's plain value types.
 """
+
+
+class Record:
+    """A value built once and never changed: == compares the class and the
+    slot values, hash is the hash of the slot values, and repr reads
+    Name(field=...), as for a frozen dataclass.  A subclass lists its fields
+    in __slots__; one without defaults or checks takes them positionally."""
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in self.__slots__))
 
 
 class CalcError(Exception):

@@ -13,22 +13,20 @@ multiplies exp's sum by its exact factor as it builds the output terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import (LeadingCoefficientNotOne, NonPositive, NotInDomain,
-                     RealPartNotZero, ZeroInput)
+                     RealPartNotZero, Record, ZeroInput)
 from .surreal import (MINUS_ONE, OMEGA, Number, TruncatedNumber, add,
                       exp_as_number, exp_cmp, mul, negate, omega_pow,
                       power_series, sign)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Decomposition:
-    purely_infinite: Number
-    real_part: int | Fraction
-    infinitesimal: Number
+class Decomposition(Record):
+    """The Number parts of x above, at and below exponent 0; the real part
+    is an int or a Fraction."""
+    __slots__ = ("purely_infinite", "real_part", "infinitesimal")
 
 
 def decompose(x: Number) -> Decomposition:

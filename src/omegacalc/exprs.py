@@ -528,6 +528,39 @@ def render_setterm(t) -> str:
     return _fold_setterm(t, _braced, {})[1]
 
 
+def _atom_size(a, as_json):
+    """An atom prints its name; a JSON answer prints it twice, quoted, with
+    each non-ASCII character escaped as one or two \\uXXXX."""
+    if not as_json:
+        return len(a)
+    return 2 + 2 * (len(a) if a.isascii() else sum(
+        1 if c < "\x80" else 6 if c <= "\uffff" else 12 for c in a))
+
+
+def setterm_size(t, as_json=False, memo=None) -> int:
+    """The characters of render_setterm(t), or with as_json those of that
+    text as a JSON string and of json.dumps(setterm_to_json(t)) together,
+    read off the term without building either.  A set prints its brackets
+    and a separator between elements (',' in text, ', ' in JSON) around its
+    elements.  Memoised by id, as _fold_setterm is, so the cost is the
+    DAG's size, not the tree's."""
+    if type(t) is str:
+        return _atom_size(t, as_json)
+    if memo is None:
+        memo = {}
+    seps = len(t) - 1 if t else 0
+    total = 4 + 3 * seps if as_json else 2 + seps
+    for e in t:
+        if type(e) is str:
+            total += _atom_size(e, as_json)
+        else:
+            got = memo.get(id(e))
+            if got is None:
+                got = memo[id(e)] = setterm_size(e, as_json, memo)
+            total += got
+    return total
+
+
 def parse_setterm(text):
     """Parse one set term: IDENT, INT or '{' [st (',' st)*] '}'."""
     p = _Parser(text)

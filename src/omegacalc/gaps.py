@@ -12,25 +12,26 @@ indecomposable L) and counts the jumps of each size w^v below L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotIndecomposable, NotLimit, UnsupportedDescriptor
+from .errors import NotIndecomposable, NotLimit, Record, \
+    UnsupportedDescriptor
 from .ordinals import OMEGA, Ordinal, classify_ordinal, divmod_omega_pow
 from .surreal import (Dyadic, Number, add, exp_as_number, exp_cmp,
                       from_ordinal, from_terms, negate, nf_cmp, sign)
 from .surreal import ZERO as NZERO
 
 
-@dataclass(frozen=True)
-class GapLabel:
-    sign: int          # +1 or -1
-    index: Number      # never arithmetic-bearing; +/-inf_0 is the degenerate
-                       # sup/inf of the empty set
+class GapLabel(Record):
+    """`sign` is +1 or -1; `index` is never arithmetic-bearing, and +/-inf_0
+    is the degenerate sup/inf of the empty set."""
+    __slots__ = ("sign", "index")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, index: Number):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        self.sign = sign
+        self.index = index
 
     def __str__(self):
         from .exprs import render_number
@@ -40,45 +41,39 @@ class GapLabel:
 
 # -- sequence descriptors -------------------------------------------------
 
-@dataclass(frozen=True)
-class OrdinalRamp:
+class OrdinalRamp(Record):
     """(alpha) for 0 < alpha < lam, lam a limit ordinal."""
-    lam: Ordinal
+    __slots__ = ("lam",)
 
 
-@dataclass(frozen=True)
-class AddRamp:
+class AddRamp(Record):
     """(b + alpha) or (b - alpha) over alpha < length."""
-    base: Number
-    direction: int
-    length: Ordinal = OMEGA
+    __slots__ = ("base", "direction", "length")
+
+    def __init__(self, base: Number, direction: int, length: Ordinal = OMEGA):
+        self.base = base
+        self.direction = direction
+        self.length = length
 
 
-@dataclass(frozen=True)
-class DyadicRamp:
+class DyadicRamp(Record):
     """(b -+ 1/2^alpha): direction is the sign in front of 1/2^alpha."""
-    base: Number
-    direction: int
+    __slots__ = ("base", "direction")
 
 
-@dataclass(frozen=True)
-class GeometricRamp:
+class GeometricRamp(Record):
     """(b +- 2^alpha/w)."""
-    base: Number
-    direction: int
+    __slots__ = ("base", "direction")
 
 
-@dataclass(frozen=True)
-class HarmonicRamp:
+class HarmonicRamp(Record):
     """(1/alpha) for 0 < alpha < lam."""
-    lam: Ordinal
+    __slots__ = ("lam",)
 
 
-@dataclass(frozen=True)
-class ScaledHarmonic:
+class ScaledHarmonic(Record):
     """(b -+ 1/(2^alpha * w))."""
-    base: Number
-    direction: int
+    __slots__ = ("base", "direction")
 
 
 # The ramps b +- w^step: (step, the least exp_cmp of every exponent of b
@@ -155,13 +150,19 @@ def _as_dyadic_multiple_of_omega(b: Number):
 
 # -- jumps ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JumpReport:
-    lam: Ordinal
-    embeddable: bool
-    translation_invariant: bool
-    tails_same_type: bool
-    census: tuple = field(default_factory=tuple)   # ((w^v, count), ...)
+class JumpReport(Record):
+    """`census` is ((w^v, count), ...)."""
+    __slots__ = ("lam", "embeddable", "translation_invariant",
+                 "tails_same_type", "census")
+
+    def __init__(self, lam: Ordinal, embeddable: bool,
+                 translation_invariant: bool, tails_same_type: bool,
+                 census: tuple = ()):
+        self.lam = lam
+        self.embeddable = embeddable
+        self.translation_invariant = translation_invariant
+        self.tails_same_type = tails_same_type
+        self.census = census
 
 
 def jump_report(lam: Ordinal) -> JumpReport:

@@ -12,8 +12,9 @@ takes canonical terms; `from_int`, `omega_pow` and the operations build them.
 `_coerce` turns an `int` operand into an `Ordinal` at the public boundary
 only: the operators and the free `ord_*` functions.
 
-An `Ordinal` is a slotted dataclass, immutable by convention as `Fraction`
-is: no frozen guard on each construction.
+An `Ordinal` is a plain class with `__slots__`, immutable by convention as
+`Fraction` is: `__init__` stores the terms, and nothing stores to them
+afterwards.
 
 Both the usual (non-commutative) sum/product and the Hessenberg natural
 sum/product are provided.  `a + b` and `a * b` are the usual operations;
@@ -22,10 +23,9 @@ natural ones are named methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .errors import PrefixTooLarge
+from .errors import PrefixTooLarge, Record
 
 LT, EQ, GT = -1, 0, 1
 
@@ -68,9 +68,11 @@ def _enat_add(a, b):
     return _coerce(a).nat_add(b)
 
 
-@dataclass(slots=True)
 class Ordinal:
-    terms: tuple = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()):
+        self.terms = terms
 
     # -- constructors -------------------------------------------------
 
@@ -279,13 +281,9 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((1, 1),))
 
 
-@dataclass(frozen=True)
-class OrdinalClass:
-    is_zero: bool
-    is_limit: bool
-    is_successor: bool
-    is_additively_indecomposable: bool
-    is_main: bool
+class OrdinalClass(Record):
+    __slots__ = ("is_zero", "is_limit", "is_successor",
+                 "is_additively_indecomposable", "is_main")
 
 
 # -- free-function operation aliases ------------------------------------
@@ -322,13 +320,7 @@ def classify_ordinal(a) -> OrdinalClass:
     e = a.terms[0][0] if indec else 0
     main = e == 1 if type(e) is int else \
         len(e.terms) == 1 and e.terms[0][1] == 1
-    return OrdinalClass(
-        is_zero=not a,
-        is_limit=a.is_limit(),
-        is_successor=a.is_successor(),
-        is_additively_indecomposable=indec,
-        is_main=main,
-    )
+    return OrdinalClass(not a, a.is_limit(), a.is_successor(), indec, main)
 
 
 def divmod_omega_pow(a, k) -> tuple:

@@ -37,12 +37,11 @@ enumerated transfinitely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import InfiniteLength, InvalidPeriod, NotASet, \
-    OutOfClutchRegion, OutputTooLarge
+    OutOfClutchRegion, OutputTooLarge, Record
 from .ordinals import OMEGA, ONE as OONE, ZERO as OZERO, Ordinal, \
     classify_ordinal, divmod_omega_pow
 from .surreal import from_ordinal, from_rational, invert, negate
@@ -109,20 +108,30 @@ def _primitive(values: tuple) -> tuple:
     return values
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class TransfiniteMap:
     """(length, pattern) segments in order.  `total`, the sum of the
     lengths, is stored: a constructor that knows it passes it, and it is
-    summed once otherwise.  == and hash read the segments alone."""
-    segments: tuple = ()
-    total: Ordinal = field(default=None, compare=False, repr=False)
+    summed once otherwise.  ==, hash and repr read the segments alone."""
+    __slots__ = ("segments", "total")
 
-    def __post_init__(self):
-        if self.total is None:
-            t = OZERO
-            for length, _ in self.segments:
-                t = t + length
-            self.total = t
+    def __init__(self, segments: tuple = (), total: Ordinal = None):
+        if total is None:
+            total = OZERO
+            for length, _ in segments:
+                total = total + length
+        self.segments = segments
+        self.total = total
+
+    def __eq__(self, other):
+        if other.__class__ is not TransfiniteMap:
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self):
+        return hash((self.segments,))
+
+    def __repr__(self):
+        return "TransfiniteMap(segments=%r)" % (self.segments,)
 
     @staticmethod
     def from_segments(segs, total=None) -> "TransfiniteMap":
@@ -294,17 +303,18 @@ def map_equal(a: TransfiniteMap, b: TransfiniteMap) -> bool:
 # -- skand / coskand values --------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Skand:
+class Skand(Record):
     """A skand, or with `ascending` a coskand: the same finite description,
     nested downward or upward."""
-    start: Ordinal
-    mapping: TransfiniteMap
-    ascending: bool = False
+    __slots__ = ("start", "mapping", "ascending")
 
-    def __post_init__(self):
-        if not self.mapping.total:
+    def __init__(self, start: Ordinal, mapping: TransfiniteMap,
+                 ascending: bool = False):
+        if not mapping.total:
             raise ValueError("a skand has length >= 1")
+        self.start = start
+        self.mapping = mapping
+        self.ascending = ascending
 
     @property
     def length(self) -> Ordinal:
@@ -353,14 +363,14 @@ def restrict(s, from_pos):
     if from_pos.cmp(s.start) < 0 or from_pos.cmp(s.end) >= 0:
         raise OutOfClutchRegion("%s outside [%s, %s)" % (from_pos, s.start,
                                                          s.end))
-    return replace(s, start=from_pos,
-                   mapping=s.mapping.slice_from(from_pos.sub_left(s.start)))
+    return Skand(from_pos, s.mapping.slice_from(from_pos.sub_left(s.start)),
+                 s.ascending)
 
 
 def normalize(s):
     """The canonical representative: clutch region moved to [0, length) and
     the description rewritten to canonical form."""
-    return replace(s, start=OZERO, mapping=normalize_map(s.mapping))
+    return Skand(OZERO, normalize_map(s.mapping), s.ascending)
 
 
 def skand_equal(x: Skand, y: Skand) -> bool:
@@ -613,23 +623,19 @@ def brace_coordinates(s, prefix: int, max_terms: int = 8) -> Coordinates:
 # -- Mirimanoff equations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reflexive:
+class Reflexive(Record):
     """X = {x0, x1, ..., X}."""
-    components: frozenset
+    __slots__ = ("components",)
 
 
-@dataclass(frozen=True)
-class Periodic:
+class Periodic(Record):
     """X = {block0, {block1, { ... {block(n-1), X} ... }}}."""
-    blocks: tuple
+    __slots__ = ("blocks",)
 
 
-@dataclass(frozen=True)
-class Extraordinary:
+class Extraordinary(Record):
     """X = {block0, {block1, {block2, ...}}} with a described prefix."""
-    blocks: tuple
-    prefix_length: int
+    __slots__ = ("blocks", "prefix_length")
 
 
 def solve_mirimanoff(eq) -> Skand:

@@ -33,8 +33,9 @@ w*z0 for a real z0.  The leading monomial that invert and exp multiply
 their series by is folded into power_series: on the lattice path it
 shifts each unpacked exponent and joins the final division.
 
-Number, EpsilonAtom and TruncatedNumber are slotted dataclasses, immutable
-by convention as Fraction is: no frozen guard on each construction.
+Number, EpsilonAtom and TruncatedNumber are plain classes with __slots__,
+immutable by convention as Fraction is: an explicit __init__ stores the
+fields, and nothing stores to them afterwards.
 
 Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
 """
@@ -42,33 +43,45 @@ Dyadic {L|R} games, birthdays and limits of dyadic sequences live here too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, comb, floor, gcd, lcm
 
-from .errors import DivisionByZero, IllFormedGame, NoConvergenceDetected
+from .errors import (DivisionByZero, IllFormedGame, NoConvergenceDetected,
+                     Record)
 from .ordinals import Ordinal
 
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class EpsilonAtom:
     """The epsilon-number with the given Number index, kept atomic.
 
     Its defining normal form is the single term w^(eps_a) * 1, so the atom
     can only ever appear in exponent position.
     """
-    index: "Number"
+    __slots__ = ("index",)
+
+    def __init__(self, index: "Number"):
+        self.index = index
+
+    def __eq__(self, other):
+        if other.__class__ is not EpsilonAtom:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __repr__(self):
         return "eps[%r]" % (self.index,)
 
 
-@dataclass(slots=True)
 class Number:
-    terms: tuple = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()):
+        self.terms = terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -422,7 +435,9 @@ def mul(a: Number, b: Number) -> Number:
     exponents as they are.  So a rational operand r is a scale: it is made
     the shorter operand, its one row multiplies the other's coefficients by
     r, and no exponent is added or merged.  Each coefficient product is
-    made canonical by _q, so two ints multiply as ints."""
+    made canonical by _q, so two ints multiply as ints, and a row whose
+    coefficient is 1 keeps b's coefficients as they are (exp multiplies
+    its series by a monomial w^e*1)."""
     na, nb = len(a.terms), len(b.terms)
     if na > nb or na == nb == 1 and _rational(b) is not None:
         a, b = b, a
@@ -431,31 +446,34 @@ def mul(a: Number, b: Number) -> Number:
     other = b.terms
     rows = []
     for e, c in a.terms:
+        unit = type(c) is int and c == 1
         if type(e) is int and not e:
-            rows.append([(f, _q(c * d)) for f, d in other])
+            rows.append(list(other) if unit else
+                        [(f, _q(c * d)) for f, d in other])
             continue
         rows.append([(e + f if type(e) is type(f) is int else _exp_add(e, f),
-                      _q(c * d)) for f, d in other])
+                      d if unit else _q(c * d)) for f, d in other])
     while len(rows) > 1:
         odd = rows[-1:] if len(rows) % 2 else []
         rows = [_merge(s, t) for s, t in zip(rows[::2], rows[1::2])] + odd
     return Number(tuple(rows[0]))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TruncatedNumber:
+class TruncatedNumber(Record):
     """A normal-form prefix of a possibly non-terminating expansion.
 
     `exact` means nothing was dropped; otherwise `dropped_terms_bound`
     records the series order at which the expansion was cut.
     """
-    value: Number
-    exact: bool
-    dropped_terms_bound: int = 0
+    __slots__ = ("value", "exact", "dropped_terms_bound")
 
-    def __post_init__(self):
-        if self.exact and self.dropped_terms_bound:
+    def __init__(self, value: Number, exact: bool,
+                 dropped_terms_bound: int = 0):
+        if exact and dropped_terms_bound:
             raise ValueError("exact results drop nothing")
+        self.value = value
+        self.exact = exact
+        self.dropped_terms_bound = dropped_terms_bound
 
 
 def power_series(y: Number, coeffs, lead=None) -> Number:

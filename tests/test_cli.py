@@ -422,6 +422,78 @@ def test_an_encoding_under_the_output_budget_still_answers():
     assert len(run_line("skand encode const(a) @ [w,w*16)", O)) == 82025
 
 
+@pytest.mark.parametrize("line", [
+    # nat_code(n) prints 5*2^(n-1) - 1 characters: n = 19 and 20 pass the
+    # 2^n check, and the size fold over the code's DAG refuses them
+    "skand encode const(a) @ [w,w*20)",
+    "skand encode const(a) @ [w,w*21)",
+    # each pair prints at least '(x, y), ', and 131 073 * 8 > 2^20
+    "skand coords const(a) @ [0,w) ;; 131073",
+    "coskand coords const(a) @ [0,w) ;; 1000000000",
+    # one census entry of at least 'w: 1; ' per v in 1..1000000
+    "jumps w^1000000",
+    # halving k prints at least 2^k over 2^(k+1)
+    "leftright 3000",
+], ids=["encode-w*20", "encode-w*21", "coords", "coskand-coords", "jumps",
+        "leftright"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_answer_over_the_output_budget_is_refused_before_it_is_built(
+        tmp_path, capsys, line, as_json):
+    message = "the answer has more than %d characters" % cli.exprs.MAX_OUTPUT
+    script = tmp_path / "big.calc"
+    script.write_text(line + "\n")
+    assert main([str(script)] + ["--json"] * as_json) == 1
+    out = capsys.readouterr()
+    if as_json:
+        assert json.loads(out.out) == {"error": {
+            "kind": "OutputTooLarge", "message": message, "position": None}}
+    else:
+        assert (out.out, out.err) == ("", "error on line 1: %s\n" % message)
+
+
+def test_answers_under_the_output_budget_still_print():
+    # 19 pairs of nat_code(19) text fit; its JSON does not
+    assert len(run_line("skand encode const(a) @ [w,w*19)", O)) == 655465
+    with pytest.raises(CalcError, match="more than"):
+        run_line("skand encode const(a) @ [w,w*19)", OJ)
+    assert len(run_line("skand coords const(a) @ [0,w) ;; 20000", O)) \
+        == 397772
+    # a finite region bounds the pairs whatever the prefix
+    assert run_line("skand coords const({a}) @ [0,5) ;; 100000000", O) \
+        .count("(") == 5
+    assert len(run_line("jumps w^10000", O)) == 157848
+    assert len(run_line("leftright 1800", O)) == 983860
+
+
+@pytest.mark.parametrize("line", [
+    "skand encode cycle({a},b,{}):3;const({}) @ [w,w*4)",
+    "skand encode const(a) @ [w,w*16)",
+    "skand at const({aé,ab,{x𝔸,٣}}) @ [0,w) ;; 2",
+    "coskand toset cycle({a},{}) @ [0,7)",
+    "coskand at const({}) @ [0,w) ;; 3",
+])
+@pytest.mark.parametrize("options", [O, OJ], ids=["text", "json"])
+def test_the_set_term_budget_counts_the_printed_answer_exactly(
+        monkeypatch, line, options):
+    # non-ASCII atoms: json escapes each character as one or two \uXXXX
+    sizes = []
+    monkeypatch.setattr(cli, "_too_large", sizes.append)
+    assert sizes == [] and [len(run_line(line, options))] == sizes
+
+
+def test_a_census_has_one_entry_of_six_characters_per_exponent():
+    # the claim that refuses 'jumps' from the leading exponent alone
+    for text in ("w", "w*3", "w^2", "w^2+w", "w^5*2+w^3+w", "w^9+w^4*7"):
+        lam = parse_ordinal(text)
+        rep = cli.gaps.jump_report(lam)
+        lead = lam.terms[0][0]
+        assert [size for size, _ in rep.census] == \
+            [parse_ordinal("w^%d" % v) for v in range(1, lead + 1)]
+        shown = cli._census(rep)
+        assert len(shown) == lead and all(
+            len("%s: %s; " % kv) >= 6 for kv in shown.items())
+
+
 def test_a_json_answer_with_shared_subterms_dumps_as_by_default():
     # setterm_to_json shares the list of a repeated subterm: a DAG, which
     # run_line dumps without the encoder's cycle markers

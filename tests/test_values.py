@@ -1,11 +1,13 @@
-"""The value types built once per kernel operation are slotted dataclasses,
+"""The value types and the records are plain classes with __slots__,
 immutable by convention as fractions.Fraction is: no instance __dict__,
 == and hash as before, and no store to a field after construction
-anywhere in the library (a static check over its source)."""
+anywhere in the library (a static check over its source).  Importing the
+CLI loads neither dataclasses nor inspect."""
 
 import ast
-import dataclasses
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,11 @@ import omegacalc
 from omegacalc import (EpsilonAtom, Ordinal, Skand, TransfiniteMap,
                        TruncatedNumber, decompose, from_rational,
                        make_skand, parse_number, parse_ordinal)
+from omegacalc.cli import Options
+from omegacalc.errors import Record
 from omegacalc.explog import Decomposition
+from omegacalc.gaps import (AddRamp, DyadicRamp, GapLabel, JumpReport,
+                            jump_report)
 from omegacalc.surreal import Number
 
 o = parse_ordinal
@@ -55,17 +61,53 @@ def test_equality_and_hash_are_unchanged():
     assert x is not y and x == y and hash(x) == hash(y)
 
 
-def test_post_init_checks_still_run():
+def test_construction_checks_still_run():
     with pytest.raises(ValueError, match="length >= 1"):
         Skand(o("0"), TransfiniteMap(()))
     with pytest.raises(ValueError, match="drop nothing"):
         TruncatedNumber(parse_number("w"), True, 8)
 
 
+# -- records ----------------------------------------------------------------
+
+def test_records_compare_hash_and_print_as_values():
+    assert Options() == Options(8, False, 4, False)
+    opts = Options(max_terms=3, json=True)
+    assert (opts.max_terms, opts.json, opts.depth, opts.strict) == \
+        (3, True, 4, False)
+    b = parse_number("w")
+    assert AddRamp(b, 1) == AddRamp(b, 1, o("w"))
+    assert hash(AddRamp(b, 1)) == hash(AddRamp(parse_number("w"), 1))
+    # a tuple would make these equal: the class takes part in ==
+    assert AddRamp(b, 1, o("w")) != DyadicRamp(b, 1) and \
+        DyadicRamp(b, 1) != (b, 1)
+    with pytest.raises(ValueError, match="sign must be"):
+        GapLabel(2, b)
+    assert JumpReport(o("w"), True, True, True).census == ()
+    assert repr(DyadicRamp(b, -1)) == \
+        "DyadicRamp(base=Number<w*1>, direction=-1)"
+    assert repr(Options()) == \
+        "Options(max_terms=8, json=False, depth=4, strict=False)"
+    assert not hasattr(jump_report(o("w^2")), "__dict__")
+    with pytest.raises(ValueError):
+        DyadicRamp(b)
+
+
+def test_importing_the_cli_loads_no_class_generator():
+    src = str(pathlib.Path(omegacalc.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, %r); import omegacalc.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+         % src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # -- the static immutability check -------------------------------------------
 
-FIELDS = {f.name for t in VALUES for f in dataclasses.fields(t)}
-NAMES = {t.__name__ for t in VALUES}
+TYPES = VALUES + tuple(Record.__subclasses__())
+FIELDS = {name for t in TYPES for name in t.__slots__}
+NAMES = {t.__name__ for t in TYPES}
 
 
 def _receivers(fn):
@@ -78,15 +120,25 @@ def _receivers(fn):
 
 
 def _violations(source, where="<source>"):
-    """Every store or delete of a value-type field outside that type's own
-    __post_init__, and every use of object.__setattr__."""
+    """Every store or delete of a field of a value type or record outside
+    that type's own __init__, every use of object.__setattr__, and every
+    call of setattr or delattr outside an __init__ of those types (the
+    Record base stores its fields so)."""
     tree = ast.parse(source)
     allowed = set()
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name in NAMES:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if cls.name in NAMES | {"Record"}:
             for fn in cls.body:
-                if getattr(fn, "name", None) == "__post_init__":
+                if getattr(fn, "name", None) == "__init__":
                     allowed.update(map(id, ast.walk(fn)))
+        else:
+            # another class's methods keep state on their own self (the
+            # parser's depth and max_terms)
+            allowed.update(id(n) for n in ast.walk(cls)
+                           if isinstance(n, ast.Attribute)
+                           and getattr(n.value, "id", None) == "self")
     coords = set()
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -96,6 +148,9 @@ def _violations(source, where="<source>"):
                           and getattr(n.value, "id", None) in names)
     out = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed and \
+                getattr(node.func, "id", None) in ("setattr", "delattr"):
+            out.append("%s:%d %s" % (where, node.lineno, node.func.id))
         if not isinstance(node, ast.Attribute):
             continue
         if node.attr == "__setattr__" and \
@@ -121,6 +176,11 @@ def test_no_value_field_is_stored_after_construction():
     "def f(x):\n    del x.index\n",
     "def f(x):\n    object.__setattr__(x, 'terms', ())\n",
     "class Ordinal:\n    def cmp(self):\n        self.terms = ()\n",
+    "def f(options):\n    options.depth = 0\n",
+    "class P:\n    def f(self, options):\n        options.depth = 0\n",
+    "def f(x):\n    setattr(x, 'terms', ())\n",
+    "class Number:\n    def __init__(self):\n        self.terms = ()\n"
+    "    def cmp(self):\n        self.terms = ()\n",
     # a Coordinates receiver is excused only in the function that built it
     "def f(out):\n    out.exact = False\n",
 ])
