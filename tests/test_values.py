@@ -61,7 +61,8 @@ def test_equality_and_hash_are_unchanged():
     assert x is not y and x == y and hash(x) == hash(y)
 
 
-def test_construction_checks_still_run():
+def test_post_init_checks_still_run():
+    # the checks of the former __post_init__ run in __init__
     with pytest.raises(ValueError, match="length >= 1"):
         Skand(o("0"), TransfiniteMap(()))
     with pytest.raises(ValueError, match="drop nothing"):
@@ -108,6 +109,13 @@ def test_importing_the_cli_loads_no_class_generator():
 TYPES = VALUES + tuple(Record.__subclasses__())
 FIELDS = {name for t in TYPES for name in t.__slots__}
 NAMES = {t.__name__ for t in TYPES}
+
+
+def test_the_check_walks_every_record():
+    assert {"Options", "GapLabel", "OrdinalRamp", "AddRamp", "DyadicRamp",
+            "GeometricRamp", "HarmonicRamp", "ScaledHarmonic", "JumpReport",
+            "OrdinalClass", "Reflexive", "Periodic", "Extraordinary"} \
+        <= NAMES
 
 
 def _receivers(fn):
