@@ -4,7 +4,7 @@ One command per line:  VERB ARGS.  Multi-part arguments are separated by
 ';;'.  Exit codes: 0 ok, 1 domain error, 2 parse error.
 
   eval EXPR | nf EXPR          evaluate a surreal expression
-  cmp EXPR ;; EXPR             LT / EQ / GT
+  cmp EXPR ;; EXPR             LT / EQ / GT, marked when a series was cut
   ord OEXPR                    ordinal arithmetic ('+', '*', '(+)', '(*)')
   gap DESCRIPTOR               e.g. gap add(w, +)   gap dyadic(3, -)
   jumps OEXPR                  jump report for a limit ordinal
@@ -329,6 +329,11 @@ JUMPS = (_jumps_text, _jumps_json)
 LEFTRIGHT = (lambda lists, options: "L: %s\nR: %s" % tuple(
     ", ".join(str(x) for x in xs) for xs in lists), _leftright_json)
 WORD = (lambda v, options: v, _as_result)
+# a cmp verdict and whether both operands were exact: the verdict of a cut
+# operand is marked, and its JSON says "exact": false
+VERDICT = (lambda v, options: _marked(*v),
+           lambda v, options: {"result": v[0]} if v[1] else
+           {"result": v[0], "exact": False})
 FLAG = (lambda v, options: "true" if v else "false", _as_result)
 PERIOD = (lambda n, options: "none" if n is None else str(n), _as_result)
 ORDINAL = _valued(lambda o, options: exprs.render_ordinal(o),
@@ -350,8 +355,9 @@ VERBS = {
     "eval": ((_number,), _same, NUMBER),
     "nf": ((_number,), _same, NUMBER),
     "cmp": ((_number, _number),
-            lambda a, b: ("LT", "EQ", "GT")[nf_cmp(a.value, b.value) + 1],
-            WORD),
+            lambda a, b: (("LT", "EQ", "GT")[nf_cmp(a.value, b.value) + 1],
+                          a.exact and b.exact),
+            VERDICT),
     "ord": ((_ordinal,), _same, ORDINAL),
     "gap": ((_descriptor,), gaps.gap_of, GAP),
     "jumps": ((_ordinal,), _jumps, JUMPS),
@@ -385,6 +391,13 @@ VERBS = {
 _GROUPS = {key.partition(" ")[0] for key in VERBS if " " in key}
 
 
+# one encoder for every answer and error envelope: json.dumps builds a new
+# JSONEncoder on each call whose arguments are not the defaults.  Each
+# to_json tree is built fresh for its answer, so it has no cycle;
+# setterm_to_json's memo shares sub-lists, a DAG.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def run_line(line: str, options: Options) -> str:
     command = line.strip()
     verb, _, rest = command.partition(" ")
@@ -406,10 +419,7 @@ def run_line(line: str, options: Options) -> str:
     try:
         value = fn(*_args(kinds, parts, options, offset))
         if options.json:
-            # each to_json tree is built fresh for its answer, so it has no
-            # cycle; setterm_to_json's memo shares sub-lists, a DAG
-            return json.dumps(to_json(value, options), sort_keys=True,
-                              check_circular=False)
+            return _encode(to_json(value, options))
         return text(value, options)
     except ValueError as exc:
         # str() and json refuse an int longer than the int string limit,
@@ -430,10 +440,9 @@ def _report(exc, options, where="", stream=None) -> int:
     on stdout, in the place of the answer."""
     status = 2 if isinstance(exc, ParseError) else 1
     if options.json:
-        print(json.dumps({"error": {
+        print(_encode({"error": {
             "kind": type(exc).__name__, "message": str(exc),
-            "position": getattr(exc, "position", None)}}, sort_keys=True,
-            check_circular=False))
+            "position": getattr(exc, "position", None)}}))
     else:
         print("%s%s: %s" % ("parse error" if status == 2 else "error", where,
                             exc), file=stream or sys.stderr)

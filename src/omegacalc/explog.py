@@ -9,18 +9,21 @@ a logarithm exists at all).  Both series are truncated after max_terms
 orders and flag exactness; each is one call to surreal.power_series, which
 sums the powers with int coefficients and divides once at the end, and which
 multiplies exp's sum by its exact factor as it builds the output terms.
+The series coefficients 1/n! and +-1/n are reduced already, so they are
+built by surreal._reduced, and the first ones are the int 1.  decompose
+splits x by exponent sign with surreal.split_at_zero, the same split that
+power_series makes of a non-real lead exponent.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .errors import (LeadingCoefficientNotOne, NonPositive, NotInDomain,
                      RealPartNotZero, Record, ZeroInput)
-from .surreal import (MINUS_ONE, OMEGA, Number, TruncatedNumber, add,
-                      exp_as_number, exp_cmp, mul, negate, omega_pow,
-                      power_series, sign)
+from .surreal import (MINUS_ONE, OMEGA, Number, TruncatedNumber, _reduced,
+                      add, exp_as_number, exp_cmp, mul, negate, omega_pow,
+                      power_series, sign, split_at_zero)
 
 
 class Decomposition(Record):
@@ -31,16 +34,8 @@ class Decomposition(Record):
 
 def decompose(x: Number) -> Decomposition:
     """Split by exponent sign: positive / zero / negative."""
-    inf, real, small = [], 0, []
-    for e, c in x.terms:
-        s = exp_cmp(e, 0)
-        if s > 0:
-            inf.append((e, c))
-        elif s == 0:
-            real = c
-        else:
-            small.append((e, c))
-    return Decomposition(Number(tuple(inf)), real, Number(tuple(small)))
+    inf, real, small = split_at_zero(x.terms)
+    return Decomposition(Number(inf), real, Number(small))
 
 
 def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
@@ -57,7 +52,8 @@ def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
     if not d.infinitesimal:
         return TruncatedNumber(factor, True)
     series = power_series(d.infinitesimal,
-                          [Fraction(1, factorial(n)) for n in range(max_terms)],
+                          [_reduced(1, factorial(n)) if n > 1 else 1
+                           for n in range(max_terms)],
                           factor.terms[0])
     return TruncatedNumber(series, False, max_terms)
 
@@ -89,7 +85,8 @@ def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
     if not rest:
         return TruncatedNumber(main, True)
     delta = mul(omega_pow(negate(z0)), rest)
-    series = power_series(delta, [0] + [Fraction((-1) ** (n - 1), n)
+    series = power_series(delta, [0] + [_reduced((-1) ** (n - 1), n)
+                                        if n > 1 else 1
                                         for n in range(1, max_terms + 1)])
     return TruncatedNumber(add(main, series), False, max_terms)
 

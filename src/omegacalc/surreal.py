@@ -22,7 +22,9 @@ variable is an int polynomial, and power_series packs its powers into one
 Python int (Kronecker substitution) whose slots are wide enough for a bound
 on every coefficient.  It does so only when the packing has no more slots
 than the sparse sum can have terms; otherwise, and for non-real exponents,
-the powers go through mul and _merge.
+the powers go through mul and _merge.  A reduced quotient of two ints is
+stored into a Fraction's two slots by _reduced, without the gcd and
+parsing of Fraction's constructor.
 
 A rational operand (one term at exponent 0) is a coefficient scale: mul
 by r is the one row of r's exponent-0 term, and divide by r divides every
@@ -30,8 +32,9 @@ coefficient of the other operand by r (a Fraction or an int, never a
 float), with no exponent sums, no row merge and no inverse.  So a number
 literal's rationals (w^(1/2)*3/2) cost one scale each, and so does ln's
 w*z0 for a real z0.  The leading monomial that invert and exp multiply
-their series by is folded into power_series: on the lattice path it
-shifts each unpacked exponent and joins the final division.
+their series by is folded into power_series: on the lattice path its
+exponent, real or not, is added to each unpacked exponent and its
+coefficient joins the final division, so each output term is built once.
 
 Number, EpsilonAtom and TruncatedNumber are plain classes with __slots__,
 immutable by convention as Fraction is: an explicit __init__ stores the
@@ -52,6 +55,7 @@ from .errors import (DivisionByZero, IllFormedGame, NoConvergenceDetected,
 from .ordinals import Ordinal
 
 LT, EQ, GT = -1, 0, 1
+_new = object.__new__
 
 
 class EpsilonAtom:
@@ -174,12 +178,31 @@ def _rational_of(x):
         _q(x if type(x) is Fraction else Fraction(x))
 
 
+def _reduced(n, d):
+    """The Fraction n/d for coprime ints n and d > 1, built without
+    Fraction.__new__'s parsing and gcd: the two slot stores that Python
+    3.12's Fraction._from_coprime_ints makes.  Fraction has the slots
+    _numerator and _denominator in every CPython from 3.10 on, and a
+    store to any other name would raise; test_surreal checks the result
+    against Fraction(n, d) in value, hash and repr."""
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
 def _div(c, r):
-    """c/r for canonical rationals c and r != 0, canonical.  Two ints give
-    an int when r divides c and one Fraction otherwise; c / r of two ints
-    would be a float, so it is taken only when one of them is a Fraction."""
+    """c/r for canonical rationals c and r != 0, canonical.  Two ints take
+    one gcd, signed as r so that the denominator stays positive: an int
+    when r divides c, and otherwise _reduced of the two quotients, which
+    are coprime with a denominator above 1, so nothing is left for
+    Fraction's constructor to check.  c / r of two ints would be a float,
+    so it is taken only when one of them is a Fraction."""
     if type(c) is int and type(r) is int:
-        return c // r if not c % r else Fraction(c, r)
+        g = gcd(c, r)
+        if r < 0:
+            g = -g
+        return c // r if g == r else _reduced(c // g, r // g)
     return _q(c / r)
 
 
@@ -416,6 +439,22 @@ def _exp_add(e, f):
     return _norm_exp(add(exp_as_number(e), exp_as_number(f)))
 
 
+def split_at_zero(terms) -> tuple:
+    """(hi, mid, lo) for canonical terms: the terms with exponents above
+    0 and below 0 as tuples, and the coefficient at exponent 0 (0 when
+    there is none)."""
+    hi, mid, lo = [], 0, []
+    for e, c in terms:
+        s = exp_cmp(e, 0)
+        if s > 0:
+            hi.append((e, c))
+        elif s == 0:
+            mid = c
+        else:
+            lo.append((e, c))
+    return tuple(hi), mid, tuple(lo)
+
+
 def _rational(x: Number):
     """The coefficient of x when x is a nonzero rational (one term at
     exponent 0), else None."""
@@ -496,11 +535,12 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
     Y as Numbers with mul and merges them; a zero a_n adds nothing there,
     and no power beyond Y^(N-1) is formed.
 
-    On the lattice path a real lead exponent e is added while the slots
-    are unpacked, and r joins the final division, so each output term costs
+    On the lattice path the lead exponent e is added while the slots are
+    unpacked, and r joins the final division, so each output term costs
     one rational for its exponent and one for its coefficient, and an
-    integral one builds no Fraction.  A lead with a non-real exponent, or
-    one on the row path, multiplies the sum with mul.
+    integral one builds no Fraction; a non-real e costs one Number per
+    term more, and no mul.  On the row path the lead multiplies the sum
+    with mul.
     """
     n_terms = len(coeffs)
     if not n_terms:
@@ -513,15 +553,13 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
           for n, a in enumerate(coeffs)]
     q = lcm_a * den ** (n_terms - 1)
     shift, r = lead or (0, 1)
-    fold = type(shift) is int or type(shift) is Fraction
-    acc = _lattice_sum(big_y, ks, shift if fold else 0)
+    acc = _lattice_sum(big_y, ks, shift)
     if acc is None:
-        acc = _row_sum(big_y, ks)
-    elif fold:
-        num, q = r.numerator, q * r.denominator
-        return Number(tuple((e, _div(c * num, q)) for e, c in acc))
-    series = Number(tuple((e, _div(c, q)) for e, c in acc))
-    return series if lead is None else mul(Number((lead,)), series)
+        series = Number(tuple((e, _div(c, q))
+                              for e, c in _row_sum(big_y, ks)))
+        return series if lead is None else mul(Number((lead,)), series)
+    num, q = r.numerator, q * r.denominator
+    return Number(tuple((e, _div(c * num, q)) for e, c in acc))
 
 
 def _row_sum(big_y, ks) -> list:
@@ -539,9 +577,10 @@ def _row_sum(big_y, ks) -> list:
 
 
 def _lattice_sum(big_y, ks, shift):
-    """w^shift * sum k_n * Y^n by Kronecker substitution, as a canonical
-    term list, or None when Y is not on a lattice of negative rationals or
-    the packing would be larger than the sparse sum can be.
+    """w^shift * sum k_n * Y^n by Kronecker substitution, for any canonical
+    exponent shift, as a canonical term list, or None when Y is not on a
+    lattice of negative rationals or the packing would be larger than the
+    sparse sum can be.
 
     Every exponent of Y is a negative rational -(g/L)*p_i, where L is the
     lcm of their denominators, g the gcd of the integers -e_i*L and p_i a
@@ -554,7 +593,11 @@ def _lattice_sum(big_y, ks, shift):
     plus a sign bit, rounded up to whole bytes, so no slot overflows.
     Adding 2^(b-1) to every slot makes each one a non-negative b-bit
     digit, and one to_bytes call unpacks them all; a zero slot is skipped,
-    and slot j's exponent shift - j*g/L is built as one rational.
+    and slot j's exponent shift - j*g/L is built as one rational.  A
+    non-real shift is split once by split_at_zero into its terms above 0,
+    its rational m at 0 and its terms below 0: the rational m - j*g/L is
+    built as for a real shift and set between the two, so each slot's
+    exponent is one Number, which _norm_exp collapses when it is eps_a.
 
     The dense product has (N-1)*p_max + 1 slots, while a sum of N powers of
     a t-term sparse Y has at most C(N+t-1, t) distinct exponents.  When
@@ -584,16 +627,22 @@ def _lattice_sum(big_y, ks, shift):
     half = 1 << (bits - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     raw = (packed + bias).to_bytes(width * slots, "little")
-    # slot j's exponent is (top - j*step) / exp_den
-    exp_den = shift.denominator * step_den
-    top = shift.numerator * step_den
-    step *= shift.denominator
+    te = type(shift)
+    hi, mid, lo = ((), shift, ()) if te is int or te is Fraction else \
+        split_at_zero(exp_as_number(shift).terms)
+    # slot j's exponent is hi + (top - j*step) / exp_den + lo
+    exp_den = mid.denominator * step_den
+    top = mid.numerator * step_den
+    step *= mid.denominator
     out = []
     for j in range(slots):
         c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
         if c:
             out.append((_div(top - j * step, exp_den), c))
-    return out
+    if not (hi or lo):
+        return out
+    return [(_norm_exp(Number(hi + ((0, m),) + lo if m else hi + lo)), c)
+            for m, c in out]
 
 
 def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:

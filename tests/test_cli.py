@@ -42,6 +42,29 @@ def test_cmp():
     assert json.loads(run_line("cmp 0 ;; 1/w", OJ)) == {"result": "LT"}
 
 
+# 1/(1+w^-1) is cut after w^-7 at the default 8 terms, so cmp compares the
+# cut sum; the true difference from SERIES_7 is w^-8 - w^-9 + ..., so GT
+SERIES_7 = "1 - w^-1 + w^-2 - w^-3 + w^-4 - w^-5 + w^-6 - w^-7"
+
+
+@pytest.mark.parametrize("line, verdict", [
+    ("cmp 1/(1+w^-1) ;; " + SERIES_7, "EQ"),
+    ("cmp 1/(1+w^-1) ;; " + SERIES_7 + " + w^-9", "LT"),
+    ("cmp 1 ;; 1/(1+w^-1)", "GT"),
+])
+def test_cmp_of_a_cut_series_is_marked(line, verdict):
+    assert run_line(line, O) == verdict + " (inexact)"
+    assert json.loads(run_line(line, OJ)) == {"result": verdict,
+                                              "exact": False}
+
+
+def test_cmp_of_exact_operands_is_unmarked():
+    # a monomial's inverse and a rational divisor are exact: no mark, and
+    # no "exact" key in the JSON answer
+    assert run_line("cmp 1/w ;; 0", O) == "GT"
+    assert run_line("cmp (w+1)/2 ;; w/2", OJ) == '{"result": "GT"}'
+
+
 def test_ord():
     assert run_line("ord (w+1) (+) (w+1)", O) == "w*2 + 2"
     assert run_line("ord 2 * w", O) == "w"

@@ -615,6 +615,65 @@ def test_lattice_path_divides_out_the_step(monkeypatch):
     assert got.terms == oracle_power_series(y, [1] * 32).terms
 
 
+# -- the lead folded into the unpack ------------------------------------------------
+# On the lattice path, power_series adds its lead's exponent to each slot's
+# exponent as it unpacks it, whatever that exponent is; the oracle multiplies
+# the oracle sum by the lead monomial instead.
+
+
+def _signed_exponents(s):
+    return exponents(1).filter(lambda e: exp_cmp(e, 0) == s)
+
+
+def _terms(exps):
+    return st.lists(st.tuples(exps, RATIONALS.filter(bool)), min_size=1,
+                    max_size=2)
+
+
+@st.composite
+def lead_exponents(draw, y):
+    """A canonical lead exponent of one of six kinds: a rational, an eps
+    atom, a Number with terms only above 0 or only below 0, one with both
+    and a rational part that cancels the exponent of a term of y, and one
+    with a term whose own exponent is a non-real Number."""
+    kind = draw(st.sampled_from(["real", "atom", "hi", "lo", "both",
+                                 "nested"]))
+    if kind == "real":
+        return _norm_exp(draw(RATIONALS))
+    if kind == "atom":
+        return EpsilonAtom(draw(numbers(1)))
+    if kind == "nested":
+        return _norm_exp(naive_from_terms(draw(_terms(
+            exponents(1).filter(lambda e: type(e) is Number)))))
+    hi = draw(_terms(_signed_exponents(1))) if kind != "lo" else []
+    lo = draw(_terms(_signed_exponents(-1))) if kind != "hi" else []
+    mid = [(0, -draw(st.sampled_from(y.terms))[0])] if kind == "both" else []
+    return _norm_exp(naive_from_terms(hi + mid + lo))
+
+
+@st.composite
+def folded_leads(draw):
+    y = draw(lattice_numbers())
+    coeffs = draw(st.lists(SERIES_COEFFS, min_size=1, max_size=6))
+    r = draw(RATIONALS.filter(bool))
+    return y, coeffs, (draw(lead_exponents(y)),
+                       r.numerator if r.denominator == 1 else r)
+
+
+@settings(deadline=None)
+@given(folded_leads())
+@example((n("w^-1"), [1] * 4, (n("1 + w^(-1/2)"), 1)))
+@example((n("w^-1 - w^-2"), [1, 1, Fraction(1, 2)],
+          (n("w^(w^-1) + w^-1"), Fraction(-2, 3))))
+@example((n("w^(-1/2)*3"), [0, 1, 1], (n("eps[0] + 1/2"), 1)))
+def test_folded_lead_matches_oracle(case):
+    y, coeffs, lead = case
+    got = power_series(y, coeffs, lead)
+    want = oracle_mul(Number((lead,)), oracle_power_series(y, coeffs))
+    assert got.terms == want.terms
+    assert_canonical(got)
+
+
 # -- the sparse row merge ---------------------------------------------------------
 # A non-real exponent keeps power_series on the row merge; these twins of the
 # merge and products guards above pin that path's counts at N = 32, so a
@@ -700,12 +759,13 @@ def test_scale_keeps_int_coefficients():
 
 def test_non_real_lead_keeps_the_lattice_path(monkeypatch):
     # the tail peeled off w^w*2 is -w^(-1/2)/2 - w^-1/2, on a lattice: only
-    # the peel and the product with the non-real lead call mul, where the
-    # row merge would add one call per power
+    # the peel calls mul, for the non-real lead w^-w/2 joins each slot's
+    # exponent as it is unpacked, where the row merge would add one call
+    # per power
     x = n("w^(w)*2 + w^(w-1/2) + w^(w-1)")
     calls = counting(monkeypatch, "mul", lambda a, b: 1)
     got = invert(x, 8)
-    assert calls[0] == 2
+    assert calls[0] == 1
     assert got.value.terms == horner_invert(x, 8).terms
 
 
@@ -774,21 +834,60 @@ def test_a_reciprocal_is_a_fraction_not_a_float():
 
 def fraction_constructions(work) -> int:
     """The number of Fractions built while work() runs (Dyadic's included),
-    counted by wrapping Fraction.__new__ and restoring it afterwards."""
+    counted by wrapping Fraction.__new__ and surreal._reduced, which builds
+    a reduced Fraction without it, and restoring both afterwards."""
     saved = Fraction.__dict__["__new__"]
     inner = saved.__func__
+    reduced = surreal._reduced
     count = [0]
 
     def counted(cls, *args, **kwargs):
         count[0] += 1
         return inner(cls, *args, **kwargs)
 
+    def counted_reduced(num, den):
+        count[0] += 1
+        return reduced(num, den)
+
     Fraction.__new__ = staticmethod(counted)
+    surreal._reduced = explog._reduced = counted_reduced
     try:
         work()
     finally:
         Fraction.__new__ = saved
+        surreal._reduced = explog._reduced = reduced
     return count[0]
+
+
+def test_fraction_constructions_counts_reduced_ones():
+    from omegacalc.cli import Options, run_line
+    # exp(w^-1) to four terms builds the coefficients 1/2 and 1/6 and the
+    # output terms w^-2/2 and w^-3/6, all four by _reduced
+    assert fraction_constructions(
+        lambda: run_line("eval exp(w^-1)", Options(max_terms=4))) == 4
+
+
+INTS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.integers(-10 ** 200, 10 ** 200))
+
+
+@settings(deadline=None)
+@given(INTS, INTS.filter(bool), INTS.filter(bool))
+@example(0, -7, 1)
+@example(6, -4, 1)
+@example(-10 ** 199, 10 ** 200, -3)
+def test_div_builds_what_fraction_builds(c, r, k):
+    # _div stores a reduced Fraction's two slots itself; every pair is
+    # checked plain, scaled by a common factor k and made divisible
+    for a, b in ((c, r), (c * k, r * k), (c * r, r)):
+        got, want = surreal._div(a, b), Fraction(a, b)
+        assert type(got) is (int if a % b == 0 else Fraction)
+        assert got == want and hash(got) == hash(want)
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        assert repr(got) == repr(want if type(got) is Fraction
+                                 else want.numerator)
+        assert got + Fraction(1, 3) == want + Fraction(1, 3)
 
 
 def test_integral_literals_build_no_fraction():
