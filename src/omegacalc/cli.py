@@ -21,8 +21,10 @@ function, result kind).  An argument kind parses one ';;'-separated argument
 or raises ParseError; kinds ending in `...` take one or more arguments of
 one kind.  The function maps the arguments to a value.  A result kind is a
 pair (text renderer, JSON renderer) of functions of (value, options), and
-run_line calls exactly one of the two.  Under --json every answer is one
-JSON object, and every error is {"error": {"kind", "message", "position"}}.
+run_line calls exactly one of the two, and refuses with OutputTooLarge any
+rendered answer longer than exprs.MAX_OUTPUT: one exit check for every row.
+Under --json every answer is one JSON object, and every error is
+{"error": {"kind", "message", "position"}}.
 A ParseError's position is a character index into the input line, also
 inside a ';;'-separated argument, a gap descriptor or an equation.
 """
@@ -111,34 +113,34 @@ def _coords_prefix(text, options):
     return _PREFIX(text, options), options.max_terms
 
 
-def _too_large(size):
-    """Refuse an answer that is known, before it is built, to print at
-    least `size` characters, when that is over exprs.MAX_OUTPUT."""
-    if size > exprs.MAX_OUTPUT:
-        raise OutputTooLarge("the answer has more than %d characters"
-                             % exprs.MAX_OUTPUT)
-
+# The cost guards of _coords, _jumps and _leftright: each refuses a build
+# whose answer a lower bound on its length already puts over
+# exprs.MAX_OUTPUT, such as jumps w^100000000.  They do not decide the
+# answer's size; run_line measures the rendered answer.
 
 def _coords(s, prefix):
-    """The brace coordinates for prefix = (count, max_terms): each of the
-    min(count, length) pairs prints at least 8 characters, '(x, y), '."""
+    """The brace coordinates for prefix = (count, max_terms).  Cost guard:
+    each of the min(count, length) pairs prints at least 8 characters,
+    '(x, y), '."""
     count, length = prefix[0], s.length
-    _too_large(8 * (min(count, length.as_int()) if length.is_finite()
-                    else count))
+    if 8 * (min(count, length.as_int()) if length.is_finite() else count) \
+            > exprs.MAX_OUTPUT:
+        raise exprs.too_large()
     return skands.brace_coordinates(s, *prefix)
 
 
 def _jumps(lam):
-    """The jump report of lam.  Its census has one entry per v in
-    1..(leading exponent), each of at least 6 characters ('w: 1; ')."""
-    if lam.is_limit() and type(lam.terms[0][0]) is int:
-        _too_large(6 * lam.terms[0][0])
+    """The jump report of lam.  Cost guard: its census has one entry per v
+    in 1..(leading exponent), each of at least 6 characters ('w: 1; ')."""
+    if lam.is_limit() and type(lam.terms[0][0]) is int \
+            and 6 * lam.terms[0][0] > exprs.MAX_OUTPUT:
+        raise exprs.too_large()
     return gaps.jump_report(lam)
 
 
 def _leftright(steps):
-    """The left-right construction.  Halving k prints a dyadic with a
-    numerator of at least 2^k over 2^(k+1), together more than
+    """The left-right construction.  Cost guard: halving k prints a dyadic
+    with a numerator of at least 2^k over 2^(k+1), together more than
     (2k+1)*log10(2) + 1 digits and slash, so the n+1 halvings of n steps
     print more than (n+1)*((n+1)*log10(2) + 1) characters.  When the last
     denominator, 2^(n+1), is past the int string limit, that is the
@@ -146,7 +148,9 @@ def _leftright(steps):
     limit = sys.get_int_max_str_digits()
     if limit and steps + 1 >= (10 ** limit).bit_length():
         raise _long_integer()
-    _too_large((steps + 1) * (30102 * (steps + 1) + 100000) // 100000)
+    if (steps + 1) * (30102 * (steps + 1) + 100000) // 100000 \
+            > exprs.MAX_OUTPUT:
+        raise exprs.too_large()
     return gaps.left_right_construct(steps)
 
 
@@ -310,14 +314,6 @@ def _coords_text(pairs, options):
                                       for lo, hi in pairs), pairs.exact)
 
 
-def _setterm_text(t, options):
-    """render_setterm(t), refused first when the printed answer, the text
-    or under --json {"text": ..., "value": ...}, is over the budget."""
-    _too_large(exprs.setterm_size(t, options.json)
-               + (len('{"text": "", "value": }') if options.json else 0))
-    return exprs.render_setterm(t)
-
-
 NUMBER = (_number_text,
           lambda t, options: {"value": exprs.number_to_json(t.value),
                               "exact": t.exact})
@@ -338,7 +334,8 @@ FLAG = (lambda v, options: "true" if v else "false", _as_result)
 PERIOD = (lambda n, options: "none" if n is None else str(n), _as_result)
 ORDINAL = _valued(lambda o, options: exprs.render_ordinal(o),
                   exprs.ordinal_to_json)
-SETTERM = _valued(_setterm_text, exprs.setterm_to_json)
+SETTERM = _valued(lambda t, options: exprs.render_setterm(t),
+                  exprs.setterm_to_json)
 BRACES = _valued(_braces, exprs.skand_to_json)
 NORMAL = _valued(_normal_text, exprs.skand_to_json)
 COORDS = (_coords_text, lambda pairs, options: {
@@ -418,9 +415,11 @@ def run_line(line: str, options: Options) -> str:
     offset = len(line) - len(line.lstrip()) + len(command) - len(rest)
     try:
         value = fn(*_args(kinds, parts, options, offset))
-        if options.json:
-            return _encode(to_json(value, options))
-        return text(value, options)
+        out = _encode(to_json(value, options)) if options.json \
+            else text(value, options)
+        if len(out) > exprs.MAX_OUTPUT:
+            raise exprs.too_large()
+        return out
     except ValueError as exc:
         # str() and json refuse an int longer than the int string limit,
         # in the answer or in an error message built on the way to it

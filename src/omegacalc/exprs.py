@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .errors import ParseError, PrefixTooLarge
+from .errors import OutputTooLarge, ParseError, PrefixTooLarge
 from .ordinals import OMEGA, ONE, Ordinal, _ecmp, _exp
 from .ordinals import ZERO as OZERO
 from .surreal import (OMEGA as NOMEGA, Dyadic, EpsilonAtom, Number,
@@ -126,10 +126,17 @@ def _scan(text):
 # and nested.  So this keeps well inside the default recursion limit of 1000.
 MAX_DEPTH = 100
 
-# Most characters an answer may print.  An answer whose size is known in
-# advance to exceed it is refused with OutputTooLarge before it is built.
-# The longest answer on the benchmark's workloads has 1 169 characters.
+# Most characters an answer may print.  cli.run_line measures every
+# rendered answer, text or JSON, against it; the set-term fold refuses the
+# first node whose text is longer.  The longest answer on the benchmark's
+# workloads has 1 169 characters.
 MAX_OUTPUT = 1 << 20
+
+
+def too_large():
+    """The one refusal of an answer over MAX_OUTPUT characters."""
+    return OutputTooLarge("the answer has more than %d characters"
+                          % MAX_OUTPUT)
 
 
 class _Parser:
@@ -521,44 +528,17 @@ def _fold_setterm(t, fset, memo):
 
 
 def _braced(texts):
-    return "{%s}" % ",".join(texts)
+    """A set's text, refused over the budget: the text of a node is a
+    substring of every answer that holds it, so a large DAG's render stops
+    at its first node over MAX_OUTPUT."""
+    text = "{%s}" % ",".join(texts)
+    if len(text) > MAX_OUTPUT:
+        raise too_large()
+    return text
 
 
 def render_setterm(t) -> str:
     return _fold_setterm(t, _braced, {})[1]
-
-
-def _atom_size(a, as_json):
-    """An atom prints its name; a JSON answer prints it twice, quoted, with
-    each non-ASCII character escaped as one or two \\uXXXX."""
-    if not as_json:
-        return len(a)
-    return 2 + 2 * (len(a) if a.isascii() else sum(
-        1 if c < "\x80" else 6 if c <= "\uffff" else 12 for c in a))
-
-
-def setterm_size(t, as_json=False, memo=None) -> int:
-    """The characters of render_setterm(t), or with as_json those of that
-    text as a JSON string and of json.dumps(setterm_to_json(t)) together,
-    read off the term without building either.  A set prints its brackets
-    and a separator between elements (',' in text, ', ' in JSON) around its
-    elements.  Memoised by id, as _fold_setterm is, so the cost is the
-    DAG's size, not the tree's."""
-    if type(t) is str:
-        return _atom_size(t, as_json)
-    if memo is None:
-        memo = {}
-    seps = len(t) - 1 if t else 0
-    total = 4 + 3 * seps if as_json else 2 + seps
-    for e in t:
-        if type(e) is str:
-            total += _atom_size(e, as_json)
-        else:
-            got = memo.get(id(e))
-            if got is None:
-                got = memo[id(e)] = setterm_size(e, as_json, memo)
-            total += got
-    return total
 
 
 def parse_setterm(text):

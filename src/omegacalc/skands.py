@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import InfiniteLength, InvalidPeriod, NotASet, \
-    OutOfClutchRegion, OutputTooLarge, Record
+    OutOfClutchRegion, Record
 from .ordinals import OMEGA, ONE as OONE, ZERO as OZERO, Ordinal, \
     classify_ordinal, divmod_omega_pow
 from .surreal import from_ordinal, from_rational, invert, negate
@@ -535,16 +535,17 @@ def encode_skand(s: Skand) -> Fset:
     equal codes.
 
     nat_code(n) holds 2^(n-1) empty sets, so any text or JSON form of a code
-    that contains it has at least 2^n characters.  A code whose largest
-    natural n has 2^n > exprs.MAX_OUTPUT is refused before it is built."""
-    from .exprs import MAX_OUTPUT
+    that contains it has at least 2^n characters.  A cost guard refuses,
+    before any set is built, a code whose largest natural n has
+    2^n > exprs.MAX_OUTPUT; the answer's own size is measured where it is
+    rendered."""
+    from .exprs import MAX_OUTPUT, too_large
     n = normalize(s)
     segs = list(zip(n.mapping.boundaries(), n.mapping.segments))
     top = max(max(_largest_natural(off), _largest_natural(length),
                   len(pat) - 1) for off, (length, pat) in segs)
     if top >= MAX_OUTPUT.bit_length():
-        raise OutputTooLarge("the encoding has more than %d characters"
-                             % MAX_OUTPUT)
+        raise too_large()
     return Fset(kpair(_pattern_code(pat),
                       kpair(ordinal_code(off), ordinal_code(length)))
                 for off, (length, pat) in segs)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from omegacalc import cli, number_from_json, parse_number, parse_ordinal
 from omegacalc.cli import Options, main, run_line, run_script
-from omegacalc.errors import CalcError, ParseError
+from omegacalc.errors import CalcError, OutputTooLarge, ParseError
 from omegacalc.exprs import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -428,7 +428,7 @@ def test_an_encoding_over_the_output_budget_is_a_calc_error(
         tmp_path, capsys, line, as_json):
     # nat_code(n) prints at least 2^n characters, so the size is known
     # before any set term is built
-    message = "the encoding has more than %d characters" \
+    message = "the answer has more than %d characters" \
         % cli.exprs.MAX_OUTPUT
     script = tmp_path / "big.calc"
     script.write_text(line + "\n")
@@ -488,6 +488,18 @@ def test_answers_under_the_output_budget_still_print():
     assert len(run_line("leftright 1800", O)) == 983860
 
 
+def _check_the_budget_is_exact(monkeypatch, line, options):
+    """`line` prints the same answer at a budget of its own length, and is
+    refused one character below it."""
+    answer = run_line(line, options)
+    monkeypatch.setattr(cli.exprs, "MAX_OUTPUT", len(answer))
+    assert run_line(line, options) == answer
+    monkeypatch.setattr(cli.exprs, "MAX_OUTPUT", len(answer) - 1)
+    with pytest.raises(OutputTooLarge, match="^the answer has more than "
+                       "%d characters$" % (len(answer) - 1)):
+        run_line(line, options)
+
+
 @pytest.mark.parametrize("line", [
     "skand encode cycle({a},b,{}):3;const({}) @ [w,w*4)",
     "skand encode const(a) @ [w,w*16)",
@@ -498,10 +510,35 @@ def test_answers_under_the_output_budget_still_print():
 @pytest.mark.parametrize("options", [O, OJ], ids=["text", "json"])
 def test_the_set_term_budget_counts_the_printed_answer_exactly(
         monkeypatch, line, options):
-    # non-ASCII atoms: json escapes each character as one or two \uXXXX
-    sizes = []
-    monkeypatch.setattr(cli, "_too_large", sizes.append)
-    assert sizes == [] and [len(run_line(line, options))] == sizes
+    # shared subterms, and non-ASCII atoms, which json escapes as \uXXXX
+    _check_the_budget_is_exact(monkeypatch, line, options)
+
+
+@pytest.mark.parametrize("line", [
+    # 1 897 characters in text, 6 590 in JSON: 125 pairs pass 8 * 125
+    "skand coords const(a) @ [0,w) ;; 125",
+    # 2 170 / 2 871: 166 census entries pass 6 * 166
+    "jumps w^166",
+    # 1 148 / 1 289: 55 dyadics pass the digit bound
+    "leftright 54",
+    # 1 117 / 4 316: normalize has no guard
+    "skand normalize cycle(a,b):100;const(c) @ [0,w)",
+], ids=["coords", "jumps", "leftright", "normalize"])
+@pytest.mark.parametrize("options", [O, OJ], ids=["text", "json"])
+def test_an_answer_that_passes_the_cost_guards_is_refused_when_written(
+        monkeypatch, line, options):
+    assert len(run_line(line, options)) > 1000
+    monkeypatch.setattr(cli.exprs, "MAX_OUTPUT", 1000)
+    with pytest.raises(OutputTooLarge, match="more than 1000 characters"):
+        run_line(line, options)
+
+
+@pytest.mark.parametrize("options", [O, OJ], ids=["text", "json"])
+def test_a_normalize_answer_over_the_output_budget_is_refused(options):
+    # 1 100 017 characters in text
+    with pytest.raises(OutputTooLarge, match="the answer has more than"):
+        run_line("skand normalize cycle(a,b):100000;const(c) @ [0,w)",
+                 options)
 
 
 def test_a_census_has_one_entry_of_six_characters_per_exponent():
@@ -634,6 +671,12 @@ def test_every_example_answers_in_text_and_json():
         assert isinstance(data, dict), key
         # the formerly text-only forms carry their text line verbatim
         assert data.get("text", text) == text, key
+
+
+@pytest.mark.parametrize("key", sorted(EXAMPLES))
+@pytest.mark.parametrize("options", [O, OJ], ids=["text", "json"])
+def test_the_output_budget_is_exact_on_every_verb(monkeypatch, key, options):
+    _check_the_budget_is_exact(monkeypatch, EXAMPLES[key], options)
 
 
 @st.composite
