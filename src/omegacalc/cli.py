@@ -144,9 +144,11 @@ def _leftright(steps):
     (2k+1)*log10(2) + 1 digits and slash, so the n+1 halvings of n steps
     print more than (n+1)*((n+1)*log10(2) + 1) characters.  When the last
     denominator, 2^(n+1), is past the int string limit, that is the
-    refusal str() would give."""
+    refusal str() would give; below 3*limit bits it cannot be, as
+    log2(10) > 3, so 10^limit is built only past that."""
     limit = sys.get_int_max_str_digits()
-    if limit and steps + 1 >= (10 ** limit).bit_length():
+    if limit and steps + 1 > 3 * limit \
+            and steps + 1 >= (10 ** limit).bit_length():
         raise _long_integer()
     if (steps + 1) * (30102 * (steps + 1) + 100000) // 100000 \
             > exprs.MAX_OUTPUT:

@@ -31,18 +31,18 @@ A text is scanned once, by one findall over the token table _TOKENS, and
 kinds are read off the token texts.  Only a Unicode alias runs the
 positional scan, built from the same table, over the whole text; an error
 runs it only up to the failing token.  Both expression grammars are read
-by one precedence-climbing loop, _infix, over a table per sort (_ORDINAL,
-_NUMBER) that maps each operator token to the operation behind it; each
-operator token is read once, by indexing the token list.  Ordinal + joins
-a literal in Cantor normal form (w^2*3 + w + 4) term by term and takes
-ordinal + only where a term is out of order, and a finite factor (w^2*3)
-scales a leading coefficient inside Ordinal.__mul__.  A number expression
-evaluates to plain Numbers: w, w^n and integers are built as their one
-term, and a literal's rationals
-(w^(1/2)*3/2) cost a coefficient scale each, since surreal.mul and
-surreal.divide treat a rational operand as one.  Exactness is one count
-per parse of the series that divide, exp and ln cut; parse_number_expr
-wraps the value and that count in the parse's one TruncatedNumber.
+by one precedence-climbing loop, _infix, over an (outer, inner) pair of
+operator tables per sort (_ORDINAL, _NUMBER): one Python frame reads both
+levels, and a bracket, whose depth it counts, by recursion.  Ordinal +
+joins a literal in Cantor normal form (w^2*3 + w + 4) term by term and
+takes ordinal + only where a term is out of order, and a finite factor
+(w^2*3) scales a leading coefficient inside Ordinal.__mul__.  A number
+expression evaluates to plain Numbers: w, w^n and integers are built as
+their one term, and a literal's rationals (w^(1/2)*3/2) cost a coefficient
+scale each, since surreal.mul and surreal.divide treat a rational operand
+as one.  Exactness is one count per parse of the series that divide, exp
+and ln cut; parse_number_expr wraps the value and that count in the
+parse's one TruncatedNumber.
 
 Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 """
@@ -66,10 +66,11 @@ from . import explog
 from . import skands as sk
 
 # The token alternatives, tried in this order.  tokenize and _scan are both
-# built from this one table, so they split every text alike.
-_TOKENS = (("ws", r"\s+"), ("ellipsis", r"\.\.\."), ("natadd", r"\(\+\)"),
-           ("natmul", r"\(\*\)"), ("int", r"\d+"), ("name", r"[A-Za-z_]\w*"),
-           ("sym", r"[()\[\]{}|,;:@^*/+\-]"))
+# built from this one table, so they split every text alike.  The commonest,
+# one-character symbols, go first; a '(' that opens '(+)' or '(*)' does not.
+_TOKENS = (("sym", r"[)\[\]{}|,;:@^*/+\-]|\((?![+*]\))"), ("ws", r"\s+"),
+           ("ellipsis", r"\.\.\."), ("natadd", r"\(\+\)"),
+           ("natmul", r"\(\*\)"), ("int", r"\d+"), ("name", r"[A-Za-z_]\w*"))
 _TOKEN = re.compile("|".join("(?P<%s>%s)" % kp for kp in _TOKENS)
                     + "|(?P<bad>.)", re.DOTALL)
 _TEXTS = re.compile("|".join(pattern for kind, pattern in _TOKENS
@@ -121,10 +122,10 @@ def _scan(text):
 
 
 # Deepest bracket or exponent nesting a parser accepts.  Each level costs at
-# most seven Python frames: a number nested through -w^(...) or -{...|}
-# passes _infix twice, _nfact twice, _nexponent or _game_side, _exact_nexpr
-# and nested.  So this keeps well inside the default recursion limit of 1000.
+# most four Python frames (a game after a minus, -{...|}, passes _infix,
+# _nfact twice and _game_side), well inside the recursion limit of 1000.
 MAX_DEPTH = 100
+_TOO_DEEP = "nested more than %d deep" % MAX_DEPTH
 
 # Most characters an answer may print.  cli.run_line measures every
 # rendered answer, text or JSON, against it; the set-term fold refuses the
@@ -148,7 +149,7 @@ class _Parser:
         self.text = text
         self.tokens = _scan(text)
         self.i = 0
-        self.depth = 0
+        self.nest = 0   # _infix calls, w^w links and set-term elements open
         self.max_terms = max_terms   # where a number expression cuts series
         self.cuts = 0   # series cut so far by a number expression
 
@@ -158,8 +159,7 @@ class _Parser:
                       % (value, self.tokens[self.i] or "end"))
         self.i += 1
 
-    # at and accept index the token list themselves; the expression loops,
-    # which test several operators per turn, read the token once instead
+    # _infix, which tests several operators per token, reads it once itself
     def at(self, value):
         return self.tokens[self.i] == value
 
@@ -168,9 +168,6 @@ class _Parser:
             self.i += 1
             return True
         return False
-
-    def done(self):
-        return not self.tokens[self.i]
 
     def whole(self, value):
         """`value`, once no input trails it."""
@@ -207,42 +204,46 @@ class _Parser:
             self.cuts += 1
         return t.value
 
-    def nested(self, parse, *args):
-        """parse(self, *args) one nesting level deeper; every recursive
-        descent goes through here, so the depth is bounded in one place."""
-        if self.depth >= MAX_DEPTH:
-            self.fail("nested more than %d deep" % MAX_DEPTH)
-        self.depth += 1
-        value = parse(self, *args)
-        self.depth -= 1
-        return value
-
 
 # -- the precedence core ------------------------------------------------------
 #
-# A sort of expression is its precedence levels, loosest first, as a chain
-# of pairs (level, the levels inside it), which ends in None.  A level maps
-# each of its operator tokens to a row, a function of (parser, left, right),
-# and the operands of the innermost level are read by the sort's primary
-# reader.  Every operator is left-associative.  A row calls the kernel
-# through a module global (add, mul, ...) or a class operator, never through
-# a function object stored in the table, so that wrapping either (as
-# bench/tracing.py does) reaches every operator.
+# A sort of expression is its two precedence levels, a pair (outer, inner)
+# of tables that map each operator token to a row, a function of (parser,
+# left, right).  An operand is a bracketed expression of the sort, or else
+# is read by the sort's primary reader.  Every operator is left-associative.
+# A row calls the kernel through a module global (add, mul, ...) or a class
+# operator, never through a function object stored in the table, so that
+# wrapping either (as bench/tracing.py does) reaches every operator.
 
-def _infix(p, levels, primary):
-    """The value of one expression of the sort `levels`, read by precedence
-    climbing: one loop and one Python frame per level, as a hand-written
-    descent takes."""
-    ops, inner = levels
+def _infix(p, sort, primary):
+    """One expression of `sort`: `value` is the inner level's value so far,
+    joined to `left` by the pending outer row once the inner level ends.  A
+    bracket recurses, so it costs one frame; the outermost call counts too."""
+    if p.nest > MAX_DEPTH:
+        p.fail(_TOO_DEEP)
+    p.nest += 1
+    outer, inner = sort
     tokens = p.tokens
-    value = _infix(p, inner, primary) if inner else primary(p)
+    orow = irow = None
     while True:
-        row = ops.get(tokens[p.i])
-        if row is None:
-            return value
+        if tokens[p.i] == "(":
+            p.i += 1
+            right = _infix(p, sort, primary)
+            p.expect(")")
+        else:
+            right = primary(p)
+        value = right if irow is None else irow(p, value, right)
+        text = tokens[p.i]
+        irow = inner.get(text)
+        if irow is None:
+            if orow is not None:
+                value = orow(p, left, value)
+            orow = outer.get(text)
+            if orow is None:
+                p.nest -= 1
+                return value
+            left = value
         p.i += 1
-        value = row(p, value, _infix(p, inner, primary) if inner
-                    else primary(p))
 
 
 # -- ordinal expressions ----------------------------------------------------
@@ -258,8 +259,8 @@ def _plus(a: Ordinal, b: Ordinal) -> Ordinal:
 
 _ORDINAL = ({"+": lambda p, a, b: _plus(a, b),
              "(+)": lambda p, a, b: a.nat_add(b)},
-            ({"*": lambda p, a, b: a * b,
-              "(*)": lambda p, a, b: a.nat_mul(b)}, None))
+            {"*": lambda p, a, b: a * b,
+             "(*)": lambda p, a, b: a.nat_mul(b)})
 
 
 def parse_ordinal(text) -> Ordinal:
@@ -273,14 +274,18 @@ def _ofact(p) -> Ordinal:
         if p.accept("^"):
             n = p.tokens[p.i]
             if p.accept("("):
-                e = p.nested(_infix, _ORDINAL, _ofact)
+                e = _infix(p, _ORDINAL, _ofact)
                 p.expect(")")
             elif n.isdigit():
                 e = int(n)
                 p.i += 1
                 return Ordinal(((e, 1),))
-            elif p.at("w"):
-                e = p.nested(_ofact)
+            elif n == "w":
+                if p.nest > MAX_DEPTH:
+                    p.fail(_TOO_DEEP)
+                p.nest += 1
+                e = _ofact(p)
+                p.nest -= 1
             else:
                 p.fail("expected an ordinal exponent")
             return Ordinal.omega_pow(e)
@@ -289,11 +294,6 @@ def _ofact(p) -> Ordinal:
         n = int(text)
         p.i += 1
         return Ordinal(((0, n),)) if n else OZERO
-    if text == "(":
-        p.i += 1
-        value = p.nested(_infix, _ORDINAL, _ofact)
-        p.expect(")")
-        return value
     p.fail("expected an ordinal")
 
 
@@ -364,32 +364,57 @@ def parse_number(text) -> Number:
 
 _NUMBER = ({"+": lambda p, a, b: add(a, b),
             "-": lambda p, a, b: add(a, negate(b))},
-           ({"*": lambda p, a, b: mul(a, b),
-             "/": lambda p, a, b: p.cut(divide(a, b, p.max_terms))}, None))
+           {"*": lambda p, a, b: mul(a, b),
+            "/": lambda p, a, b: p.cut(divide(a, b, p.max_terms))})
 
 
 def _nfact(p) -> Number:
-    """A primary, after a run of unary minus signs."""
+    """A primary, after a run of unary minus signs (_infix reads any other
+    bracketed operand).  A series was cut inside an exact place (an epsilon
+    index, a bracketed exponent, a game member) if p.cuts changed across it."""
     i, text = p.i, p.tokens[p.i]
     if text == "-":
         neg = False
         while p.tokens[p.i] == "-":
             p.i += 1
             neg = not neg
-        value = _nfact(p)   # one frame: the next token is not a '-'
+        if p.accept("("):
+            value = _infix(p, _NUMBER, _nfact)
+            p.expect(")")
+        else:
+            value = _nfact(p)   # one frame: the next token is not a '-'
         return negate(value) if neg else value
     if text == "w":
         p.i += 1
-        return _nexponent(p) if p.accept("^") else NOMEGA
+        if not p.accept("^"):
+            return NOMEGA
+        if p.accept("("):
+            cuts = p.cuts
+            e = _infix(p, _NUMBER, _nfact)
+            p.expect(")")
+            if p.cuts != cuts:
+                p.fail("exponent must be exact", i + 2)
+            return omega_pow(e)
+        neg = p.accept("-")
+        n = p.tokens[p.i]
+        if not n.isdigit():
+            p.fail("expected an exponent")
+        n = int(n)
+        p.i += 1
+        return Number(((-n if neg else n, 1),))
     if text == "eps":
         p.i += 1
         p.expect("[")
-        return epsilon(_exact_nexpr(p, "]", "epsilon index must be exact",
-                                    i))
+        cuts = p.cuts
+        index = _infix(p, _NUMBER, _nfact)
+        p.expect("]")
+        if p.cuts != cuts:
+            p.fail("epsilon index must be exact", i)
+        return epsilon(index)
     if text in ("exp", "ln"):
         p.i += 1
         p.expect("(")
-        arg = p.nested(_infix, _NUMBER, _nfact)
+        arg = _infix(p, _NUMBER, _nfact)
         p.expect(")")
         return p.cut((explog.exp if text == "exp" else explog.ln)(
             arg, p.max_terms))
@@ -397,11 +422,6 @@ def _nfact(p) -> Number:
         n = int(text)
         p.i += 1
         return Number(((0, n),) if n else ())
-    if text == "(":
-        p.i += 1
-        value = p.nested(_infix, _NUMBER, _nfact)
-        p.expect(")")
-        return value
     if text == "{":
         p.i += 1
         left = _game_side(p, "|")
@@ -412,39 +432,15 @@ def _nfact(p) -> Number:
     p.fail("expected a number")
 
 
-def _exact_nexpr(p, close, msg, at=None) -> Number:
-    """A nested number expression, then the token `close` if one is given,
-    for a place that needs an exact value: if a series was cut inside it,
-    fail with `msg` at token `at` (by default the next unread one)."""
-    cuts = p.cuts
-    value = p.nested(_infix, _NUMBER, _nfact)
-    if close:
-        p.expect(close)
-    if p.cuts != cuts:
-        p.fail(msg, at)
-    return value
-
-
-def _nexponent(p) -> Number:
-    """The monomial w^xp, after its '^'."""
-    i = p.i
-    if p.accept("("):
-        return omega_pow(_exact_nexpr(p, ")", "exponent must be exact", i))
-    neg = p.accept("-")
-    n = p.tokens[p.i]
-    if not n.isdigit():
-        p.fail("expected an exponent")
-    n = int(n)
-    p.i += 1
-    return Number(((-n if neg else n, 1),))
-
-
 def _game_side(p, stop):
     side = []
     if p.at(stop):
         return side
     while True:
-        q = _exact_nexpr(p, None, "game members must be exact")
+        cuts = p.cuts
+        q = _infix(p, _NUMBER, _nfact)
+        if p.cuts != cuts:
+            p.fail("game members must be exact")
         r = _rational(q) if q else 0
         try:
             if r is None:
@@ -577,7 +573,11 @@ def _setterm(p, layers=None):
     if not p.at("}"):
         while True:
             inner = None if layers is None else []
-            elems.append(p.nested(_setterm, inner))
+            if p.nest >= MAX_DEPTH:   # a set term is in no expression
+                p.fail(_TOO_DEEP)
+            p.nest += 1
+            elems.append(_setterm(p, inner))
+            p.nest -= 1
             if not p.accept(","):
                 break
             if inner and inner[-1][0] is None:
@@ -685,7 +685,7 @@ def _skand(p):
     layers = []
     _setterm(p, layers)
     tail = layers.pop()[1] if layers[-1][0] is None else False
-    if p.done():
+    if not p.tokens[p.i]:
         # bare braces: a finite coskand, innermost layer first (greedy)
         if tail is not False:
             p.fail("a bare-brace coskand cannot contain '...'")

@@ -324,15 +324,18 @@ def test_golden_script(capsys):
 
 
 def test_repl_pipe():
-    import subprocess
-    import sys
+    # the child imports the omegacalc this process imported, wherever
+    # that is on the path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(pathlib.Path(cli.__file__).parents[1]),
+        os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-m", "omegacalc.cli"],
+        [sys.executable, "-m", "omegacalc.cli"], env=env,
         input="nf w + 1\nquit\n", text=True, capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "w*1 + 1"
     proc = subprocess.run(
-        [sys.executable, "-m", "omegacalc.cli"],
+        [sys.executable, "-m", "omegacalc.cli"], env=env,
         input="eval 1/0\nnf 3\n", text=True, capture_output=True)
     assert proc.returncode == 0
     assert "error" in proc.stdout and "3" in proc.stdout
@@ -415,6 +418,22 @@ def test_an_answer_with_an_over_long_integer_is_a_calc_error(
             "kind": "OutputTooLarge", "message": message, "position": None}}
     else:
         assert (out.out, out.err) == ("", "error on line 1: %s\n" % message)
+
+
+def test_leftright_refuses_a_long_denominator_at_the_exact_step():
+    # 2^2127 is the first power of two over 640 digits: n steps end on the
+    # denominator 2^(n+1), so 2126 is the first count refused for it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(OutputTooLarge, match="the answer has an integer "
+                           "of more than 640 digits"):
+            run_line("leftright 2126", O)
+        with pytest.raises(OutputTooLarge, match="the answer has more than "
+                           "1048576 characters"):
+            run_line("leftright 2125", O)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("line", [

@@ -93,6 +93,27 @@ def test_tokenize_reports_the_first_bad_character():
                      ("sym", "/"), ("int", "2"), ("end", "")]
 
 
+_PIECES = (list("()[]{}|,;:@^*/+-") + [
+    "(+)", "(*)", "(+", "(*", "( + )", "+)", "...", "..", ".", " ", "\t",
+    "\n", "w", "eps", "const", "x_1", "0", "12", "1x", "w2", "2w", "_", "$",
+    "#", "?", "!", "~", "'", "\\", "\x00"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_scan_and_tokenize_split_every_text_alike(text):
+    from omegacalc.exprs import _scan, tokenize
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            _scan(text)
+        assert (str(info.value), info.value.position) == \
+            (str(exc), exc.position)
+    else:
+        assert _scan(text) == [t for _, t, _ in tokens]
+
+
 def test_positions_after_an_alias_index_the_input():
     # an alias scans in place, so positions are the input's own indices
     for text, pos in (("ω $", 2), ("½+ε[0] $", 7)):
@@ -430,7 +451,14 @@ def test_a_flat_ordinal_chain_needs_no_recursion(op, atom, want):
 
 # -- stack headroom -----------------------------------------------------------
 # Each shape nests through a different reader: parentheses, an exponent, a
-# game, an ordinal exponent, and an exponent after a unary minus.
+# game, an ordinal exponent, and an exponent after a unary minus.  At
+# MAX_DEPTH they need 111, 211, 315, 211 and 311 frames above the filled
+# stack, so all five answer on a stack filled to 679 frames under pytest on
+# Python 3.11 (the limit being 1000); FILLED keeps nine of those frames
+# spare for the runner's own stack.  One more frame per nesting level in any
+# reader of the game costs 100 frames and fails here.
+FILLED = 670
+
 
 def _frames():
     f, n = sys._getframe(1), 0
@@ -446,8 +474,9 @@ def _called_at_depth(frames, fn):
 
 @pytest.mark.parametrize("verb, opening, closing", [
     ("eval", "1+1*(", ")"), ("eval", "1+1*w^(", ")"),
-    ("eval", "{1+1*", "|}"), ("ord", "1+1*w^(", ")"),
-    ("eval", "1+1*-w^(", ")"),   # the deepest: a minus run costs a frame
+    ("eval", "{1+1*", "|}"),   # the deepest: _nfact, then _game_side
+    ("ord", "1+1*w^(", ")"),
+    ("eval", "1+1*-w^(", ")"),   # a minus run costs a frame
 ])
 def test_max_depth_fits_on_a_filled_stack(verb, opening, closing):
     from omegacalc.cli import Options, run_line
@@ -457,10 +486,10 @@ def test_max_depth_fits_on_a_filled_stack(verb, opening, closing):
         return lambda: run_line("%s %s1%s" % (verb, opening * depth,
                                               closing * depth), Options())
 
-    assert _called_at_depth(250, line(MAX_DEPTH))
+    assert _called_at_depth(FILLED, line(MAX_DEPTH))
     with pytest.raises(ParseError, match="nested more than %d deep"
                        % MAX_DEPTH):
-        _called_at_depth(250, line(MAX_DEPTH + 1))
+        _called_at_depth(FILLED, line(MAX_DEPTH + 1))
 
 
 # -- what a tracer can wrap ---------------------------------------------------
