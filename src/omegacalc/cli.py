@@ -84,11 +84,11 @@ def _components(text, options):
 
 def _int_kind(what: str, minimum: int = 0):
     """The kind of an integer argument of at least `minimum`: an optionally
-    signed run of decimal digits, as the expression scanner reads one (int()
-    would also take '_' separators)."""
+    signed run of ASCII digits, as the expression scanner reads one (int()
+    would also take '_' separators and other scripts' digits)."""
     def kind(text, options):
         digits = text[1:] if text[:1] in ("+", "-") else text
-        if not digits.isdecimal():
+        if not (digits.isascii() and digits.isdigit()):
             raise ParseError("%s must be an integer, got %r" % (what, text),
                              0)
         limit = sys.get_int_max_str_digits()
@@ -206,7 +206,7 @@ _EQUATIONS = {
     "reflexive": ((_components,), skands.Reflexive),
     "periodic": ((_components, ...), lambda *b: skands.Periodic(b)),
     "extraordinary": ((_components, ...),
-                      lambda *b: skands.Extraordinary(b, len(b))),
+                      lambda *b: skands.Extraordinary(b)),
 }
 
 
@@ -310,10 +310,11 @@ def _normal_text(n, options):
                               exprs.render_ordinal(n.end))
 
 
-def _coords_text(pairs, options):
+def _coords_text(coords, options):
+    pairs, exact = coords
     return _marked("[%s]" % ", ".join("(%s, %s)" % (exprs.render_number(lo),
                                                      exprs.render_number(hi))
-                                      for lo, hi in pairs), pairs.exact)
+                                      for lo, hi in pairs), exact)
 
 
 NUMBER = (_number_text,
@@ -340,10 +341,10 @@ SETTERM = _valued(lambda t, options: exprs.render_setterm(t),
                   exprs.setterm_to_json)
 BRACES = _valued(_braces, exprs.skand_to_json)
 NORMAL = _valued(_normal_text, exprs.skand_to_json)
-COORDS = (_coords_text, lambda pairs, options: {
+COORDS = (_coords_text, lambda coords, options: {
     "value": [[exprs.number_to_json(lo), exprs.number_to_json(hi)]
-              for lo, hi in pairs],
-    "text": _coords_text(pairs, options), "exact": pairs.exact})
+              for lo, hi in coords[0]],
+    "text": _coords_text(coords, options), "exact": coords[1]})
 
 
 def _same(value):

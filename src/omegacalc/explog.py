@@ -55,7 +55,7 @@ def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
                           [_reduced(1, factorial(n)) if n > 1 else 1
                            for n in range(max_terms)],
                           factor.terms[0])
-    return TruncatedNumber(series, False, max_terms)
+    return TruncatedNumber(series, False)
 
 
 def in_ln_domain(y: Number) -> bool:
@@ -88,7 +88,7 @@ def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
     series = power_series(delta, [0] + [_reduced((-1) ** (n - 1), n)
                                         if n > 1 else 1
                                         for n in range(1, max_terms + 1)])
-    return TruncatedNumber(add(main, series), False, max_terms)
+    return TruncatedNumber(add(main, series), False)
 
 
 def leader(y: Number) -> Number:

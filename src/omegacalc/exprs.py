@@ -14,6 +14,9 @@ Grammar (ASCII; the Unicode aliases for w and eps are accepted on input):
 
   set term      st := IDENT | INT | '{' [st (',' st)*] '}'
 
+  tokens        INT := [0-9]+, ASCII digits only ;  IDENT := an ASCII
+                letter or '_', then any word characters, non-ASCII too.
+
   skand text    SEGS '@' '[' o ',' o ')'   or a nested-brace form whose
                 trailing brace is the next layer and whose innermost brace
                 may be '...' (constant continuation) or '...SEGS'.
@@ -41,8 +44,8 @@ expression evaluates to plain Numbers: w, w^n and integers are built as
 their one term, and a literal's rationals (w^(1/2)*3/2) cost a coefficient
 scale each, since surreal.mul and surreal.divide treat a rational operand
 as one.  Exactness is one count per parse of the series that divide, exp
-and ln cut; parse_number_expr wraps the value and that count in the
-parse's one TruncatedNumber.
+and ln cut; parse_number_expr wraps the value, exact iff that count is 0,
+in the parse's one TruncatedNumber.
 
 Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 """
@@ -70,7 +73,7 @@ from . import skands as sk
 # one-character symbols, go first; a '(' that opens '(+)' or '(*)' does not.
 _TOKENS = (("sym", r"[)\[\]{}|,;:@^*/+\-]|\((?![+*]\))"), ("ws", r"\s+"),
            ("ellipsis", r"\.\.\."), ("natadd", r"\(\+\)"),
-           ("natmul", r"\(\*\)"), ("int", r"\d+"), ("name", r"[A-Za-z_]\w*"))
+           ("natmul", r"\(\*\)"), ("int", r"[0-9]+"), ("name", r"[A-Za-z_]\w*"))
 _TOKEN = re.compile("|".join("(?P<%s>%s)" % kp for kp in _TOKENS)
                     + "|(?P<bad>.)", re.DOTALL)
 _TEXTS = re.compile("|".join(pattern for kind, pattern in _TOKENS
@@ -350,7 +353,7 @@ def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
         raise ParseError("max_terms must be >= 1, got %d" % max_terms)
     p = _Parser(text, max_terms)
     value = p.run(_infix, _NUMBER, _nfact)
-    return TruncatedNumber(value, not p.cuts, max_terms if p.cuts else 0)
+    return TruncatedNumber(value, not p.cuts)
 
 
 def parse_number(text) -> Number:

@@ -47,13 +47,8 @@ class OrdinalRamp(Record):
 
 
 class AddRamp(Record):
-    """(b + alpha) or (b - alpha) over alpha < length."""
-    __slots__ = ("base", "direction", "length")
-
-    def __init__(self, base: Number, direction: int, length: Ordinal = OMEGA):
-        self.base = base
-        self.direction = direction
-        self.length = length
+    """(b + alpha) or (b - alpha) over alpha < w."""
+    __slots__ = ("base", "direction")
 
 
 class DyadicRamp(Record):
@@ -99,8 +94,6 @@ def gap_of(s) -> GapLabel:
             raise UnsupportedDescriptor("ordinal ramp needs a limit ordinal")
         return GapLabel(1, from_ordinal(s.lam))
     if isinstance(s, AddRamp):
-        if s.length != OMEGA:
-            raise UnsupportedDescriptor("only w-length ramps are catalogued")
         if s.direction > 0:
             # (beta*w + alpha) -> +inf_{(beta+1)*w}
             beta = _as_finite_multiple_of_omega(s.base)

@@ -13,26 +13,28 @@ hereditarily finite founded set.  A pattern is the tuple of a cycle's
 values, and a constant is the 1-tuple of its value (Constant(x) is (x,)).
 
 Every description has one canonical form, computed in a single pass
-(`canonical_segments`).  The positions split into w-blocks [lambda,
-lambda+w), lambda zero or a limit.  A block's components form a word
-h + p^w: h finite, p the cycle the block ends in.  The canonical form takes
-p primitive and h shortest; h is written as constant runs, a block whose p
-is a rotation of the segment's cycle gets a piece of length w of its own,
-and adjacent equal patterns merge.  Two descriptions are equal iff their
-canonical forms are, and the founded-set encoding encodes the canonical
-form.  Finite periods are read off the same form: since h is shortest and
-p primitive, a block is purely periodic exactly when h is empty, that is,
-when it lies in a canonical segment of limit length, and its finite periods
-are then the multiples of |p| (Fine-Wilf).  Every period tau, with leading
-exponent xi, finite part f and W = w^(xi+1), is read off the same form:
-a skand is weakly tau-periodic iff its first canonical segment (l, p) has
-l >= W and |p| dividing f (one rule for every tau, see is_weakly_periodic;
-reflexivity is the case tau = 1); it is tau-periodic, for an infinite tau,
-iff its canonical segments are constants over multiples of W, and strictly
-so iff, moreover, there is one segment and the length is w^mu (see
-is_periodic).  The predicates are decided symbolically on the finite
-description: none slices or re-canonicalizes a tail, and nothing is ever
-enumerated transfinitely.
+(`canonical_segments`), and a value is its components: TransfiniteMap ==
+compares canonical forms and hash reads them, so a Skand, whose == is over
+(start, mapping, ascending), is == only to a skand_equal one.  The
+positions split into w-blocks [lambda, lambda+w), lambda zero or a limit.
+A block's components form a word h + p^w: h finite, p the cycle the block
+ends in.  The canonical form takes p primitive and h shortest; h is written
+as constant runs, a block whose p is a rotation of the segment's cycle gets
+a piece of length w of its own, and adjacent equal patterns merge.  Two
+descriptions are equal iff their canonical forms are, and the founded-set
+encoding encodes the canonical form.  Finite periods are read off the same
+form: since h is shortest and p primitive, a block is purely periodic
+exactly when h is empty, that is, when it lies in a canonical segment of
+limit length, and its finite periods are then the multiples of |p|
+(Fine-Wilf).  Every period tau, with leading exponent xi, finite part f and
+W = w^(xi+1), is read off the same form: a skand is weakly tau-periodic iff
+its first canonical segment (l, p) has l >= W and |p| dividing f (one rule
+for every tau, see is_weakly_periodic; reflexivity is the case tau = 1); it
+is tau-periodic, for an infinite tau, iff its canonical segments are
+constants over multiples of W, and strictly so iff, moreover, there is one
+segment and the length is w^mu (see is_periodic).  The predicates are
+decided symbolically on the finite description: none slices or
+re-canonicalizes a tail, and nothing is ever enumerated transfinitely.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def _primitive(values: tuple) -> tuple:
 class TransfiniteMap:
     """(length, pattern) segments in order.  `total`, the sum of the
     lengths, is stored: a constructor that knows it passes it, and it is
-    summed once otherwise.  ==, hash and repr read the segments alone."""
+    summed once otherwise.  == is pointwise (map_equal), hash reads the
+    canonical segments, and repr the written ones."""
     __slots__ = ("segments", "total")
 
     def __init__(self, segments: tuple = (), total: Ordinal = None):
@@ -125,10 +128,10 @@ class TransfiniteMap:
     def __eq__(self, other):
         if other.__class__ is not TransfiniteMap:
             return NotImplemented
-        return self.segments == other.segments
+        return map_equal(self, other)
 
     def __hash__(self):
-        return hash((self.segments,))
+        return hash(tuple(canonical_segments(self)))
 
     def __repr__(self):
         return "TransfiniteMap(segments=%r)" % (self.segments,)
@@ -585,19 +588,13 @@ def prepend_component(s: Skand, component) -> Skand:
 # -- brace coordinates ---------------------------------------------------------
 
 
-class Coordinates(list):
-    """The (lo, hi) pairs of brace_coordinates.  `exact` is False when a
-    series was cut in some pair: 1/a for a position a that is not a
-    monomial, such as w+1."""
-    exact = True
-
-
-def brace_coordinates(s, prefix: int, max_terms: int = 8) -> Coordinates:
-    """Conway coordinates of the first `prefix` brace pairs: (-1/a, 1/a) per
-    position for skands, (-a, a) for coskands, with the position-0
-    conventions (-2, 2) and (-1/2, 1/2).  A 1/a that is not exact is cut
-    after max_terms terms."""
-    out = Coordinates()
+def brace_coordinates(s, prefix: int, max_terms: int = 8) -> tuple:
+    """(pairs, exact): the Conway coordinates of the first `prefix` brace
+    pairs, (-1/a, 1/a) per position for skands and (-a, a) for coskands,
+    with the position-0 conventions (-2, 2) and (-1/2, 1/2).  A 1/a that is
+    not exact, for a position a that is not a monomial such as w+1, is cut
+    after max_terms terms, and then `exact` is False."""
+    out, exact = [], True
     pos = s.start
     for _ in range(prefix):
         if pos.cmp(s.end) >= 0:
@@ -612,13 +609,13 @@ def brace_coordinates(s, prefix: int, max_terms: int = 8) -> Coordinates:
             v = from_ordinal(pos)
             if not s.ascending:
                 inv = invert(v, max_terms)
-                out.exact = out.exact and inv.exact
+                exact = exact and inv.exact
                 pair = (negate(inv.value), inv.value)
             else:
                 pair = (negate(v), v)
         out.append(pair)
         pos = pos + OONE
-    return out
+    return out, exact
 
 
 # -- Mirimanoff equations -------------------------------------------------------
@@ -635,8 +632,10 @@ class Periodic(Record):
 
 
 class Extraordinary(Record):
-    """X = {block0, {block1, {block2, ...}}} with a described prefix."""
-    __slots__ = ("blocks", "prefix_length")
+    """X = {block0, {block1, ... {block(n-1), ...}}}: the blocks are the
+    first n components, and the rest is free (the canonical witness repeats
+    the last block)."""
+    __slots__ = ("blocks",)
 
 
 def solve_mirimanoff(eq) -> Skand:
@@ -647,10 +646,9 @@ def solve_mirimanoff(eq) -> Skand:
     if isinstance(eq, Periodic):
         return cycle_skand(map(Fset, eq.blocks), OMEGA)
     if isinstance(eq, Extraordinary):
-        blocks = [Fset(b) for _, b in zip(range(eq.prefix_length),
-                                            eq.blocks)]
+        blocks = [Fset(b) for b in eq.blocks]
         if not blocks:
-            raise ValueError("prefix_length must be >= 1")
+            raise ValueError("an extraordinary equation needs a block")
         segs = [(OONE, (b,)) for b in blocks[:-1]]
         segs.append((OMEGA, (blocks[-1],)))
         return make_skand(0, segs)
@@ -668,8 +666,6 @@ def is_solution(s: Skand, eq) -> bool:
         vals = tuple(map(Fset, eq.blocks))
         return _leading_period(s.mapping) == _primitive(vals)
     if isinstance(eq, Extraordinary):
-        blocks = [Fset(b) for _, b in zip(range(eq.prefix_length),
-                                            eq.blocks)]
-        return all(s.mapping.value_at(Ordinal.from_int(i)) == b
-                   for i, b in enumerate(blocks))
+        return all(s.mapping.value_at(Ordinal.from_int(i)) == Fset(b)
+                   for i, b in enumerate(eq.blocks))
     raise TypeError("not a Mirimanoff equation: %r" % (eq,))

@@ -501,18 +501,14 @@ def mul(a: Number, b: Number) -> Number:
 class TruncatedNumber(Record):
     """A normal-form prefix of a possibly non-terminating expansion.
 
-    `exact` means nothing was dropped; otherwise `dropped_terms_bound`
-    records the series order at which the expansion was cut.
+    `exact` means nothing was dropped; otherwise a series was cut on the way
+    to `value`, after the max_terms its operation was given.
     """
-    __slots__ = ("value", "exact", "dropped_terms_bound")
+    __slots__ = ("value", "exact")
 
-    def __init__(self, value: Number, exact: bool,
-                 dropped_terms_bound: int = 0):
-        if exact and dropped_terms_bound:
-            raise ValueError("exact results drop nothing")
+    def __init__(self, value: Number, exact: bool):
         self.value = value
         self.exact = exact
-        self.dropped_terms_bound = dropped_terms_bound
 
 
 def power_series(y: Number, coeffs, lead=None) -> Number:
@@ -662,18 +658,18 @@ def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
         return TruncatedNumber(Number(((neg_e1, inv_r1),)), True)
     neg_delta = mul(Number(x.terms[1:]), Number(((neg_e1, -inv_r1),)))
     series = power_series(neg_delta, [1] * max_terms, (neg_e1, inv_r1))
-    return TruncatedNumber(series, False, max_terms)
+    return TruncatedNumber(series, False)
 
 
 def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:
     """a/b.  A rational b is a scale by 1/b, exact; otherwise a times
-    invert(b), whose exactness and truncation order the quotient keeps."""
+    invert(b), whose exactness the quotient keeps."""
     r = _rational(b)
     if r is not None:
         return TruncatedNumber(Number(tuple((e, _div(c, r))
                                             for e, c in a.terms)), True)
     t = invert(b, max_terms)
-    return TruncatedNumber(mul(a, t.value), t.exact, t.dropped_terms_bound)
+    return TruncatedNumber(mul(a, t.value), t.exact)
 
 
 # -- dyadics, games and birthdays -----------------------------------------

@@ -171,6 +171,41 @@ def test_a_count_is_a_run_of_decimal_digits(line, position, message):
     assert exc.value.position == position
 
 
+def _printed(line, options):
+    """What the CLI prints for `line`: the answer, or under --json the error
+    envelope, on stdout, or the text error on the error stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._answer(line, options, "", err)
+    return out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("line, position, message", [
+    ("eval \u0661\u0662", 5, "unexpected character '\u0661'"),
+    ("ord w*\u0663", 6, "unexpected character '\u0663'"),
+    ("coskand toset {\u0663}", 15, "unexpected character '\u0663'"),
+    ("leftright \u0661\u0662", 10,
+     "leftright steps must be an integer, got '\u0661\u0662'"),
+    ("skand coords const(a) @ [0,w) ;; \u0663", 33,
+     "prefix must be an integer, got '\u0663'"),
+])
+def test_an_integer_is_a_run_of_ascii_digits(line, position, message):
+    # another script's digits (Arabic-Indic here) are a bad character in an
+    # expression or a set term, and no integer argument
+    assert _printed(line, O) == "parse error: %s (at position %d)\n" % (
+        message, position)
+    assert json.loads(_printed(line, OJ)) == {"error": {
+        "kind": "ParseError", "position": position,
+        "message": "%s (at position %d)" % (message, position)}}
+
+
+def test_an_atom_led_by_a_letter_keeps_other_digits():
+    line = "coskand toset {x\u0663}"
+    assert _printed(line, O) == "{x\u0663}\n"
+    assert _printed(line, OJ) == \
+        '{"text": "{x\\u0663}", "value": ["x\\u0663"]}\n'
+
+
 def test_coords_non_integer_prefix_is_a_parse_error():
     with pytest.raises(ParseError):
         run_line("skand coords const({a}) @ [1,w) ;; x", O)
@@ -522,7 +557,7 @@ def _check_the_budget_is_exact(monkeypatch, line, options):
 @pytest.mark.parametrize("line", [
     "skand encode cycle({a},b,{}):3;const({}) @ [w,w*4)",
     "skand encode const(a) @ [w,w*16)",
-    "skand at const({aé,ab,{x𝔸,٣}}) @ [0,w) ;; 2",
+    "skand at const({aé,ab,{x𝔸,x٣}}) @ [0,w) ;; 2",
     "coskand toset cycle({a},{}) @ [0,7)",
     "coskand at const({}) @ [0,w) ;; 3",
 ])

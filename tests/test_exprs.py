@@ -139,7 +139,7 @@ def test_number_json_round_trip():
 
 def test_truncated_expression_flags():
     t = parse_number_expr("1/(w+1)", 4)
-    assert not t.exact and t.dropped_terms_bound == 4
+    assert not t.exact
     t = parse_number_expr("exp(w)")
     assert t.exact
     t = parse_number_expr("exp(w + w^-1)", 3)
@@ -164,7 +164,6 @@ EXACT_FLAGS = (
 def test_exactness_through_every_operator(text, exact):
     t = parse_number_expr(text, 5)
     assert t.exact is exact
-    assert t.dropped_terms_bound == (0 if exact else 5)
 
 
 def test_places_that_need_an_exact_value_reject_a_cut():
@@ -268,7 +267,10 @@ def test_skand_json_round_trip_keeps_the_orientation():
     from omegacalc.exprs import skand_from_json, skand_to_json
     for text in ("cycle(a,b) @ [1,w*2)", "asc const({}) @ [3,w)", "{{a},{}}"):
         s = parse_skand(text)
-        assert skand_from_json(skand_to_json(s)) == s
+        back = skand_from_json(skand_to_json(s))
+        # the written description comes back, not only an equal skand
+        assert (back.start, back.mapping.segments, back.ascending) == \
+            (s.start, s.mapping.segments, s.ascending)
     assert parse_skand("{{a},{}}").ascending
     assert not parse_skand("{{a},{}} @ [0,2)").ascending
 

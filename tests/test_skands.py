@@ -80,7 +80,8 @@ def test_equal_across_descriptions():
     assert skand_equal(x, y)
     z = make_skand(0, [(o("1"), Constant(A)), (o("w*2"), Cycle((A, B)))])
     assert not skand_equal(x, z)
-    assert normalize(x).mapping == normalize(y).mapping
+    # one written canonical form, not only pointwise equal ones
+    assert normalize(x).mapping.segments == normalize(y).mapping.segments
 
 
 def test_restrict():
@@ -499,21 +500,22 @@ def test_a_plain_frozenset_is_a_set_term():
 
 def test_brace_coordinates():
     s = Skand(o("1"), constant_skand(SA, W).mapping)
-    pairs = brace_coordinates(s, 2)
+    pairs, exact = brace_coordinates(s, 2)
+    assert exact
     assert pairs[0] == (parse_number("-1"), parse_number("1"))
     assert pairs[1] == (parse_number("-1/2"), parse_number("1/2"))
     s0 = constant_skand(SA, W)
-    assert brace_coordinates(s0, 1)[0] == (parse_number("-2"),
-                                           parse_number("2"))
+    assert brace_coordinates(s0, 1) == ([(parse_number("-2"),
+                                          parse_number("2"))], True)
     c = make_coskand(0, [(W, Constant(EMPTY))])
-    pairs = brace_coordinates(c, 2)
+    pairs, _ = brace_coordinates(c, 2)
     assert pairs[0] == (parse_number("-1/2"), parse_number("1/2"))
     assert pairs[1] == (parse_number("-1"), parse_number("1"))
 
 
 def test_brace_coordinates_monotone_nesting():
     s = Skand(o("1"), constant_skand(SA, o("w")).mapping)
-    pairs = brace_coordinates(s, 6)
+    pairs, _ = brace_coordinates(s, 6)
     for (lo1, hi1), (lo2, hi2) in zip(pairs, pairs[1:]):
         assert lo1 < lo2 < hi2 < hi1
 
@@ -598,7 +600,7 @@ def test_solve_periodic():
 
 
 def test_solve_extraordinary():
-    eq = Extraordinary((frozenset([A]), frozenset([B]), frozenset([C])), 3)
+    eq = Extraordinary((frozenset([A]), frozenset([B]), frozenset([C])))
     s = solve_mirimanoff(eq)
     assert [value_at(s, k) for k in range(4)] == [SA, SB, SC, SC]
     assert is_solution(s, eq)
@@ -633,9 +635,9 @@ def test_self_similar_implies_reflexive():
 
 def test_brace_coordinates_transfinite_positions():
     s = Skand(o("w"), constant_skand(SA, o("w*2")).mapping)
-    pairs = brace_coordinates(s, 3)
+    pairs, exact = brace_coordinates(s, 3)
     # 1/w exact, then truncated expansions of 1/(w+1), 1/(w+2)
-    assert pairs[0][1] == parse_number("w^-1")
+    assert pairs[0][1] == parse_number("w^-1") and not exact
     for (lo1, hi1), (lo2, hi2) in zip(pairs, pairs[1:]):
         assert lo1 < lo2 < hi2 < hi1
 
@@ -711,15 +713,18 @@ def test_normalize_preserves_semantics():
     for m in GRID_MAPS:
         canon = normalize_map(m)
         assert grid_signature(canon) == grid_signature(m), (m, canon)
-        # the canonical form is a fixpoint
-        assert normalize_map(canon) == canon, m
-        assert normalize(Skand(o("w+3"), m)) == Skand(o("0"), canon)
+        # the canonical form is a fixpoint, as written (== is pointwise)
+        assert normalize_map(canon).segments == canon.segments, m
+        n = normalize(Skand(o("w+3"), m, True))
+        assert (n.start, n.mapping.segments, n.ascending) == \
+            (o("0"), canon.segments, True)
 
 
 def test_map_equal_agrees_with_pointwise_grid():
     # grouping by grid signature and grouping by canonical form give the
     # same partition: each signature has one canonical form and vice versa
-    pairs = {(grid_signature(m), normalize_map(m)) for m in GRID_MAPS}
+    pairs = {(grid_signature(m), normalize_map(m).segments)
+             for m in GRID_MAPS}
     assert len({sig for sig, _ in pairs}) == len(pairs)
     assert len({canon for _, canon in pairs}) == len(pairs)
     # map_equal decides the same relation: equal within a signature class,

@@ -1,8 +1,8 @@
 """The value types and the records are plain classes with __slots__,
 immutable by convention as fractions.Fraction is: no instance __dict__,
-== and hash as before, and no store to a field after construction
-anywhere in the library (a static check over its source).  Importing the
-CLI loads neither dataclasses nor inspect."""
+== and hash in agreement, a map's == pointwise, and no store to a field
+after construction anywhere in the library (a static check over its
+source).  Importing the CLI loads neither dataclasses nor inspect."""
 
 import ast
 import pathlib
@@ -15,12 +15,14 @@ import pytest
 import omegacalc
 from omegacalc import (EpsilonAtom, Ordinal, Skand, TransfiniteMap,
                        TruncatedNumber, decompose, from_rational,
-                       make_skand, parse_number, parse_ordinal)
+                       make_skand, parse_number, parse_ordinal, parse_skand,
+                       skand_equal)
 from omegacalc.cli import Options
 from omegacalc.errors import Record
 from omegacalc.explog import Decomposition
 from omegacalc.gaps import (AddRamp, DyadicRamp, GapLabel, JumpReport,
                             jump_report)
+from omegacalc.skands import map_equal, normalize_map
 from omegacalc.surreal import Number
 
 o = parse_ordinal
@@ -62,11 +64,50 @@ def test_equality_and_hash_are_unchanged():
 
 
 def test_post_init_checks_still_run():
-    # the checks of the former __post_init__ run in __init__
+    # the check of the former __post_init__ runs in __init__
     with pytest.raises(ValueError, match="length >= 1"):
         Skand(o("0"), TransfiniteMap(()))
-    with pytest.raises(ValueError, match="drop nothing"):
-        TruncatedNumber(parse_number("w"), True, 8)
+
+
+# -- == is pointwise -----------------------------------------------------------
+#
+# A skand is its components, as a founded set is its members: maps compare
+# by canonical form, and a Skand by (start, ascending, canonical form).
+
+def test_equal_skands_from_different_descriptions_are_equal():
+    x = parse_skand("const(a):1;cycle(b,a) @ [0,w*2)")
+    y = parse_skand("cycle(a,b):w;cycle(b,a) @ [0,w*2)")
+    assert x.mapping.segments != y.mapping.segments
+    assert x == y and hash(x) == hash(y)
+    assert x.mapping == y.mapping and hash(x.mapping) == hash(y.mapping)
+    assert len({x, y}) == 1
+
+
+def test_map_equality_is_map_equal_on_the_grid():
+    from test_skands import GRID_MAPS, grid_signature
+    reps = {}
+    for m in GRID_MAPS:
+        r = reps.setdefault(grid_signature(m), m)
+        assert m == r and map_equal(m, r) and hash(m) == hash(r), m
+    reps = list(reps.values())
+    assert len(reps) > 100
+    for i, x in enumerate(reps):
+        for y in reps[i + 1:]:
+            assert not map_equal(x, y) and x != y, (x, y)
+
+
+def test_skand_equality_implies_skand_equal():
+    from test_skands import GRID_MAPS
+    canon = {}
+    for m in GRID_MAPS:
+        s = Skand(o("w+3"), m)
+        t = canon.setdefault(normalize_map(m).segments, s)
+        assert s == t and hash(s) == hash(t) and skand_equal(s, t)
+        # the same components elsewhere, or nested the other way, are
+        # skand_equal but not ==
+        assert skand_equal(s, Skand(o("0"), m)) and s != Skand(o("0"), m)
+        assert s != Skand(o("w+3"), m, True)
+    assert len(canon) < len(GRID_MAPS) / 4
 
 
 # -- records ----------------------------------------------------------------
@@ -77,10 +118,9 @@ def test_records_compare_hash_and_print_as_values():
     assert (opts.max_terms, opts.json, opts.depth, opts.strict) == \
         (3, True, 4, False)
     b = parse_number("w")
-    assert AddRamp(b, 1) == AddRamp(b, 1, o("w"))
     assert hash(AddRamp(b, 1)) == hash(AddRamp(parse_number("w"), 1))
     # a tuple would make these equal: the class takes part in ==
-    assert AddRamp(b, 1, o("w")) != DyadicRamp(b, 1) and \
+    assert AddRamp(b, 1) != DyadicRamp(b, 1) and \
         DyadicRamp(b, 1) != (b, 1)
     with pytest.raises(ValueError, match="sign must be"):
         GapLabel(2, b)
@@ -118,15 +158,6 @@ def test_the_check_walks_every_record():
         <= NAMES
 
 
-def _receivers(fn):
-    """Names a function binds to a new Coordinates, a list subclass whose
-    `exact` flag is set while the pairs are collected."""
-    return {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and getattr(node.value.func, "id", None) == "Coordinates"
-            for t in node.targets if isinstance(t, ast.Name)}
-
-
 def _violations(source, where="<source>"):
     """Every store or delete of a field of a value type or record outside
     that type's own __init__, every use of object.__setattr__, and every
@@ -147,13 +178,6 @@ def _violations(source, where="<source>"):
             allowed.update(id(n) for n in ast.walk(cls)
                            if isinstance(n, ast.Attribute)
                            and getattr(n.value, "id", None) == "self")
-    coords = set()
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names = _receivers(fn)
-            coords.update(id(n) for n in ast.walk(fn)
-                          if isinstance(n, ast.Attribute)
-                          and getattr(n.value, "id", None) in names)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and id(node) not in allowed and \
@@ -165,7 +189,7 @@ def _violations(source, where="<source>"):
                 getattr(node.value, "id", None) == "object":
             out.append("%s:%d object.__setattr__" % (where, node.lineno))
         elif isinstance(node.ctx, (ast.Store, ast.Del)) and \
-                node.attr in FIELDS and id(node) not in allowed | coords:
+                node.attr in FIELDS and id(node) not in allowed:
             out.append("%s:%d store to .%s" % (where, node.lineno, node.attr))
     return out
 
@@ -189,7 +213,7 @@ def test_no_value_field_is_stored_after_construction():
     "def f(x):\n    setattr(x, 'terms', ())\n",
     "class Number:\n    def __init__(self):\n        self.terms = ()\n"
     "    def cmp(self):\n        self.terms = ()\n",
-    # a Coordinates receiver is excused only in the function that built it
+    # `exact` is a TruncatedNumber field, so no receiver may store it
     "def f(out):\n    out.exact = False\n",
 ])
 def test_the_immutability_check_sees_a_store(source):
