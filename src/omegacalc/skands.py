@@ -113,8 +113,9 @@ def _primitive(values: tuple) -> tuple:
 class TransfiniteMap:
     """(length, pattern) segments in order.  `total`, the sum of the
     lengths, is stored: a constructor that knows it passes it, and it is
-    summed once otherwise.  == is pointwise (map_equal), hash reads the
-    canonical segments, and repr the written ones."""
+    summed once otherwise.  == is pointwise (equal written segments, else
+    map_equal), hash reads the canonical segments, and repr the written
+    ones."""
     __slots__ = ("segments", "total")
 
     def __init__(self, segments: tuple = (), total: Ordinal = None):
@@ -128,7 +129,7 @@ class TransfiniteMap:
     def __eq__(self, other):
         if other.__class__ is not TransfiniteMap:
             return NotImplemented
-        return map_equal(self, other)
+        return self.segments == other.segments or map_equal(self, other)
 
     def __hash__(self):
         return hash(tuple(canonical_segments(self)))

@@ -163,24 +163,8 @@ def test_leftright_non_integer_is_a_parse_error():
     ("leftright 1_0", 10, "leftright steps must be an integer, got '1_0'"),
     ("skand coords const({a}) @ [0,w) ;; 0_2", 35,
      "prefix must be an integer, got '0_2'"),
-])
-def test_a_count_is_a_run_of_decimal_digits(line, position, message):
-    # int() takes '_' separators; a count, like an integer in eval, does not
-    with pytest.raises(ParseError, match=message) as exc:
-        run_line(line, O)
-    assert exc.value.position == position
-
-
-def _printed(line, options):
-    """What the CLI prints for `line`: the answer, or under --json the error
-    envelope, on stdout, or the text error on the error stream."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._answer(line, options, "", err)
-    return out.getvalue() + err.getvalue()
-
-
-@pytest.mark.parametrize("line, position, message", [
+    # another script's digits (Arabic-Indic here) are a bad character in an
+    # expression or a set term, and no integer argument
     ("eval \u0661\u0662", 5, "unexpected character '\u0661'"),
     ("ord w*\u0663", 6, "unexpected character '\u0663'"),
     ("coskand toset {\u0663}", 15, "unexpected character '\u0663'"),
@@ -189,21 +173,17 @@ def _printed(line, options):
     ("skand coords const(a) @ [0,w) ;; \u0663", 33,
      "prefix must be an integer, got '\u0663'"),
 ])
-def test_an_integer_is_a_run_of_ascii_digits(line, position, message):
-    # another script's digits (Arabic-Indic here) are a bad character in an
-    # expression or a set term, and no integer argument
-    assert _printed(line, O) == "parse error: %s (at position %d)\n" % (
-        message, position)
-    assert json.loads(_printed(line, OJ)) == {"error": {
-        "kind": "ParseError", "position": position,
-        "message": "%s (at position %d)" % (message, position)}}
+def test_a_count_is_a_run_of_decimal_digits(line, position, message):
+    # int() takes '_' separators and other scripts' digits; a count, like an
+    # integer in eval, takes neither
+    with pytest.raises(ParseError, match=message) as exc:
+        run_line(line, O)
+    assert exc.value.position == position
+    assert _error_position(line, True) == position
 
 
 def test_an_atom_led_by_a_letter_keeps_other_digits():
-    line = "coskand toset {x\u0663}"
-    assert _printed(line, O) == "{x\u0663}\n"
-    assert _printed(line, OJ) == \
-        '{"text": "{x\\u0663}", "value": ["x\\u0663"]}\n'
+    assert run_line("coskand toset {x\u0663}", O) == "{x\u0663}"
 
 
 def test_coords_non_integer_prefix_is_a_parse_error():

@@ -22,7 +22,7 @@ from omegacalc.errors import Record
 from omegacalc.explog import Decomposition
 from omegacalc.gaps import (AddRamp, DyadicRamp, GapLabel, JumpReport,
                             jump_report)
-from omegacalc.skands import map_equal, normalize_map
+from omegacalc.skands import normalize_map
 from omegacalc.surreal import Number
 
 o = parse_ordinal
@@ -81,19 +81,6 @@ def test_equal_skands_from_different_descriptions_are_equal():
     assert x == y and hash(x) == hash(y)
     assert x.mapping == y.mapping and hash(x.mapping) == hash(y.mapping)
     assert len({x, y}) == 1
-
-
-def test_map_equality_is_map_equal_on_the_grid():
-    from test_skands import GRID_MAPS, grid_signature
-    reps = {}
-    for m in GRID_MAPS:
-        r = reps.setdefault(grid_signature(m), m)
-        assert m == r and map_equal(m, r) and hash(m) == hash(r), m
-    reps = list(reps.values())
-    assert len(reps) > 100
-    for i, x in enumerate(reps):
-        for y in reps[i + 1:]:
-            assert not map_equal(x, y) and x != y, (x, y)
 
 
 def test_skand_equality_implies_skand_equal():
