@@ -2,10 +2,10 @@
 transfinite nested tuples (skands), with a REPL calculator on top."""
 
 from .errors import (CalcError, DivisionByZero, IllFormedGame, InfiniteLength,
-                     InvalidPeriod, IoError, LeadingCoefficientNotOne,
-                     NoConvergenceDetected, NonPositive, NotASet,
-                     NotInDomain, NotIndecomposable, NotLimit,
-                     OutOfClutchRegion, OutputTooLarge, ParseError,
+                     InsufficientPrecision, InvalidPeriod, IoError,
+                     LeadingCoefficientNotOne, NoConvergenceDetected,
+                     NonPositive, NotASet, NotInDomain, NotIndecomposable,
+                     NotLimit, OutOfClutchRegion, OutputTooLarge, ParseError,
                      PrefixTooLarge, RealPartNotZero, UnsupportedDescriptor,
                      ZeroInput)
 from .ordinals import (OMEGA, Ordinal, OrdinalClass, classify_ordinal,

@@ -4,7 +4,7 @@ One command per line:  VERB ARGS.  Multi-part arguments are separated by
 ';;'.  Exit codes: 0 ok, 1 domain error, 2 parse error.
 
   eval EXPR | nf EXPR          evaluate a surreal expression
-  cmp EXPR ;; EXPR             LT / EQ / GT, marked when a series was cut
+  cmp EXPR ;; EXPR             LT / EQ / GT, marked when a cut leaves it open
   ord OEXPR                    ordinal arithmetic ('+', '*', '(+)', '(*)')
   gap DESCRIPTOR               e.g. gap add(w, +)   gap dyadic(3, -)
   jumps OEXPR                  jump report for a limit ordinal
@@ -36,7 +36,7 @@ import json
 import sys
 from . import exprs, gaps, skands
 from .errors import CalcError, IoError, OutputTooLarge, ParseError, Record
-from .surreal import nf_cmp, real_limit_from_sequences
+from .surreal import exp_cmp, nf_cmp, real_limit_from_sequences, sub
 
 
 class Options(Record):
@@ -278,6 +278,14 @@ def _number_text(t, options):
     return _marked(exprs.render_number(t.value), t.exact)
 
 
+def _number_json(t, options):
+    """The value, and whether it is exact; a cut value adds its order."""
+    if t.order is None:
+        return {"value": exprs.number_to_json(t.value), "exact": True}
+    return {"value": exprs.number_to_json(t.value), "exact": False,
+            "order": exprs.exponent_to_json(t.order)}
+
+
 def _census(rep):
     return {exprs.render_ordinal(size): exprs.render_ordinal(count)
             for size, count in rep.census}
@@ -317,9 +325,7 @@ def _coords_text(coords, options):
                                       for lo, hi in pairs), exact)
 
 
-NUMBER = (_number_text,
-          lambda t, options: {"value": exprs.number_to_json(t.value),
-                              "exact": t.exact})
+NUMBER = (_number_text, _number_json)
 GAP = (lambda g, options: str(g),
        lambda g, options: {"sign": "+" if g.sign > 0 else "-",
                            "index": exprs.number_to_json(g.index),
@@ -328,8 +334,8 @@ JUMPS = (_jumps_text, _jumps_json)
 LEFTRIGHT = (lambda lists, options: "L: %s\nR: %s" % tuple(
     ", ".join(str(x) for x in xs) for xs in lists), _leftright_json)
 WORD = (lambda v, options: v, _as_result)
-# a cmp verdict and whether both operands were exact: the verdict of a cut
-# operand is marked, and its JSON says "exact": false
+# a cmp verdict and whether it is certain: an uncertain one is marked, and
+# its JSON says "exact": false
 VERDICT = (lambda v, options: _marked(*v),
            lambda v, options: {"result": v[0]} if v[1] else
            {"result": v[0], "exact": False})
@@ -351,13 +357,23 @@ def _same(value):
     return value
 
 
+def _compare(a, b):
+    """The verdict of a against b, and whether it is certain: the two
+    values differ at an exponent above both orders.  Where they agree above
+    the orders, the verdict on the values stands, uncertain."""
+    if a.order is None and b.order is None:
+        return ("LT", "EQ", "GT")[nf_cmp(a.value, b.value) + 1], True
+    d = sub(a.value, b.value).terms
+    if not d:
+        return "EQ", False
+    return ("LT" if d[0][1] < 0 else "GT"), all(
+        o is None or exp_cmp(d[0][0], o) > 0 for o in (a.order, b.order))
+
+
 VERBS = {
     "eval": ((_number,), _same, NUMBER),
     "nf": ((_number,), _same, NUMBER),
-    "cmp": ((_number, _number),
-            lambda a, b: (("LT", "EQ", "GT")[nf_cmp(a.value, b.value) + 1],
-                          a.exact and b.exact),
-            VERDICT),
+    "cmp": ((_number, _number), _compare, VERDICT),
     "ord": ((_ordinal,), _same, ORDINAL),
     "gap": ((_descriptor,), gaps.gap_of, GAP),
     "jumps": ((_ordinal,), _jumps, JUMPS),

@@ -69,6 +69,12 @@ class NoConvergenceDetected(CalcError):
     pass
 
 
+class InsufficientPrecision(CalcError):
+    """A cut operand is known too little for the operation: a divisor or
+    ln argument that is 0 above its order, or an exp argument whose order
+    reaches exponent 0."""
+
+
 # exp / ln
 
 class RealPartNotZero(CalcError):

@@ -5,10 +5,12 @@ part and x'' the infinitesimal part; a nonzero real part would need the
 transcendental e^r and is rejected.  ln inverts this through
 y = w^(z0) * r0 * (1 + d):  ln y = w*z0 + ln(1+d), restricted to r0 = 1 and
 to leading exponents whose own exponents all exceed -1 (the domain in which
-a logarithm exists at all).  Both series are truncated after max_terms
-orders and flag exactness; each is one call to surreal.power_series, which
-sums the powers with int coefficients and divides once at the end, and which
-multiplies exp's sum by its exact factor as it builds the output terms.
+a logarithm exists at all).  Each series is one call to
+surreal.power_series, which sums max_terms orders of it with int
+coefficients, divides once at the end, multiplies exp's sum by its exact
+factor as it builds the output terms, and returns the sum with its order:
+the exponent of the first term the cut leaves out, None when nothing was
+cut.
 The series coefficients 1/n! and +-1/n are reduced already, so they are
 built by surreal._reduced, and the first ones are the int 1.  decompose
 splits x by exponent sign with surreal.split_at_zero, the same split that
@@ -40,8 +42,8 @@ def decompose(x: Number) -> Decomposition:
 
 def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
     """e^x for x with zero real part: the exact factor w^(x'/w) times
-    sum x''^n / n! for n < max_terms.  Exact iff x has no infinitesimal
-    part x''."""
+    sum x''^n / n! for n < max_terms, up to the order of the factor times
+    x''^max_terms.  Exact iff x has no infinitesimal part x''."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     d = decompose(x)
@@ -50,12 +52,11 @@ def exp(x: Number, max_terms: int = 8) -> TruncatedNumber:
                               % (d.real_part,))
     factor = omega_pow(mul(omega_pow(MINUS_ONE), d.purely_infinite))
     if not d.infinitesimal:
-        return TruncatedNumber(factor, True)
-    series = power_series(d.infinitesimal,
-                          [_reduced(1, factorial(n)) if n > 1 else 1
-                           for n in range(max_terms)],
-                          factor.terms[0])
-    return TruncatedNumber(series, False)
+        return TruncatedNumber(factor)
+    return power_series(d.infinitesimal,
+                        [_reduced(1, factorial(n)) if n > 1 else 1
+                         for n in range(max_terms)],
+                        factor.terms[0])
 
 
 def in_ln_domain(y: Number) -> bool:
@@ -69,7 +70,8 @@ def in_ln_domain(y: Number) -> bool:
 
 def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
     """ln y = w*z0 + ln(1+d) for y = w^z0 * (1+d), with ln(1+d) summed as
-    (-1)^(n-1) d^n / n for 1 <= n <= max_terms; exact iff d = 0."""
+    (-1)^(n-1) d^n / n for 1 <= n <= max_terms, up to the order of
+    d^(max_terms+1); exact iff d = 0."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if sign(y) <= 0:
@@ -83,12 +85,12 @@ def ln(y: Number, max_terms: int = 8) -> TruncatedNumber:
     main = mul(OMEGA, z0)
     rest = Number(y.terms[1:])
     if not rest:
-        return TruncatedNumber(main, True)
+        return TruncatedNumber(main)
     delta = mul(omega_pow(negate(z0)), rest)
     series = power_series(delta, [0] + [_reduced((-1) ** (n - 1), n)
                                         if n > 1 else 1
                                         for n in range(1, max_terms + 1)])
-    return TruncatedNumber(add(main, series), False)
+    return TruncatedNumber(add(main, series.value), series.order)
 
 
 def leader(y: Number) -> Number:

@@ -43,9 +43,11 @@ takes ordinal + only where a term is out of order, and a finite factor
 expression evaluates to plain Numbers: w, w^n and integers are built as
 their one term, and a literal's rationals (w^(1/2)*3/2) cost a coefficient
 scale each, since surreal.mul and surreal.divide treat a rational operand
-as one.  Exactness is one count per parse of the series that divide, exp
-and ln cut; parse_number_expr wraps the value, exact iff that count is 0,
-in the parse's one TruncatedNumber.
+as one.  Where divide, exp or ln cut a series, the descent carries the
+cut value as a TruncatedNumber (value, order) in the place of a Number, and
+the rows combine orders by the valuation rules (see _NUMBER), so every
+term of an answer is a true term; parse_number_expr wraps an exact value in
+the parse's one TruncatedNumber, of order None.
 
 Rendering is the exact inverse on canonical values: parse(render(v)) == v.
 """
@@ -58,12 +60,15 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .errors import OutputTooLarge, ParseError, PrefixTooLarge
+from .errors import (InsufficientPrecision, OutputTooLarge, ParseError,
+                     PrefixTooLarge)
 from .ordinals import OMEGA, ONE, Ordinal, _ecmp, _exp
 from .ordinals import ZERO as OZERO
 from .surreal import (OMEGA as NOMEGA, Dyadic, EpsilonAtom, Number,
-                      TruncatedNumber, _rational, add, divide, epsilon,
-                      from_rational, from_terms, mul, negate, omega_pow,
+                      TruncatedNumber, _higher, _known, _rational, add,
+                      divide, epsilon, exp_cmp, exp_sum, exp_times,
+                      from_rational, from_terms, known_negate, known_product,
+                      known_sum, mul, negate, omega_pow,
                       simplest_dyadic_game)
 from . import explog
 from . import skands as sk
@@ -154,7 +159,6 @@ class _Parser:
         self.i = 0
         self.nest = 0   # _infix calls, w^w links and set-term elements open
         self.max_terms = max_terms   # where a number expression cuts series
-        self.cuts = 0   # series cut so far by a number expression
 
     def expect(self, value):
         if self.tokens[self.i] != value:
@@ -199,13 +203,6 @@ class _Parser:
         i = self.i if at is None else at
         raise ParseError(msg, next(islice(_positioned(self.text), i,
                                           None))[2])
-
-    def cut(self, t: TruncatedNumber) -> Number:
-        """The value of a divide, exp or ln result; a cut series counts
-        once in self.cuts."""
-        if not t.exact:
-            self.cuts += 1
-        return t.value
 
 
 # -- the precedence core ------------------------------------------------------
@@ -343,17 +340,35 @@ def ordinal_from_json(data) -> Ordinal:
 
 # -- surreal expressions ------------------------------------------------------
 #
-# The descent evaluates to plain Numbers.  Only three calls can cut a series:
-# divide by a non-rational, exp and ln.  Each cut counts once in the
-# parser's `cuts`, and parse_number_expr turns that count into the one
-# TruncatedNumber of the parse.
+# The descent evaluates to a Number where the value is exact.  Only three
+# calls can cut a series: divide by a non-rational, exp and ln.  A cut value
+# goes on as the TruncatedNumber (value, order) they return, whose value
+# holds no term at or below its order, and every operator and function of a
+# cut operand gives such a pair again, by the valuation rules.  Let v^(x) be
+# the leading exponent of x's value, or x's order when that value is 0; an
+# exact operand adds no bound:
+#
+#   -a      keeps a's order;
+#   a +- b  takes the larger order;
+#   a * b   takes max(o_a + v^(b), o_b + v^(a)), and an exact 0 factor
+#           gives an exact 0;
+#   1/b     takes the larger of invert's order and o_b - 2*v^(b);
+#   exp(a)  takes the larger of its series order and v(exp(value)) + o_a;
+#   ln(a)   takes the larger of its series order and o_a - v(value).
+#
+# The first four are surreal's known_negate, known_sum, known_product and
+# divide, and the last two are _series.  A cut divisor or ln argument whose
+# value is 0, and a cut exp argument of order >= 0, are known too little
+# for an answer: InsufficientPrecision.  A row whose operands are both
+# Numbers calls add, negate or mul itself, by the names a tracer wraps, and
+# builds no pair of (value, order).
 
 def parse_number_expr(text, max_terms: int = 8) -> TruncatedNumber:
     if max_terms < 1:
         raise ParseError("max_terms must be >= 1, got %d" % max_terms)
-    p = _Parser(text, max_terms)
-    value = p.run(_infix, _NUMBER, _nfact)
-    return TruncatedNumber(value, not p.cuts)
+    value = _Parser(text, max_terms).run(_infix, _NUMBER, _nfact)
+    return value if value.__class__ is TruncatedNumber else \
+        TruncatedNumber(value)
 
 
 def parse_number(text) -> Number:
@@ -365,16 +380,57 @@ def parse_number(text) -> Number:
     return t.value
 
 
-_NUMBER = ({"+": lambda p, a, b: add(a, b),
-            "-": lambda p, a, b: add(a, negate(b))},
-           {"*": lambda p, a, b: mul(a, b),
-            "/": lambda p, a, b: p.cut(divide(a, b, p.max_terms))})
+def _cut(t: TruncatedNumber):
+    """The descent value of a divide, exp or ln result: its Number when it
+    is exact, and otherwise the result itself, which keeps its order."""
+    return t.value if t.order is None else t
+
+
+def _sum(p, a, b):
+    if a.__class__ is b.__class__ is Number:
+        return add(a, b)
+    return known_sum(a, b)
+
+
+def _difference(p, a, b):
+    if a.__class__ is b.__class__ is Number:
+        return add(a, negate(b))
+    return known_sum(a, known_negate(b))
+
+
+def _product(p, a, b):
+    if a.__class__ is b.__class__ is Number:
+        return mul(a, b)
+    return known_product(a, b)
+
+
+def _series(name, arg, max_terms):
+    """exp or ln of a cut descent value."""
+    x, o = arg.value, arg.order
+    if name == "exp":
+        if exp_cmp(o, 0) >= 0:
+            raise InsufficientPrecision("exp of a value cut at or above "
+                                        "exponent 0")
+        t = explog.exp(x, max_terms)
+        shift = t.value.terms[0][0]                 # v(exp(value))
+    else:
+        if not x:
+            raise InsufficientPrecision("ln of a value that is 0 above its "
+                                        "order")
+        t = explog.ln(x, max_terms)
+        shift = exp_times(x.terms[0][0], -1)        # -v(value)
+    return _known(t.value, _higher(t.order, exp_sum(o, shift)))
+
+
+_NUMBER = ({"+": _sum, "-": _difference},
+           {"*": _product,
+            "/": lambda p, a, b: _cut(divide(a, b, p.max_terms))})
 
 
 def _nfact(p) -> Number:
     """A primary, after a run of unary minus signs (_infix reads any other
-    bracketed operand).  A series was cut inside an exact place (an epsilon
-    index, a bracketed exponent, a game member) if p.cuts changed across it."""
+    bracketed operand).  An epsilon index, a bracketed exponent and a game
+    member must be exact: a Number, not a cut value."""
     i, text = p.i, p.tokens[p.i]
     if text == "-":
         neg = False
@@ -386,16 +442,17 @@ def _nfact(p) -> Number:
             p.expect(")")
         else:
             value = _nfact(p)   # one frame: the next token is not a '-'
-        return negate(value) if neg else value
+        if not neg:
+            return value
+        return known_negate(value)
     if text == "w":
         p.i += 1
         if not p.accept("^"):
             return NOMEGA
         if p.accept("("):
-            cuts = p.cuts
             e = _infix(p, _NUMBER, _nfact)
             p.expect(")")
-            if p.cuts != cuts:
+            if e.__class__ is not Number:
                 p.fail("exponent must be exact", i + 2)
             return omega_pow(e)
         neg = p.accept("-")
@@ -408,10 +465,9 @@ def _nfact(p) -> Number:
     if text == "eps":
         p.i += 1
         p.expect("[")
-        cuts = p.cuts
         index = _infix(p, _NUMBER, _nfact)
         p.expect("]")
-        if p.cuts != cuts:
+        if index.__class__ is not Number:
             p.fail("epsilon index must be exact", i)
         return epsilon(index)
     if text in ("exp", "ln"):
@@ -419,8 +475,10 @@ def _nfact(p) -> Number:
         p.expect("(")
         arg = _infix(p, _NUMBER, _nfact)
         p.expect(")")
-        return p.cut((explog.exp if text == "exp" else explog.ln)(
-            arg, p.max_terms))
+        if arg.__class__ is Number:
+            return _cut((explog.exp if text == "exp" else explog.ln)(
+                arg, p.max_terms))
+        return _series(text, arg, p.max_terms)
     if text.isdigit():
         n = int(text)
         p.i += 1
@@ -440,9 +498,8 @@ def _game_side(p, stop):
     if p.at(stop):
         return side
     while True:
-        cuts = p.cuts
         q = _infix(p, _NUMBER, _nfact)
-        if p.cuts != cuts:
+        if q.__class__ is not Number:
             p.fail("game members must be exact")
         r = _rational(q) if q else 0
         try:
@@ -489,6 +546,12 @@ def number_to_json(x: Number):
             ej = number_to_json(e)
         out.append([ej, [c.numerator, c.denominator]])
     return out
+
+
+def exponent_to_json(e):
+    """A canonical exponent as number_to_json writes it in a term: the
+    exponent of the monomial w^e."""
+    return number_to_json(Number(((e, 1),)))[0][0]
 
 
 def number_from_json(data) -> Number:

@@ -593,8 +593,9 @@ def brace_coordinates(s, prefix: int, max_terms: int = 8) -> tuple:
     """(pairs, exact): the Conway coordinates of the first `prefix` brace
     pairs, (-1/a, 1/a) per position for skands and (-a, a) for coskands,
     with the position-0 conventions (-2, 2) and (-1/2, 1/2).  A 1/a that is
-    not exact, for a position a that is not a monomial such as w+1, is cut
-    after max_terms terms, and then `exact` is False."""
+    not exact, for a position a that is not a monomial such as w+1, holds
+    only its terms above invert's order for max_terms terms, and then
+    `exact` is False."""
     out, exact = [], True
     pos = s.start
     for _ in range(prefix):

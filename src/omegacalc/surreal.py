@@ -12,19 +12,26 @@ other exponent is a non-real Number (itself in normal form).  Ordinals,
 reals with terminating expansions, w-powers with arbitrary Number exponents
 and epsilon-numbers (as atomic leaves) all live in this fragment;
 arithmetic on it is exact except for inversion, which sums a geometric
-series and is truncated after a caller-chosen number of terms.
+series and is cut after a caller-chosen number of terms.  A cut result is a
+TruncatedNumber (value, order): the value holds exactly the true terms
+above the order, the exponent where the first left-out power of the series
+starts to count (the O(x^n) of truncated power series).  known_sum,
+known_product and divide take cut operands too, and carry the orders by
+the valuation rules set out above known_sum.
 
-power_series sums a truncated series over a scaled copy of its variable
-whose coefficients are all ints, and divides once at the end (fraction-free
-arithmetic).  When every exponent of the variable is a negative rational,
-the exponents are scaled too: they lie on a lattice -(g/L)*Z, so the
-variable is an int polynomial, and power_series packs its powers into one
-Python int (Kronecker substitution) whose slots are wide enough for a bound
-on every coefficient.  It does so only when the packing has no more slots
+power_series sums a cut series over a scaled copy of its variable whose
+coefficients are all ints, and divides once at the end (fraction-free
+arithmetic); it forms no term at or below the order.  When every exponent
+of the variable is a negative rational, the exponents are scaled too: they
+lie on a lattice -(g/L)*Z, so the variable is an int polynomial in
+z = w^(-g/L) that starts at z^p_1, and power_series packs the sum's N*p_1
+slots above the order into one Python int (Kronecker substitution), by
+Horner's rule modulo 2^(bits*N*p_1), with slots wide enough for a bound on
+every coefficient.  It does so only when the packing has no more slots
 than the sparse sum can have terms; otherwise, and for non-real exponents,
-the powers go through mul and _merge.  A reduced quotient of two ints is
-stored into a Fraction's two slots by _reduced, without the gcd and
-parsing of Fraction's constructor.
+the powers go through mul and _merge, each cut at the order.  A reduced
+quotient of two ints is stored into a Fraction's two slots by _reduced,
+without the gcd and parsing of Fraction's constructor.
 
 A rational operand (one term at exponent 0) is a coefficient scale: mul
 by r is the one row of r's exponent-0 term, and divide by r divides every
@@ -50,8 +57,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, comb, floor, gcd, lcm
 
-from .errors import (DivisionByZero, IllFormedGame, NoConvergenceDetected,
-                     Record)
+from .errors import (DivisionByZero, IllFormedGame, InsufficientPrecision,
+                     NoConvergenceDetected, Record)
 from .ordinals import Ordinal
 
 LT, EQ, GT = -1, 0, 1
@@ -429,13 +436,16 @@ def sub(a: Number, b: Number) -> Number:
     return add(a, negate(b))
 
 
-def _exp_add(e, f):
-    """The canonical sum of two canonical exponents that are not both
-    ints: two rationals add as such, and non-real exponents can sum to a
-    real one or to eps_a."""
+def exp_sum(e, f):
+    """The canonical sum of two canonical exponents: two rationals add as
+    one int quotient, which _div reduces (mul adds two ints itself), and
+    non-real exponents can sum to a real one or to eps_a."""
     te, tf = type(e), type(f)
+    if te is tf is int:
+        return e + f
     if (te is int or te is Fraction) and (tf is int or tf is Fraction):
-        return _q(e + f)
+        return _div(e.numerator * f.denominator + f.numerator * e.denominator,
+                    e.denominator * f.denominator)
     return _norm_exp(add(exp_as_number(e), exp_as_number(f)))
 
 
@@ -490,7 +500,7 @@ def mul(a: Number, b: Number) -> Number:
             rows.append(list(other) if unit else
                         [(f, _q(c * d)) for f, d in other])
             continue
-        rows.append([(e + f if type(e) is type(f) is int else _exp_add(e, f),
+        rows.append([(e + f if type(e) is type(f) is int else exp_sum(e, f),
                       d if unit else _q(c * d)) for f, d in other])
     while len(rows) > 1:
         odd = rows[-1:] if len(rows) % 2 else []
@@ -499,22 +509,54 @@ def mul(a: Number, b: Number) -> Number:
 
 
 class TruncatedNumber(Record):
-    """A normal-form prefix of a possibly non-terminating expansion.
+    """A value known up to an order: the true value agrees with `value` at
+    every exponent above `order`, and `value` holds no term at or below it.
 
-    `exact` means nothing was dropped; otherwise a series was cut on the way
-    to `value`, after the max_terms its operation was given.
+    `order` is None when the value is exact: no series was cut on the way
+    to it.  Otherwise it is the exponent of the first term a cut series
+    left out, carried through later arithmetic by the valuation rules of
+    exprs, as the O(x^n) term of PARI/GP is.
     """
-    __slots__ = ("value", "exact")
+    __slots__ = ("value", "order")
 
-    def __init__(self, value: Number, exact: bool):
+    def __init__(self, value: Number, order=None):
         self.value = value
-        self.exact = exact
+        self.order = order
+
+    @property
+    def exact(self) -> bool:
+        return self.order is None
 
 
-def power_series(y: Number, coeffs, lead=None) -> Number:
-    """sum coeffs[n] * y^n for n < len(coeffs), exactly, times the monomial
-    w^e*r when lead = (e, r) is given; each coefficient is an int or a
-    Fraction.
+def above(x: Number, order) -> Number:
+    """The terms of x whose exponents lie above the exponent `order`: a
+    leading part of x, found from its end."""
+    t = x.terms
+    n = len(t)
+    while n and exp_cmp(t[n - 1][0], order) <= 0:
+        n -= 1
+    return x if n == len(t) else Number(t[:n])
+
+
+def exp_times(e, k: int):
+    """k*e for a canonical exponent e and a nonzero int k, without a mul."""
+    te = type(e)
+    if te is int:
+        return e * k
+    if te is Fraction:
+        return _div(e.numerator * k, e.denominator)
+    return _norm_exp(Number(tuple((f, _q(c * k))
+                                  for f, c in exp_as_number(e).terms)))
+
+
+def power_series(y: Number, coeffs, lead=None) -> TruncatedNumber:
+    """sum coeffs[n] * y^n for an infinitesimal y, times the monomial w^s*r
+    when lead = (s, r) is given, known up to its order s + N*v(y), where
+    N = len(coeffs) >= 1 and v(y) is y's leading exponent: the powers y^n
+    for n >= N that the sum leaves out start there.  No term at or below
+    the order is formed, and y's own terms at or below N*v(y) are dropped
+    first, as they only feed such terms.  Each coefficient is an int or a
+    Fraction, and a y of 0 gives coeffs[0] * w^s*r exactly.
 
     Fraction-free (Bareiss): with D the lcm of the denominators of y's
     coefficients, Y = D*y has int coefficients, and so does every power
@@ -525,22 +567,28 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
 
     The sum of the k_n * Y^n is formed by one of two paths, which give the
     same terms.  When every exponent of y is a negative rational, y lies on
-    a lattice and _lattice_sum packs the whole sum into one int (Kronecker
-    substitution), unless that packing would have more slots than the
+    a lattice and _lattice_sum packs the sum's N*p_1 slots above the order
+    into one int (Kronecker substitution), unless they are more than the
     sparse sum can have terms.  Otherwise _row_sum multiplies the powers of
-    Y as Numbers with mul and merges them; a zero a_n adds nothing there,
-    and no power beyond Y^(N-1) is formed.
+    Y as Numbers with mul, cuts each at the order and merges them; a zero
+    a_n adds nothing there, and no power beyond Y^(N-1) is formed.
 
-    On the lattice path the lead exponent e is added while the slots are
+    On the lattice path the lead exponent s is added while the slots are
     unpacked, and r joins the final division, so each output term costs
     one rational for its exponent and one for its coefficient, and an
-    integral one builds no Fraction; a non-real e costs one Number per
+    integral one builds no Fraction; a non-real s costs one Number per
     term more, and no mul.  On the row path the lead multiplies the sum
     with mul.
     """
+    shift, r = lead or (0, 1)
+    if not y.terms:
+        c = _q(coeffs[0] * r)
+        return TruncatedNumber(Number(((shift, c),)) if c else ZERO)
     n_terms = len(coeffs)
-    if not n_terms:
-        return ZERO
+    cut = exp_times(y.terms[0][0], n_terms)
+    order = exp_sum(shift, cut)
+    # a term of y at or below the cut only feeds terms below the order
+    y = above(y, cut)
     den = lcm(*(c.denominator for _, c in y.terms))
     big_y = tuple((e, c.numerator * (den // c.denominator))
                   for e, c in y.terms)
@@ -548,25 +596,29 @@ def power_series(y: Number, coeffs, lead=None) -> Number:
     ks = [a.numerator * (lcm_a // a.denominator) * den ** (n_terms - 1 - n)
           for n, a in enumerate(coeffs)]
     q = lcm_a * den ** (n_terms - 1)
-    shift, r = lead or (0, 1)
     acc = _lattice_sum(big_y, ks, shift)
     if acc is None:
         series = Number(tuple((e, _div(c, q))
-                              for e, c in _row_sum(big_y, ks)))
-        return series if lead is None else mul(Number((lead,)), series)
+                              for e, c in _row_sum(big_y, ks, cut)))
+        return TruncatedNumber(
+            series if lead is None else mul(Number((lead,)), series), order)
     num, q = r.numerator, q * r.denominator
-    return Number(tuple((e, _div(c * num, q)) for e, c in acc))
+    return TruncatedNumber(Number(tuple((e, _div(c * num, q))
+                                        for e, c in acc)), order)
 
 
-def _row_sum(big_y, ks) -> list:
-    # sum k_n * Y^n as a canonical term list: each power is one sparse mul
-    # of the previous power by Y, and each nonzero k_n merges its power in
+def _row_sum(big_y, ks, cut) -> list:
+    # sum k_n * Y^n above the exponent `cut` as a canonical term list, for a
+    # Y with no term at or below it: each power is one sparse mul of the
+    # previous power by Y, less its terms at or below the cut, which only
+    # feed lower terms as Y is infinitesimal; each nonzero k_n merges its
+    # power in
     big_y = Number(big_y)
     acc = []
     power = ONE
     for n, k in enumerate(ks):
         if n:
-            power = mul(power, big_y) if n > 1 else big_y
+            power = above(mul(power, big_y), cut) if n > 1 else big_y
         if k:
             acc = _merge(acc, [(e, k * c) for e, c in power.terms])
     return acc
@@ -574,31 +626,33 @@ def _row_sum(big_y, ks) -> list:
 
 def _lattice_sum(big_y, ks, shift):
     """w^shift * sum k_n * Y^n by Kronecker substitution, for any canonical
-    exponent shift, as a canonical term list, or None when Y is not on a
-    lattice of negative rationals or the packing would be larger than the
-    sparse sum can be.
+    exponent shift, as a canonical term list of the terms above the order
+    w^shift * Y^N, or None when Y is not on a lattice of negative rationals
+    or the packing would be larger than the sparse sum can be.
 
     Every exponent of Y is a negative rational -(g/L)*p_i, where L is the
     lcm of their denominators, g the gcd of the integers -e_i*L and p_i a
-    positive int; so Y is an int polynomial sum C_i z^p_i in z = w^(-g/L).
-    Evaluating at z = 2^b gives the int X = sum C_i 2^(b*p_i), and Horner's
-    rule forms P = sum k_n X^n with one int product per power (each by the
-    fixed-size X, so it costs what forming the next power would).  Slot j of
-    P (its b bits from b*j) is the coefficient of z^j, which is at most
-    B = sum |k_n| S^n in size with S = sum |C_i|; b is the bit length of B
-    plus a sign bit, rounded up to whole bytes, so no slot overflows.
-    Adding 2^(b-1) to every slot makes each one a non-negative b-bit
-    digit, and one to_bytes call unpacks them all; a zero slot is skipped,
-    and slot j's exponent shift - j*g/L is built as one rational.  A
-    non-real shift is split once by split_at_zero into its terms above 0,
-    its rational m at 0 and its terms below 0: the rational m - j*g/L is
-    built as for a real shift and set between the two, so each slot's
-    exponent is one Number, which _norm_exp collapses when it is eps_a.
+    positive int, p_1 the least; so Y is an int polynomial sum C_i z^p_i in
+    z = w^(-g/L), and Y^N starts at z^(N*p_1).  Evaluating at z = 2^b gives
+    the int X = sum C_i 2^(b*p_i), and Horner's rule forms P = sum k_n X^n
+    modulo 2^(b*N*p_1), with one int product per power (each by the
+    fixed-size X, so it costs what forming the next power would): the
+    first N*p_1 slots of P are exact, and only the accumulator is reduced.
+    Slot j of P (its b bits from b*j) is the coefficient of z^j, which is
+    at most B = sum |k_n| S^n in size with S = sum |C_i|; b is the bit
+    length of B plus a sign bit, rounded up to whole bytes, so no slot
+    overflows.  Adding 2^(b-1) to every slot, modulo 2^(b*N*p_1) again,
+    makes each one a non-negative b-bit digit, and one to_bytes call
+    unpacks them all; a zero slot is skipped, and slot j's exponent
+    shift - j*g/L is built as one rational.  A non-real shift is split once
+    by split_at_zero into its terms above 0, its rational m at 0 and its
+    terms below 0: the rational m - j*g/L is built as for a real shift and
+    set between the two, so each slot's exponent is one Number, which
+    _norm_exp collapses when it is eps_a.
 
-    The dense product has (N-1)*p_max + 1 slots, while a sum of N powers of
-    a t-term sparse Y has at most C(N+t-1, t) distinct exponents.  When
-    the slots are more (a wide gap between the exponents), the row merge
-    is cheaper, so None is returned.
+    A sum of N powers of a t-term sparse Y has at most C(N+t-1, t) distinct
+    exponents.  When the N*p_1 slots are more (Y's exponents are many
+    steps g/L below 0), the row merge is cheaper, so None is returned.
     """
     if not big_y or any((type(e) is not int and type(e) is not Fraction)
                         or e.numerator >= 0 for e, _ in big_y):
@@ -607,7 +661,7 @@ def _lattice_sum(big_y, ks, shift):
     scaled = [-e.numerator * (step_den // e.denominator) for e, _ in big_y]
     step = gcd(*scaled)
     ps = [m // step for m in scaled]
-    slots = (len(ks) - 1) * ps[-1] + 1
+    slots = len(ks) * ps[0]
     if slots > comb(len(ks) + len(ps) - 1, len(ps)):
         return None
     s = sum(abs(c) for _, c in big_y)
@@ -617,12 +671,13 @@ def _lattice_sum(big_y, ks, shift):
     width = (bound.bit_length() + 8) // 8
     bits = 8 * width
     x = sum(c << (bits * p) for (_, c), p in zip(big_y, ps))
+    mask = (1 << (bits * slots)) - 1
     packed = 0
     for k in reversed(ks):
-        packed = packed * x + k
+        packed = (packed * x + k) & mask
     half = 1 << (bits - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    raw = (packed + bias).to_bytes(width * slots, "little")
+    raw = ((packed + bias) & mask).to_bytes(width * slots, "little")
     te = type(shift)
     hi, mid, lo = ((), shift, ()) if te is int or te is Fraction else \
         split_at_zero(exp_as_number(shift).terms)
@@ -644,32 +699,93 @@ def _lattice_sum(big_y, ks, shift):
 def invert(x: Number, max_terms: int = 8) -> TruncatedNumber:
     """Inverse by peeling the leading monomial: x = w^e*r*(1+d) with d
     infinitesimal, 1/x = w^-e/r * sum (-d)^n for n < max_terms, summed by
-    power_series with int coefficients and w^-e/r as its lead.  Exact iff
-    d = 0."""
+    power_series with int coefficients and w^-e/r as its lead, up to the
+    order -e + max_terms*v(d).  Exact iff d = 0."""
     if not x.terms:
         raise DivisionByZero("invert(0)")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     e1, r1 = x.terms[0]
     neg_e1 = -e1 if type(e1) is int or type(e1) is Fraction else \
-        _norm_exp(negate(exp_as_number(e1)))
+        exp_times(e1, -1)
     inv_r1 = _div(1, r1)
     if len(x.terms) == 1:
-        return TruncatedNumber(Number(((neg_e1, inv_r1),)), True)
+        return TruncatedNumber(Number(((neg_e1, inv_r1),)))
     neg_delta = mul(Number(x.terms[1:]), Number(((neg_e1, -inv_r1),)))
-    series = power_series(neg_delta, [1] * max_terms, (neg_e1, inv_r1))
-    return TruncatedNumber(series, False)
+    return power_series(neg_delta, [1] * max_terms, (neg_e1, inv_r1))
 
 
-def divide(a: Number, b: Number, max_terms: int = 8) -> TruncatedNumber:
-    """a/b.  A rational b is a scale by 1/b, exact; otherwise a times
-    invert(b), whose exactness the quotient keeps."""
-    r = _rational(b)
+def divide(a, b, max_terms: int = 8) -> TruncatedNumber:
+    """a/b, where a and b are Numbers or cut values.  An exact rational b
+    scales a, which keeps its order; otherwise a times the inverse of b by
+    known_product.  For a cut b, 1/b takes the larger of invert's order and
+    o_b - 2*v^(b), and a b that is 0 above its order is refused."""
+    y, q = _parts(b)
+    r = _rational(y) if q is None else None
     if r is not None:
+        x, o = _parts(a)
         return TruncatedNumber(Number(tuple((e, _div(c, r))
-                                            for e, c in a.terms)), True)
-    t = invert(b, max_terms)
-    return TruncatedNumber(mul(a, t.value), t.exact)
+                                            for e, c in x.terms)), o)
+    if q is not None and not y:
+        raise InsufficientPrecision("the divisor is 0 above its order")
+    t = invert(y, max_terms)
+    if q is not None:
+        t = _known(t.value, _higher(
+            t.order, exp_sum(q, exp_times(y.terms[0][0], -2))))
+    p = known_product(a, t)
+    return p if p.__class__ is TruncatedNumber else TruncatedNumber(p)
+
+
+# -- values known up to an order ------------------------------------------
+#
+# Arithmetic on cut values, as the O(x^n) of truncated power series: an
+# operand is a Number, which is exact and adds no bound, or a TruncatedNumber.
+# Let v^(x) be the leading exponent of x's value, or x's order when that
+# value is 0.  -a keeps a's order; a + b takes the larger order; a * b takes
+# max(o_a + v^(b), o_b + v^(a)), and an exact 0 factor gives an exact 0; a / b
+# is divide's.  known_sum and known_product return a Number when both
+# operands are exact, and otherwise their value cut at its order.
+
+def _parts(x):
+    """(value, order) of a Number or a TruncatedNumber."""
+    return (x, None) if x.__class__ is Number else (x.value, x.order)
+
+
+def _lead(value: Number, order):
+    """v^: value's leading exponent, or `order` when value is 0."""
+    return value.terms[0][0] if value.terms else order
+
+
+def _higher(e, f):
+    """The larger of two orders, where None, exact, is below every one."""
+    if e is None or f is not None and exp_cmp(f, e) > 0:
+        return f
+    return e
+
+
+def _known(value: Number, order):
+    """`value` known above `order`: itself when order is None, exact."""
+    return value if order is None else \
+        TruncatedNumber(above(value, order), order)
+
+
+def known_negate(a):
+    return negate(a) if a.__class__ is Number else \
+        TruncatedNumber(negate(a.value), a.order)
+
+
+def known_sum(a, b):
+    (x, o), (y, q) = _parts(a), _parts(b)
+    return _known(add(x, y), _higher(o, q))
+
+
+def known_product(a, b):
+    (x, o), (y, q) = _parts(a), _parts(b)
+    if o is None and not x or q is None and not y:
+        return ZERO
+    return _known(mul(x, y), _higher(
+        None if o is None else exp_sum(o, _lead(y, q)),
+        None if q is None else exp_sum(q, _lead(x, o))))
 
 
 # -- dyadics, games and birthdays -----------------------------------------

@@ -11,7 +11,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from omegacalc import cli, number_from_json, parse_number, parse_ordinal
+from omegacalc import (cli, number_from_json, parse_number, parse_number_expr,
+                       parse_ordinal)
 from omegacalc.cli import Options, main, run_line, run_script
 from omegacalc.errors import CalcError, OutputTooLarge, ParseError
 from omegacalc.exprs import tokenize
@@ -29,6 +30,37 @@ def test_eval_and_nf():
     assert out == "w^-1*1 + w^-2*-1 + w^-3*1 + w^-4*-1 (inexact)"
 
 
+# A cut answer prints only its true terms: those above its order, the
+# exponent where the first left-out term of a cut series starts to count.
+# Compared with --max-terms 40, the parent printed 13, 15 and 17 terms for
+# the last three, of which only these were true.
+@pytest.mark.parametrize("line, count, order", [
+    ("eval 1/(w+1) + w^-20", 8, -9),     # no w^-20 term below the order
+    ("eval 1/(w+1+w^-1)", 6, -9),        # the true w^-3 coefficient is 0
+    ("eval exp(w^-1+w^-2)", 8, -8),
+    ("eval ln(w+1+w^-1)", 9, -9),
+])
+def test_a_cut_answer_prints_only_its_true_terms(line, count, order):
+    text = run_line(line, O)
+    assert text.endswith(" (inexact)")
+    assert text.count(" + ") + 1 == count
+    data = json.loads(run_line(line, OJ))
+    assert data["exact"] is False and len(data["value"]) == count
+    assert data["order"] == [[[], [order, 1]]]
+    true = parse_number_expr(line[len("eval "):], 40).value.terms
+    assert parse_number_expr(line[len("eval "):]).value.terms == true[:count]
+
+
+def test_only_a_cut_answer_has_an_order_key():
+    assert set(json.loads(run_line("eval 1/w", OJ))) == {"exact", "value"}
+    assert set(json.loads(run_line("eval 0*(1/(w+1))", OJ))) == \
+        {"exact", "value"}
+    # a non-real order is written as the Number it is
+    data = json.loads(run_line("eval 1/(w^(w)+1)", Options(max_terms=2,
+                                                              json=True)))
+    assert number_from_json(data["order"]) == parse_number("w*(-3)")
+
+
 def test_eval_json_agrees_with_text():
     for expr in ("(w+1)*(w-1)", "exp(w*eps[0])", "w^(1/2) + 2/3"):
         text = run_line("nf %s" % expr, O).replace(" (inexact)", "")
@@ -42,20 +74,34 @@ def test_cmp():
     assert json.loads(run_line("cmp 0 ;; 1/w", OJ)) == {"result": "LT"}
 
 
-# 1/(1+w^-1) is cut after w^-7 at the default 8 terms, so cmp compares the
-# cut sum; the true difference from SERIES_7 is w^-8 - w^-9 + ..., so GT
+# 1/(1+w^-1) is cut after w^-7 at the default 8 terms, at the order w^-8, so
+# cmp compares the cut sum; the true difference from SERIES_7 is w^-8 - w^-9
+# + ..., so GT, but the values agree above the order
 SERIES_7 = "1 - w^-1 + w^-2 - w^-3 + w^-4 - w^-5 + w^-6 - w^-7"
 
 
 @pytest.mark.parametrize("line, verdict", [
     ("cmp 1/(1+w^-1) ;; " + SERIES_7, "EQ"),
     ("cmp 1/(1+w^-1) ;; " + SERIES_7 + " + w^-9", "LT"),
-    ("cmp 1 ;; 1/(1+w^-1)", "GT"),
+    ("cmp 1/(1+w^-1) - 1/(1+w^-1) ;; 0", "EQ"),
 ])
 def test_cmp_of_a_cut_series_is_marked(line, verdict):
     assert run_line(line, O) == verdict + " (inexact)"
     assert json.loads(run_line(line, OJ)) == {"result": verdict,
                                               "exact": False}
+
+
+@pytest.mark.parametrize("line, verdict", [
+    ("cmp 1 ;; 1/(1+w^-1)", "GT"),                    # differ at w^-1
+    ("cmp 1/(1+w^-1) ;; " + SERIES_7 + " + w^-7*2", "LT"),     # at w^-7
+    ("cmp w^-8 ;; 1/(w+1) - 1/(w+1)", "GT"),   # at w^-8, order w^-9
+    ("cmp 1/(w+1)*w^2 ;; w", "LT"),                  # at 1, order w^-7
+])
+def test_a_certain_cmp_of_a_cut_series_is_unmarked(line, verdict):
+    # the values differ at an exponent above both orders, where the true
+    # values differ alike: no mark, and no "exact" key in the JSON answer
+    assert run_line(line, O) == verdict
+    assert json.loads(run_line(line, OJ)) == {"result": verdict}
 
 
 def test_cmp_of_exact_operands_is_unmarked():

@@ -13,8 +13,9 @@ from omegacalc import (add, decompose, epsilon, exp, from_rational,
 from omegacalc.errors import (LeadingCoefficientNotOne, NonPositive,
                               NotInDomain, RealPartNotZero, ZeroInput)
 from omegacalc.surreal import ZERO, Number, exp_as_number, exp_cmp
-from test_surreal import (assert_canonical, naive_from_terms, oracle_add,
-                          oracle_mul, series_inputs)
+from test_surreal import (assert_canonical, assert_order, horner_invert,
+                          naive_from_terms, oracle_above, oracle_add,
+                          oracle_mul, series_inputs, series_order)
 
 n = parse_number
 W = n("w")
@@ -209,25 +210,92 @@ def oracle_ln(y, max_terms):
     return oracle_add(main, series)
 
 
+def exp_input(x):
+    """x without its real part, which exp rejects."""
+    return Number(tuple(t for t in x.terms if exp_cmp(t[0], Fraction(0))))
+
+
+def ln_input(y):
+    """y with leading coefficient 1, so positive."""
+    return Number(((y.terms[0][0], 1),) + y.terms[1:])
+
+
+def exp_order(x, max_terms):
+    """The exponent x'/w of exp's exact factor plus max_terms times the
+    leading exponent of x's infinitesimal part."""
+    inf = Number(tuple(t for t in x.terms if exp_cmp(t[0], Fraction(0)) > 0))
+    return series_order(oracle_mul(omega_to(Fraction(-1)), inf),
+                        decompose(x).infinitesimal, max_terms)
+
+
+def ln_order(y, max_terms):
+    """max_terms + 1 times the leading exponent of y/w^z0 - 1."""
+    neg_z0 = naive_from_terms((f, -c) for f, c in
+                              exp_as_number(y.terms[0][0]).terms)
+    return series_order(0, oracle_mul(omega_to(neg_z0), Number(y.terms[1:])),
+                        max_terms + 1)
+
+
 @settings(deadline=None)
 @given(series_inputs(), st.sampled_from([1, 2, 8]))
 def test_exp_matches_oracle_loop(x, max_terms):
-    # drop the real part, which exp rejects; keep an infinitesimal part
-    x = Number(tuple(t for t in x.terms if exp_cmp(t[0], Fraction(0))))
+    # keep an infinitesimal part
+    x = exp_input(x)
     assume(decompose(x).infinitesimal)
     got = exp(x, max_terms)
     assert not got.exact
-    assert got.value.terms == oracle_exp(x, max_terms).terms
+    order = exp_order(x, max_terms)
+    assert got.value.terms == \
+        oracle_above(oracle_exp(x, max_terms), order).terms
+    assert_order(got, order)
     assert_canonical(got.value)
 
 
 @settings(deadline=None)
 @given(series_inputs(), st.sampled_from([1, 2, 8]))
 def test_ln_matches_oracle_loop(y, max_terms):
-    # make y positive with leading coefficient 1, inside ln's domain
-    y = Number(((y.terms[0][0], 1),) + y.terms[1:])
+    # inside ln's domain
+    y = ln_input(y)
     assume(in_ln_domain(y))
     got = ln(y, max_terms)
     assert not got.exact
-    assert got.value.terms == oracle_ln(y, max_terms).terms
+    order = ln_order(y, max_terms)
+    assert got.value.terms == \
+        oracle_above(oracle_ln(y, max_terms), order).terms
+    assert_order(got, order)
     assert_canonical(got.value)
+
+
+# -- every printed term is a true term ----------------------------------------
+# A cut series holds exactly the terms on which the order-N and the
+# order-(N+8) oracle sums agree: the terms above its true order.  The
+# oracles are the loops above and horner_invert, and none reads `order`.
+
+ORACLES = {"invert": (invert, horner_invert),
+           "exp": (exp, oracle_exp), "ln": (ln, oracle_ln)}
+
+
+def agreeing_prefix(low, high):
+    n = 0
+    for a, b in zip(low.terms, high.terms):
+        if a != b:
+            break
+        n += 1
+    return n
+
+
+@settings(deadline=None, max_examples=50)
+@given(series_inputs(), st.sampled_from(sorted(ORACLES)),
+       st.sampled_from([1, 2, 8]))
+def test_a_cut_series_holds_exactly_its_true_terms(x, name, max_terms):
+    x = {"invert": lambda v: v, "exp": exp_input, "ln": ln_input}[name](x)
+    if name == "exp":
+        assume(decompose(x).infinitesimal)
+    if name == "ln":
+        assume(in_ln_domain(x))
+    fn, oracle = ORACLES[name]
+    got = fn(x, max_terms)
+    low, high = oracle(x, max_terms), oracle(x, max_terms + 8)
+    order = exp_as_number(got.order)
+    assert got.value.terms == oracle_above(high, order).terms
+    assert len(got.value.terms) == agreeing_prefix(low, high)

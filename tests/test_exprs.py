@@ -13,7 +13,7 @@ from omegacalc import (add, brace_render, divide, epsilon, from_rational,
                        ordinal_to_json, parse_number, parse_number_expr,
                        parse_ordinal, parse_skand, render_number,
                        render_ordinal)
-from omegacalc.errors import ParseError
+from omegacalc.errors import InsufficientPrecision, ParseError
 from omegacalc.exprs import parse_setterm
 from omegacalc.ordinals import Ordinal
 from omegacalc.skands import Atom, Constant, Cycle, Fset
@@ -147,14 +147,15 @@ def test_truncated_expression_flags():
 
 
 # (text, exact): a value is inexact iff divide, exp or ln cut a series on the
-# way to it, even where the cut terms cancel or are multiplied away
+# way to it, even where the cut terms cancel; only an exact 0 factor makes a
+# cut operand's product exact
 EXACT_FLAGS = (
     ("1 + 2", True), ("w - w", True), ("2*w^-1", True), ("-w", True),
     ("w/3", True), ("w/w^2", True), ("(w + 1)*(w - 1)", True),
     ("exp(w)", True), ("ln(w)", True), ("ln(exp(w))", True),
     ("exp(-(w^2 - w^2))", True), ("1/(w+1)", False), ("-1/(w+1)", False),
     ("-(1/(w+1))", False), ("((1/(w+1)))", False), ("2 + 1/(w+1)", False),
-    ("1/(w+1) - 1/(w+1)", False), ("0*(1/(w+1))", False),
+    ("1/(w+1) - 1/(w+1)", False), ("0*(1/(w+1))", True),
     ("(w^2 - 1)/(w + 1)", False), ("exp(w^-1)", False), ("ln(w + 1)", False),
     ("exp(1/(w+1)-1/(w+1))", False), ("ln(w*(1/(w+1) - 1/(w+1)) + w)", False),
 )
@@ -164,6 +165,49 @@ EXACT_FLAGS = (
 def test_exactness_through_every_operator(text, exact):
     t = parse_number_expr(text, 5)
     assert t.exact is exact
+
+
+# (text, order) at max_terms 5, by the valuation rules of exprs: 1/(w+1) is
+# cut at w^-6, and its value w^-1 - w^-2 + ... leads at w^-1
+ORDERS = (
+    ("1/(w+1)", -6), ("-(1/(w+1))", -6), ("2 + 1/(w+1)", -6),
+    ("1/(w+1) + w^-20", -6),                    # the larger order
+    ("(1/(w+1) + w^-1) - (1/(w+2) - w^-3)", -6),
+    ("w^3*(1/(w+1))", -3),                      # o_a + v(b)
+    ("(1/(w+1))*(1/(w+2))", -7),                # max(o_a+v(b), o_b+v(a))
+    ("(1/(w+1) - 1/(w+1))*w", -5),              # a cut 0: v^ is its order
+    ("1/(w+1)/(w+1)", -7), ("(w^2 - 1)/(w + 1)", -4),
+    ("1/(1/(w+1))", -4),                        # o_b - 2*v(b) = -6 + 2
+    ("w/(1/(w+1) + 1)", -4),                    # invert's, w^-5, times w
+    ("exp(1/(w+1))", -5),                       # the series order w^-5
+    ("exp(w^-1 + (1/(w^3+1)))", -5),            # v(exp) + o_a = 0 - 18
+    ("exp(w + 1/(w+1))", -4),                   # 1 + 5*(-1), not 1 - 6
+    ("ln(w + 1/(w+1))", -7),                    # o_a - v(a) = -6 - 1
+    ("ln(w^2 + w^-5*(1/(w+1)))", -13),          # the series order 6*(-7)
+)
+
+
+@pytest.mark.parametrize("text,order", ORDERS)
+def test_orders_follow_the_valuation_rules(text, order):
+    t = parse_number_expr(text, 5)
+    assert t.order == order
+    # the value holds no term at or below its order, and agrees there
+    # with a computation cut far lower
+    assert all(e > order for e, _ in t.value.terms)
+    deep = parse_number_expr(text, 30).value.terms
+    assert t.value.terms == tuple(p for p in deep if p[0] > order)
+
+
+@pytest.mark.parametrize("text", [
+    "1/(1/(w+1) - 1/(w+1))",        # a divisor that is 0 above its order
+    "w/((1/(w+1) - 1/(w+1))*w^9)",
+    "ln(1/(w+1) - 1/(w+1))",
+    "exp(w^6*(1/(w+1)))",           # the order reaches exponent 0
+    "exp(w^9*(1/(w+1) - 1/(w+1)))",
+])
+def test_a_cut_operand_known_too_little_is_refused(text):
+    with pytest.raises(InsufficientPrecision):
+        parse_number_expr(text, 5)
 
 
 def test_places_that_need_an_exact_value_reject_a_cut():

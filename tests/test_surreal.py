@@ -15,7 +15,7 @@ from omegacalc import (Number, add, divide, epsilon, from_ordinal,
 from omegacalc.errors import DivisionByZero
 from omegacalc import explog
 from omegacalc.surreal import (ZERO, EpsilonAtom, _norm_exp, exp_as_number,
-                               exp_cmp, power_series)
+                               exp_cmp, power_series, split_at_zero)
 from test_ordinals import TUPLES, ordinal_of
 
 n = parse_number
@@ -444,23 +444,34 @@ def test_series_merge_is_not_quadratic(monkeypatch):
     # counts the merge's comparator, exp_cmp: a merge that scans every kept
     # term per incoming pair makes ~7*10^5 comparisons here, one sort per
     # add ~3*10^4, the linear merge ~9*10^3 under Horner's rule and ~2.7*10^3
-    # summing powers
+    # summing powers; the lattice path, cut at the order, makes one, to see
+    # that no term of -d lies at or below the order
     x = n("w^(1/2) + 1 + w^(-1/3)")
     calls = counting(monkeypatch, "exp_cmp", lambda e, f: 1)
     t = invert(x, 32)
-    assert calls[0] <= 15_000
-    assert len(t.value.terms) == 150
+    assert calls[0] == 1
+    assert t.value.terms == roadmap_terms()
 
 
 def test_invert_multiplies_only_the_newest_power(monkeypatch):
     # term products formed by mul: Horner's rule, which multiplies -d by the
-    # whole partial sum, forms 4 512 here; summing the powers of -d ~1 100
+    # whole partial sum, forms 4 512 here; summing the powers of -d ~1 100;
+    # the lattice path multiplies only to peel the leader
     x = n("w^(1/2) + 1 + w^(-1/3)")
     products = counting(monkeypatch, "mul",
                         lambda a, b: len(a.terms) * len(b.terms))
     t = invert(x, 32)
-    assert products[0] <= 2_000
-    assert len(t.value.terms) == 150
+    assert products[0] == 2
+    assert t.value.terms == roadmap_terms()
+
+
+def roadmap_terms():
+    """The terms of 1/(w^(1/2) + 1 + w^(-1/3)) above its order w^(-33/2)
+    at 32 terms, from the oracle series: 92 of the 150 terms of the 32-term
+    partial sum."""
+    x = n("w^(1/2) + 1 + w^(-1/3)")
+    return oracle_above(horner_invert(x, 32),
+                        invert_order(x, 32)).terms
 
 
 def horner_invert(x, max_terms):
@@ -487,12 +498,46 @@ def series_inputs(draw):
     return naive_from_terms((e, draw(coeffs)) for e in exps)
 
 
+def scaled_exponent(e, k):
+    """k*e as a Number, built from the pairwise oracles."""
+    return naive_from_terms((f, c * k) for f, c in exp_as_number(e).terms)
+
+
+def series_order(s, y, count):
+    """s + count*v(y) as a Number: the order of a series of `count` powers
+    of y times a monomial of exponent s."""
+    return oracle_add(exp_as_number(s), scaled_exponent(y.terms[0][0], count))
+
+
+def invert_order(x, max_terms):
+    """-e1 + max_terms*(e2 - e1) for x's two leading exponents e1 > e2."""
+    e1, e2 = x.terms[0][0], x.terms[1][0]
+    gap = oracle_add(exp_as_number(e2), scaled_exponent(e1, -1))
+    return oracle_add(scaled_exponent(e1, -1),
+                      scaled_exponent(_norm_exp(gap), max_terms))
+
+
+def oracle_above(x, order):
+    """The terms of x whose exponents lie above the Number `order`."""
+    return Number(tuple((e, c) for e, c in x.terms
+                        if nf_cmp(exp_as_number(e), order) > 0))
+
+
+def assert_order(got, order):
+    """got is cut at the Number `order`, spelled canonically."""
+    assert got.order == _norm_exp(order)
+    assert exp_as_number(got.order) == order
+
+
 @settings(deadline=None)
 @given(series_inputs(), st.sampled_from([1, 2, 8]))
 def test_invert_matches_horner_oracle(x, max_terms):
     got = invert(x, max_terms)
     assert not got.exact
-    assert got.value.terms == horner_invert(x, max_terms).terms
+    order = invert_order(x, max_terms)
+    assert got.value.terms == \
+        oracle_above(horner_invert(x, max_terms), order).terms
+    assert_order(got, order)
     assert_canonical(got.value)
 
 
@@ -509,17 +554,39 @@ def oracle_power_series(y, coeffs):
     return acc
 
 
+def oracle_series(y, coeffs, lead_exponent=0):
+    """The terms of sum coeffs[n] * y^n that power_series keeps: those
+    above the order lead_exponent + len(coeffs)*v(y), and every term when
+    y is 0."""
+    got = oracle_power_series(y, coeffs)
+    if not y:
+        return got
+    return oracle_above(got, series_order(lead_exponent, y, len(coeffs)))
+
+
+def infinitesimal_part(y):
+    """y's terms below exponent 0: the variable power_series is given."""
+    return Number(split_at_zero(y.terms)[2])
+
+
 SERIES_COEFFS = st.one_of(st.just(0), st.integers(-3, 3), RATIONALS)
+# power_series sums powers of an infinitesimal y, or of 0
+INFINITESIMALS = numbers(2).map(infinitesimal_part)
 
 
 @settings(deadline=None)
-@given(numbers(2), st.lists(SERIES_COEFFS, min_size=1, max_size=5))
-@example(n("w^(1/2)*2/3 + eps[0]/5"), [0, Fraction(1, 2), 0, Fraction(-3, 4)])
+@given(INFINITESIMALS, st.lists(SERIES_COEFFS, min_size=1, max_size=5))
+@example(n("w^(-1/2)*2/3 + w^(-eps[0])/5"),
+         [0, Fraction(1, 2), 0, Fraction(-3, 4)])
 @example(n("w^-1/2 + w^(-w)/3"), [Fraction(1, 6)] * 4)
+@example(ZERO, [Fraction(2, 3), 1])
 def test_power_series_matches_oracle(y, coeffs):
     got = power_series(y, coeffs)
-    assert got.terms == oracle_power_series(y, coeffs).terms
-    assert_canonical(got)
+    assert got.value.terms == oracle_series(y, coeffs).terms
+    assert got.exact == (not y)
+    if y:
+        assert_order(got, series_order(0, y, len(coeffs)))
+    assert_canonical(got.value)
 
 
 def test_series_multiply_by_fractions_a_fixed_number_of_times(monkeypatch):
@@ -584,8 +651,9 @@ ROADMAP_TAIL = n("-w^(-1/2) - w^(-5/6)")
          [0, 1, Fraction(-1, 2)] * 10 + [3, 0])
 def test_lattice_power_series_matches_oracle(y, coeffs):
     got = power_series(y, coeffs)
-    assert got.terms == oracle_power_series(y, coeffs).terms
-    assert_canonical(got)
+    assert got.value.terms == oracle_series(y, coeffs).terms
+    assert_order(got, series_order(0, y, len(coeffs)))
+    assert_canonical(got.value)
 
 
 @pytest.mark.parametrize("y, coeffs", [
@@ -595,24 +663,29 @@ def test_lattice_power_series_matches_oracle(y, coeffs):
     (n("w^(-1/3)*(-15)"), [1, 1, 1]),       # 1 - 15z + 225z^2
     (n("w^-2*(-65535)"), [0, 1]),
     (n("w^(-1/2)*(-3)/2"), [1] * 32),       # monomial, odd powers negative
+    # two terms: slots 4 to 6 of the dense sum lie at or below the order
+    # and are cut, and X = 255*2^b - 255*2^(2b) < 0 sends the accumulator
+    # below 0 before each reduction; slot 3 holds -255^3
+    (n("w^-1*255 - w^-2*255"), [1, 1, 1, 1]),
 ])
 def test_lattice_slot_holds_its_bound(y, coeffs):
     # a monomial y puts |k_n| * S^n in slot n exactly, so the top slot
     # carries most of the bound the slot width is computed from
     got = power_series(y, coeffs)
-    assert got.terms == oracle_power_series(y, coeffs).terms
-    assert_canonical(got)
+    assert got.value.terms == oracle_series(y, coeffs).terms
+    assert_canonical(got.value)
 
 
 def test_lattice_path_divides_out_the_step(monkeypatch):
     # exponents -1000 and -2000 lie on the step 1000; packed on the step,
-    # 32 powers take 63 slots, and unscaled 62 001, more than the 528 terms
-    # the sparse sum can have, which would send the input to the row merge
+    # 32 powers take 32 slots above the order, and unscaled 32 000, more
+    # than the 528 terms the sparse sum can have, which would send the
+    # input to the row merge
     y = n("w^-1000*3 - w^-2000/7")
     products = counting(monkeypatch, "mul", lambda a, b: 1)
     got = power_series(y, [1] * 32)
     assert products[0] == 0
-    assert got.terms == oracle_power_series(y, [1] * 32).terms
+    assert got.value.terms == oracle_series(y, [1] * 32).terms
 
 
 # -- the lead folded into the unpack ------------------------------------------------
@@ -669,25 +742,35 @@ def folded_leads(draw):
 def test_folded_lead_matches_oracle(case):
     y, coeffs, lead = case
     got = power_series(y, coeffs, lead)
+    order = series_order(lead[0], y, len(coeffs))
     want = oracle_mul(Number((lead,)), oracle_power_series(y, coeffs))
-    assert got.terms == want.terms
-    assert_canonical(got)
+    assert got.value.terms == oracle_above(want, order).terms
+    assert_order(got, order)
+    assert_canonical(got.value)
 
 
 # -- the sparse row merge ---------------------------------------------------------
 # A non-real exponent keeps power_series on the row merge; these twins of the
 # merge and products guards above pin that path's counts at N = 32, so a
-# quadratic merge or a return to Horner's rule shows as a change.
+# quadratic merge, a return to Horner's rule or a power left uncut at the
+# order shows as a change.  All 528 terms of the 32-term partial sum lie
+# above the order w^(-w*33 + 32), so nothing is cut here, and each power's
+# cut check costs two comparisons (63 in all).
 
 SPARSE_INPUT = "w^(w) + w + 1"
+
+
+def sparse_terms():
+    x = n(SPARSE_INPUT)
+    return oracle_above(horner_invert(x, 32), invert_order(x, 32)).terms
 
 
 def test_sparse_series_merge_is_not_quadratic(monkeypatch):
     x = n(SPARSE_INPUT)
     calls = counting(monkeypatch, "exp_cmp", lambda e, f: 1)
     t = invert(x, 32)
-    assert calls[0] == 14_349
-    assert len(t.value.terms) == 528
+    assert calls[0] == 14_412
+    assert t.value.terms == sparse_terms()
 
 
 def test_sparse_invert_multiplies_only_the_newest_power(monkeypatch):
@@ -696,7 +779,7 @@ def test_sparse_invert_multiplies_only_the_newest_power(monkeypatch):
                         lambda a, b: len(a.terms) * len(b.terms))
     t = invert(x, 32)
     assert products[0] == 1_520
-    assert len(t.value.terms) == 528
+    assert t.value.terms == sparse_terms()
 
 
 def test_wide_gap_takes_the_sparse_path():
@@ -713,6 +796,22 @@ def test_wide_gap_takes_the_sparse_path():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert out.count("w^") == 527
+
+
+def test_a_term_below_the_order_is_not_packed():
+    # w^-1000000000 lies below the order w^-8 of the 8-term series, so it
+    # changes no kept term; packed, it would need a 10^10-bit int
+    import tracemalloc
+    from omegacalc import cli
+    options = cli.Options(json=True)
+    tracemalloc.start()
+    try:
+        out = cli.run_line("eval 1/(1+w^-1+w^-1000000000)", options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert out == cli.run_line("eval 1/(1+w^-1)", options)
 
 
 # -- a rational operand is a scale --------------------------------------------
@@ -765,7 +864,8 @@ def test_non_real_lead_keeps_the_lattice_path(monkeypatch):
     calls = counting(monkeypatch, "mul", lambda a, b: 1)
     got = invert(x, 8)
     assert calls[0] == 1
-    assert got.value.terms == horner_invert(x, 8).terms
+    assert got.value.terms == \
+        oracle_above(horner_invert(x, 8), invert_order(x, 8)).terms
 
 
 # -- one spelling per rational ----------------------------------------------------
@@ -785,7 +885,8 @@ def test_every_kernel_result_spells_its_rationals_once(pairs, x, y, max_terms,
                                                        coeffs):
     from omegacalc import number_from_json, number_to_json
     got = [surreal.from_terms(pairs), add(x, y), mul(x, y), negate(x),
-           power_series(y, coeffs), number_from_json(number_to_json(x)),
+           power_series(infinitesimal_part(y), coeffs).value,
+           number_from_json(number_to_json(x)),
            parse_number(render_number(x))]
     if y:
         got += [divide(x, y, max_terms).value, invert(y, max_terms).value]

@@ -33,7 +33,7 @@ VALUES = (Number, EpsilonAtom, TruncatedNumber, Ordinal, TransfiniteMap,
 def _instances():
     s = make_skand(o("w"), [(o("w*2"), ("a", "b"))])
     return [parse_number("w + 1"), EpsilonAtom(from_rational(1)),
-            TruncatedNumber(parse_number("w"), True), o("w^2+3"), s.mapping,
+            TruncatedNumber(parse_number("w"), None), o("w^2+3"), s.mapping,
             s, decompose(parse_number("w + 2 + w^-1"))]
 
 
@@ -200,8 +200,8 @@ def test_no_value_field_is_stored_after_construction():
     "def f(x):\n    setattr(x, 'terms', ())\n",
     "class Number:\n    def __init__(self):\n        self.terms = ()\n"
     "    def cmp(self):\n        self.terms = ()\n",
-    # `exact` is a TruncatedNumber field, so no receiver may store it
-    "def f(out):\n    out.exact = False\n",
+    # `order` is a TruncatedNumber field, so no receiver may store it
+    "def f(out):\n    out.order = None\n",
 ])
 def test_the_immutability_check_sees_a_store(source):
     assert len(_violations(source)) == 1
