@@ -62,7 +62,7 @@ from operator import itemgetter
 
 from .errors import (InsufficientPrecision, OutputTooLarge, ParseError,
                      PrefixTooLarge)
-from .ordinals import OMEGA, ONE, Ordinal, _ecmp, _exp
+from .ordinals import OMEGA, ONE, Ordinal, _exp
 from .ordinals import ZERO as OZERO
 from .surreal import (OMEGA as NOMEGA, Dyadic, EpsilonAtom, Number,
                       TruncatedNumber, _higher, _known, _rational, add,
@@ -252,7 +252,7 @@ def _plus(a: Ordinal, b: Ordinal) -> Ordinal:
     """a + b.  b's terms are appended where they continue a's descending
     order, so a literal in CNF (w^2*3 + w + 4) is joined term by term, and
     ordinal + is taken only where a term is out of order."""
-    if a.terms and b.terms and _ecmp(a.terms[-1][0], b.terms[0][0]) <= 0:
+    if a.terms and b.terms and exp_cmp(a.terms[-1][0], b.terms[0][0]) <= 0:
         return a + b
     return Ordinal(a.terms + b.terms)
 
@@ -305,12 +305,12 @@ def render_ordinal(o: Ordinal) -> str:
         if not e:
             parts.append(str(c))
             continue
-        if e == 1:
-            base = "w"
-        elif type(e) is int:
-            base = "w^%d" % e
-        else:
+        if type(e) is not int:
             base = "w^(%s)" % render_ordinal(e)
+        elif e == 1:
+            base = "w"
+        else:
+            base = "w^%d" % e
         parts.append(base if c == 1 else "%s*%d" % (base, c))
     return " + ".join(parts)
 
@@ -332,7 +332,7 @@ def ordinal_from_json(data) -> Ordinal:
         if type(c) is not int or c < 1:
             raise ValueError("ordinal coefficient must be an int >= 1, got %r"
                              % (c,))
-        if terms and _ecmp(terms[-1][0], e) <= 0:
+        if terms and exp_cmp(terms[-1][0], e) <= 0:
             raise ValueError("ordinal exponents must strictly decrease")
         terms.append((e, c))
     return Ordinal(tuple(terms))

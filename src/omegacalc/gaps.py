@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .errors import NotIndecomposable, NotLimit, Record, \
     UnsupportedDescriptor
-from .ordinals import OMEGA, Ordinal, classify_ordinal, divmod_omega_pow
+from .ordinals import (OMEGA, Ordinal, _from_exp, classify_ordinal,
+                       divmod_omega_pow)
 from .surreal import (Dyadic, Number, add, exp_as_number, exp_cmp,
                       from_ordinal, from_terms, negate, nf_cmp, sign)
 from .surreal import ZERO as NZERO
@@ -189,8 +190,7 @@ def _exceeds_all_ordinals_below(y: Number, mu: Ordinal) -> bool:
     last_e, last_c = mu.terms[-1]
     head = Ordinal(mu.terms[:-1] + (((last_e, last_c - 1),) if last_c > 1 else ()))
     d = add(y, negate(from_ordinal(head)))
-    return _exceeds_all_below_monomial(
-        d, Ordinal.from_int(last_e) if type(last_e) is int else last_e)
+    return _exceeds_all_below_monomial(d, _from_exp(last_e))
 
 
 def _exceeds_all_below_monomial(d: Number, m: Ordinal) -> bool:

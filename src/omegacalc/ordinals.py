@@ -5,27 +5,37 @@ with exponents e1 > e2 > ... > ek and integer coefficients ci >= 1.
 The empty sum is 0.  Everything representable lies below epsilon_0, which
 keeps all algorithms total.
 
-Every exponent has one spelling: a finite exponent is an `int` and only an
-infinite one is an `Ordinal`, so comparing and summing the exponents of the
-common case is `int` arithmetic.  `Ordinal(terms)` is the raw constructor and
-takes canonical terms; `from_int`, `omega_pow` and the operations build them.
-`_coerce` turns an `int` operand into an `Ordinal` at the public boundary
-only: the operators and the free `ord_*` functions.
+The ordinals are a sub-order of the surreals, and an ordinal's Cantor
+normal form is its surreal normal form (Conway, On Numbers and Games, 1976,
+ch. 2), so its terms are spelled as a Number's: a finite exponent is an
+`int`, and an infinite one is the exponent's `surreal.Number`, whose terms
+are spelled the same way.  `_exp` spells an ordinal as an exponent and
+`_from_exp` reads one back; no other module re-derives the spelling.  So
+`Ordinal.terms` are a canonical Number's terms, and the questions the two
+share are answered by the surreal kernel: `cmp` is `nf_cmp`, and the
+Hessenberg natural sum and product are the surreal sum (`_merge` of the two
+term tuples) and product (`mul`) (Gonshor, An Introduction to the Theory of
+Surreal Numbers, 1986, ch. 5).  This module keeps what belongs to ordinals
+alone: the usual (non-commutative) `a + b` and `a * b`, `sub_left`,
+`divmod_omega_pow` and the classification, which compare exponents with
+`exp_cmp`.  The usual product adds exponents with the ordinal sum, through
+`Ordinal.__add__`: Number's `+` would take the natural sum.
+
+`Ordinal(terms)` is the raw constructor and takes canonical terms;
+`from_int`, `omega_pow` and the operations build them.  `_coerce` turns an
+`int` operand into an `Ordinal` at the public boundary only: the operators
+and the free `ord_*` functions.  A finite Ordinal equals its int and its
+rational Number, and hashes as the int; an infinite one equals no Number.
 
 An `Ordinal` is a plain class with `__slots__`, immutable by convention as
 `Fraction` is: `__init__` stores the terms, and nothing stores to them
 afterwards.
-
-Both the usual (non-commutative) sum/product and the Hessenberg natural
-sum/product are provided.  `a + b` and `a * b` are the usual operations;
-natural ones are named methods.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 from .errors import PrefixTooLarge, Record
+from .surreal import Number, _merge, exp_cmp, mul, nf_cmp
 
 LT, EQ, GT = -1, 0, 1
 
@@ -38,7 +48,7 @@ def _coerce(x) -> "Ordinal":
     raise TypeError("cannot interpret %r as an ordinal" % (x,))
 
 
-# -- exponents: an int when finite, an infinite Ordinal otherwise -----------
+# -- exponents: an int when finite, the exponent's Number otherwise --------
 
 def _exp(x):
     """The exponent spelling of the ordinal or non-negative int x."""
@@ -49,23 +59,12 @@ def _exp(x):
         return 0
     if len(t) == 1 and not t[0][0]:
         return t[0][1]
-    return x
+    return Number(t)
 
 
-def _ecmp(a, b) -> int:
-    """Compare two exponents; every int lies below every Ordinal."""
-    if type(a) is int:
-        if type(b) is int:
-            return EQ if a == b else GT if a > b else LT
-        return LT
-    return GT if type(b) is int else a.cmp(b)
-
-
-def _enat_add(a, b):
-    """The natural sum of two exponents."""
-    if type(a) is int and type(b) is int:
-        return a + b
-    return _coerce(a).nat_add(b)
+def _from_exp(e) -> "Ordinal":
+    """The Ordinal that the exponent e spells: the inverse of _exp."""
+    return Ordinal.from_int(e) if type(e) is int else Ordinal(e.terms)
 
 
 class Ordinal:
@@ -100,7 +99,7 @@ class Ordinal:
     def leading_exp(self) -> "Ordinal":
         if not self.terms:
             raise ValueError("0 has no leading term")
-        return _coerce(self.terms[0][0])
+        return _from_exp(self.terms[0][0])
 
     def is_finite(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
@@ -134,15 +133,7 @@ class Ordinal:
     def cmp(self, other) -> int:
         if type(other) is not Ordinal:
             other = _coerce(other)
-        for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
-            c = _ecmp(ea, eb)
-            if c:
-                return c
-            if ca != cb:
-                return GT if ca > cb else LT
-        if len(self.terms) != len(other.terms):
-            return GT if len(self.terms) > len(other.terms) else LT
-        return EQ
+        return nf_cmp(self, other)
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -159,7 +150,11 @@ class Ordinal:
     def __eq__(self, other):
         if isinstance(other, int):
             other = Ordinal.from_int(other)
-        if not isinstance(other, Ordinal):
+        elif isinstance(other, Number):
+            # a finite ordinal has its rational Number's terms; Python also
+            # calls this reflected, for Number == Ordinal
+            return self.is_finite() and self.terms == other.terms
+        elif not isinstance(other, Ordinal):
             return NotImplemented
         return self.terms == other.terms
 
@@ -182,7 +177,7 @@ class Ordinal:
         lead = other.terms[0][0]
         kept = []
         for e, c in self.terms:
-            r = _ecmp(e, lead)
+            r = exp_cmp(e, lead)
             if r == GT:
                 kept.append((e, c))
             elif r == EQ:
@@ -208,9 +203,11 @@ class Ordinal:
         lead = t[0][0]
         for f, d in u:
             if f:
-                # an exponent sum: int + int is an int, and a sum with an
-                # infinite Ordinal is an infinite Ordinal
-                acc = acc + Ordinal(((lead + f, d),))
+                # the exponents add as ordinals, not as Numbers (whose +
+                # is the natural sum): w * w^w is w^w
+                e = lead + f if type(lead) is type(f) is int else \
+                    _exp(_from_exp(lead) + _from_exp(f))
+                acc = acc + Ordinal(((e, d),))
             else:
                 # the finite last term d: w^lead*(c1*d) + lower terms of self
                 acc = acc + Ordinal(((lead, t[0][1] * d),) + t[1:])
@@ -226,7 +223,7 @@ class Ordinal:
         i = 0
         while i < len(self.terms) and i < len(prefix.terms):
             (et, ct), (ep, cp) = self.terms[i], prefix.terms[i]
-            r = _ecmp(ep, et)
+            r = exp_cmp(ep, et)
             if r == LT:
                 return Ordinal(self.terms[i:])
             if r == GT:
@@ -245,20 +242,12 @@ class Ordinal:
     def nat_add(self, other) -> "Ordinal":
         if type(other) is not Ordinal:
             other = _coerce(other)
-        merged = {}
-        for e, c in self.terms + other.terms:
-            merged[e] = merged.get(e, 0) + c
-        return _from_dict(merged)
+        return Ordinal(tuple(_merge(self.terms, other.terms)))
 
     def nat_mul(self, other) -> "Ordinal":
         if type(other) is not Ordinal:
             other = _coerce(other)
-        merged = {}
-        for e, c in self.terms:
-            for f, d in other.terms:
-                g = _enat_add(e, f)
-                merged[g] = merged.get(g, 0) + c * d
-        return _from_dict(merged)
+        return Ordinal(mul(self, other).terms)
 
     # -- display --------------------------------------------------------
 
@@ -268,12 +257,6 @@ class Ordinal:
 
     def __repr__(self):
         return "Ordinal<%s>" % (self,)
-
-
-def _from_dict(merged: dict) -> Ordinal:
-    items = [(e, c) for e, c in merged.items() if c]
-    items.sort(key=cmp_to_key(lambda a, b: _ecmp(a[0], b[0])), reverse=True)
-    return Ordinal(tuple(items))
 
 
 ZERO = Ordinal()
@@ -329,8 +312,9 @@ def divmod_omega_pow(a, k) -> tuple:
     hi = []
     i = 0
     for e, c in a.terms:
-        if _ecmp(e, k) >= 0:
-            hi.append((e - k if type(e) is int else _exp(e.sub_left(k)), c))
+        if exp_cmp(e, k) >= 0:
+            hi.append((e - k if type(e) is int else
+                       _exp(_from_exp(e).sub_left(_from_exp(k))), c))
             i += 1
         else:
             break

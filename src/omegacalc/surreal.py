@@ -43,6 +43,13 @@ their series by is folded into power_series: on the lattice path its
 exponent, real or not, is added to each unpacked exponent and its
 coefficient joins the final division, so each output term is built once.
 
+An ordinal's Cantor normal form is its normal form here, and
+ordinals.Ordinal spells its terms as a canonical Number's, so from_ordinal
+is a view that builds no term, and ordinals compares and takes natural
+sums and products with nf_cmp, _merge and mul.  The import runs one way:
+ordinals imports this module, and this module reads an Ordinal only
+through its terms.
+
 Number, EpsilonAtom and TruncatedNumber are plain classes with __slots__,
 immutable by convention as Fraction is: an explicit __init__ stores the
 fields, and nothing stores to them afterwards.
@@ -59,7 +66,6 @@ from math import ceil, comb, floor, gcd, lcm
 
 from .errors import (DivisionByZero, IllFormedGame, InsufficientPrecision,
                      NoConvergenceDetected, Record)
-from .ordinals import Ordinal
 
 LT, EQ, GT = -1, 0, 1
 _new = object.__new__
@@ -99,9 +105,8 @@ class Number:
 
     # equality is structural; canonical construction makes it semantic
     def __eq__(self, other):
-        # a finite ordinal equals its int; an infinite one equals no Number
-        if isinstance(other, Ordinal) and other.is_finite():
-            other = other.as_int()
+        # an Ordinal gets NotImplemented, and Python then asks
+        # Ordinal.__eq__, which equates a finite ordinal with its rational
         if isinstance(other, (int, Fraction)):
             other = from_rational(other)
         if not isinstance(other, Number):
@@ -167,8 +172,6 @@ def _coerce(x) -> Number:
         return x
     if isinstance(x, (int, Fraction)):
         return from_rational(x)
-    if isinstance(x, Ordinal):
-        return from_ordinal(x)
     raise TypeError("cannot interpret %r as a Number" % (x,))
 
 
@@ -246,15 +249,16 @@ def exp_as_number(e) -> Number:
 
 def exp_cmp(e, f) -> int:
     """Total order on canonical exponents: rationals (ints and Fractions),
-    epsilon atoms and non-real Numbers mixed.  Two ints compare directly,
-    and two rationals otherwise by cross-multiplying their integers; a
-    rational against anything else goes through _cmp_real, which allocates
-    nothing."""
+    epsilon atoms and non-real Numbers mixed.  Two ints, the common case of
+    ordinal and series exponents alike, are tested for first and compare
+    directly; two rationals otherwise by cross-multiplying their integers;
+    a rational against anything else goes through _cmp_real, which
+    allocates nothing."""
     te, tf = type(e), type(f)
+    if te is tf is int:
+        return GT if e > f else (LT if e < f else EQ)
     if te is int or te is Fraction:
         if tf is int or tf is Fraction:
-            if te is tf is int:
-                return GT if e > f else (LT if e < f else EQ)
             d = e.numerator * f.denominator - f.numerator * e.denominator
             return GT if d > 0 else (LT if d else EQ)
         return _cmp_real(e, f)
@@ -404,10 +408,10 @@ MINUS_ONE = from_rational(-1)
 OMEGA = Number(((1, 1),))
 
 
-def from_ordinal(a: Ordinal) -> Number:
-    # a finite exponent is an int, and so is every coefficient
-    return from_terms((e if type(e) is int else from_ordinal(e), c)
-                      for e, c in a.terms)
+def from_ordinal(a) -> Number:
+    """The Number of the ordinal a: a view of a's terms, which are spelled
+    as a canonical Number's (see ordinals)."""
+    return Number(a.terms)
 
 
 def epsilon(index) -> Number:

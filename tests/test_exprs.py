@@ -17,7 +17,7 @@ from omegacalc.errors import InsufficientPrecision, ParseError
 from omegacalc.exprs import parse_setterm
 from omegacalc.ordinals import Ordinal
 from omegacalc.skands import Atom, Constant, Cycle, Fset
-from omegacalc.surreal import EpsilonAtom
+from omegacalc.surreal import EpsilonAtom, Number
 
 
 def test_ordinal_text_forms():
@@ -41,7 +41,7 @@ def test_ordinal_json_decodes_finite_exponents_as_ints():
     data = [[[[[[[], 1]], 1], [[], 2]], 3], [[[[], 1]], 4], [[], 5]]
     a = ordinal_from_json(data)
     assert a == parse_ordinal("w^(w+2)*3 + w*4 + 5")
-    assert [type(e) for e, _ in a.terms] == [Ordinal, int, int]
+    assert [type(e) for e, _ in a.terms] == [Number, int, int]
     assert a.terms[0][0].terms == ((1, 1), (0, 2))
     assert ordinal_to_json(a) == data
 

@@ -19,6 +19,7 @@ from omegacalc import (OMEGA, Ordinal, classify_ordinal, divmod_omega_pow,
                        ord_sub_left, ordinal_from_json, ordinal_to_json,
                        parse_ordinal, render_ordinal)
 from omegacalc.errors import PrefixTooLarge
+from omegacalc.surreal import Number
 
 o = parse_ordinal
 
@@ -57,8 +58,8 @@ def random_ordinal(rng, depth=3, max_terms=3, coeff_max=4):
     while len(exps) < rng.randrange(1, max_terms + 1):
         exps.add(random_ordinal(rng, depth - 1, 2, 3))
     terms = sorted(exps, reverse=True)
-    # a finite exponent is stored as its int
-    return Ordinal(tuple((e.as_int() if e.is_finite() else e,
+    # a finite exponent is stored as its int, an infinite one as its Number
+    return Ordinal(tuple((e.as_int() if e.is_finite() else Number(e.terms),
                           rng.randrange(1, coeff_max + 1)) for e in terms))
 
 
@@ -95,6 +96,19 @@ def test_mul_examples():
     assert ord_mul(OMEGA, OMEGA) == o("w^2")
     assert ord_mul(o("w+1"), o("w")) == o("w^2")
     assert ord_mul(o("w+1"), o("w+1")) == o("w^2 + w + 1")
+    # an exponent sum with an infinite exponent is the ordinal sum, not the
+    # natural one: 1 + w = w, and w + 1 stays w + 1
+    assert ord_mul(OMEGA, o("w^w")) == o("w^(w)")
+    assert ord_mul(o("w^2+1"), o("w^(w+1)")) == o("w^(w + 1)")
+    assert ord_nat_mul(o("w^2+1"), o("w^(w+1)")) == \
+        o("w^(w + 3) + w^(w + 1)")
+
+
+def test_divmod_omega_pow_examples():
+    # an infinite exponent less k is the r with k + r = the exponent
+    assert divmod_omega_pow(o("w^(w+2)*3 + w"), OMEGA) == (o("w^2*3"), o("w"))
+    assert divmod_omega_pow(o("w^(w+2)*3 + w"), 1) == \
+        (o("w^(w+2)*3 + 1"), o("0"))
 
 
 def test_nat_add_examples():
@@ -203,35 +217,37 @@ def test_finite_ordinals_hash_as_ints():
 # Operands are drawn as oracle tuples of hereditary depth up to 3 and built
 # with the raw constructor; a finite operand is sometimes passed as its int.
 # Every result is read back into a tuple, which checks the stored form: each
-# exponent an int or an infinite Ordinal, coefficients ints >= 1, exponents
-# strictly decreasing.
+# exponent an int or the Number of an infinite ordinal, coefficients ints
+# >= 1, exponents strictly decreasing.
 
 
 def _finite(m) -> bool:
     return all(e == () for e in m)
 
 
-def ordinal_of(m) -> Ordinal:
+def ordinal_of(m, kind=Ordinal):
     terms = []
     for e in m:
-        spelled = len(e) if _finite(e) else ordinal_of(e)
+        spelled = len(e) if _finite(e) else ordinal_of(e, Number)
         if terms and terms[-1][0] == spelled:
             terms[-1][1] += 1
         else:
             terms.append([spelled, 1])
-    return Ordinal(tuple((e, c) for e, c in terms))
+    return kind(tuple((e, c) for e, c in terms))
 
 
-def tuple_of(x: Ordinal) -> tuple:
-    assert type(x) is Ordinal
+def tuple_of(x, kind=Ordinal) -> tuple:
+    """The tuple of the ordinal x, stored as a `kind`; an infinite exponent
+    must be stored as a Number."""
+    assert type(x) is kind
     out, last = (), None
     for e, c in x.terms:
         if type(e) is int:
             assert e >= 0
             m = ((),) * e
         else:
-            m = tuple_of(e)
-            assert not _finite(m), "a finite exponent stored as an Ordinal"
+            m = tuple_of(e, Number)
+            assert not _finite(m), "a finite exponent stored as a Number"
         assert type(c) is int and c >= 1
         assert last is None or oracles.ord_compare(last, m) > 0
         out, last = out + (m,) * c, m

@@ -10,13 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from omegacalc import surreal
 from omegacalc import (Number, add, divide, epsilon, from_ordinal,
                        from_rational, invert, mul, negate, nf_cmp, omega_pow,
-                       ord_cmp, ord_nat_add, parse_number, parse_ordinal,
-                       render_number, sub)
+                       parse_number, parse_ordinal, render_number, sub)
 from omegacalc.errors import DivisionByZero
 from omegacalc import explog
 from omegacalc.surreal import (ZERO, EpsilonAtom, _norm_exp, exp_as_number,
                                exp_cmp, power_series, split_at_zero)
-from test_ordinals import TUPLES, ordinal_of
+import oracles
+from test_ordinals import TUPLES, ordinal_of, tuple_of
 
 n = parse_number
 W = n("w")
@@ -120,14 +120,18 @@ def test_embeddings():
     assert omega_pow(E0) == E0
 
 
-def test_from_ordinal_respects_order_and_natural_sum():
-    import test_ordinals as to
-    rng = random.Random(5)
-    for _ in range(200):
-        a, b = to.random_ordinal(rng), to.random_ordinal(rng)
-        assert ord_cmp(a, b) == nf_cmp(from_ordinal(a), from_ordinal(b))
-        assert from_ordinal(ord_nat_add(a, b)) == \
-            add(from_ordinal(a), from_ordinal(b))
+@settings(deadline=None, max_examples=300)
+@given(TUPLES, TUPLES)
+def test_from_ordinal_respects_order_and_natural_sum(a, b):
+    # the surreal order, sum and product of two ordinals' Numbers are the
+    # ordinal order and natural (Hessenberg) sum and product of the tuple
+    # oracle, read back as canonical Numbers
+    x, y = ordinal_of(a), ordinal_of(b)
+    nx, ny = from_ordinal(x), from_ordinal(y)
+    assert nx.terms is x.terms and ny.terms is y.terms
+    assert nf_cmp(nx, ny) == oracles.ord_compare(a, b)
+    assert tuple_of(add(nx, ny), Number) == oracles.ord_nat_plus(a, b)
+    assert tuple_of(mul(nx, ny), Number) == oracles.ord_nat_times(a, b)
 
 
 def test_field_laws_random():
