@@ -28,9 +28,8 @@ from .skands import (Atom, Constant, Cycle, Extraordinary, Fset, Periodic,
                      min_finite_period, normalize, prepend_component,
                      restrict, skand_equal, solve_mirimanoff, value_at)
 from .exprs import (brace_render, number_from_json, number_to_json,
-                    ordinal_from_json, ordinal_to_json, parse_number,
-                    parse_number_expr, parse_ordinal, parse_setterm,
-                    parse_skand, render_number, render_ordinal,
-                    setterm_to_json)
+                    ordinal_to_json, parse_number, parse_number_expr,
+                    parse_ordinal, parse_setterm, parse_skand, render_number,
+                    render_ordinal, setterm_to_json)
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ from operator import itemgetter
 
 from .errors import (InsufficientPrecision, OutputTooLarge, ParseError,
                      PrefixTooLarge)
-from .ordinals import OMEGA, ONE, Ordinal, _exp
+from .ordinals import OMEGA, ONE, Ordinal
 from .ordinals import ZERO as OZERO
 from .surreal import (OMEGA as NOMEGA, Dyadic, EpsilonAtom, Number,
                       TruncatedNumber, _higher, _known, _rational, add,
@@ -321,21 +321,6 @@ def ordinal_to_json(o):
     if type(o) is int:
         return [[[], o]] if o else []
     return [[ordinal_to_json(e), c] for e, c in o.terms]
-
-
-def ordinal_from_json(data) -> Ordinal:
-    """The inverse of ordinal_to_json; ValueError unless the exponents
-    strictly decrease and every coefficient is an int >= 1."""
-    terms = []
-    for e, c in data:
-        e = _exp(ordinal_from_json(e))
-        if type(c) is not int or c < 1:
-            raise ValueError("ordinal coefficient must be an int >= 1, got %r"
-                             % (c,))
-        if terms and exp_cmp(terms[-1][0], e) <= 0:
-            raise ValueError("ordinal exponents must strictly decrease")
-        terms.append((e, c))
-    return Ordinal(tuple(terms))
 
 
 # -- surreal expressions ------------------------------------------------------
@@ -826,23 +811,3 @@ def skand_to_json(s) -> dict:
                          "length": render_ordinal(length)})
     return {"kind": "coskand" if s.ascending else "skand",
             "start": render_ordinal(s.start), "segments": segs}
-
-
-def skand_from_json(data):
-    segs = []
-    for seg in data["segments"]:
-        length = parse_ordinal(seg["length"])
-        if "const" in seg:
-            segs.append((length, (_setterm_unjson(seg["const"]),)))
-        else:
-            segs.append((length, tuple(_setterm_unjson(v)
-                                       for v in seg["cycle"])))
-    return sk.Skand(parse_ordinal(data["start"]),
-                    sk.TransfiniteMap.from_segments(segs),
-                    data.get("kind") == "coskand")
-
-
-def _setterm_unjson(data):
-    if isinstance(data, str):
-        return data
-    return sk.Fset(_setterm_unjson(e) for e in data)

@@ -23,9 +23,11 @@ alone: the usual (non-commutative) `a + b` and `a * b`, `sub_left`,
 
 `Ordinal(terms)` is the raw constructor and takes canonical terms;
 `from_int`, `omega_pow` and the operations build them.  `_coerce` turns an
-`int` operand into an `Ordinal` at the public boundary only: the operators
-and the free `ord_*` functions.  A finite Ordinal equals its int and its
-rational Number, and hashes as the int; an infinite one equals no Number.
+`int` operand into an `Ordinal` at the public boundary only: the operators,
+the free `ord_*` functions and the positions and periods that `skands`
+takes.  A finite Ordinal equals its int and its rational Number, and hashes
+as the int; an infinite one equals no Number.  As in the surreals, every
+ordinal is above a negative int and equals none.
 
 An `Ordinal` is a plain class with `__slots__`, immutable by convention as
 `Fraction` is: `__init__` stores the terms, and nothing stores to them
@@ -132,6 +134,9 @@ class Ordinal:
 
     def cmp(self, other) -> int:
         if type(other) is not Ordinal:
+            if isinstance(other, int) and other < 0:
+                # every ordinal is above a negative int, as in the surreals
+                return GT
             other = _coerce(other)
         return nf_cmp(self, other)
 
@@ -149,12 +154,13 @@ class Ordinal:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        elif isinstance(other, Number):
+            # the int's terms: a negative int's are no ordinal's
+            return self.terms == (((0, other),) if other else ())
+        if isinstance(other, Number):
             # a finite ordinal has its rational Number's terms; Python also
             # calls this reflected, for Number == Ordinal
             return self.is_finite() and self.terms == other.terms
-        elif not isinstance(other, Ordinal):
+        if not isinstance(other, Ordinal):
             return NotImplemented
         return self.terms == other.terms
 
@@ -272,7 +278,7 @@ class OrdinalClass(Record):
 # -- free-function operation aliases ------------------------------------
 
 def ord_cmp(a, b) -> int:
-    return _coerce(a).cmp(b)
+    return a.cmp(b) if type(a) is Ordinal else -_coerce(b).cmp(a)
 
 
 def ord_add(a, b) -> Ordinal:

@@ -45,7 +45,7 @@ from itertools import zip_longest
 from .errors import InfiniteLength, InvalidPeriod, NotASet, \
     OutOfClutchRegion, Record
 from .ordinals import OMEGA, ONE as OONE, ZERO as OZERO, Ordinal, \
-    classify_ordinal, divmod_omega_pow
+    _coerce, classify_ordinal, divmod_omega_pow
 from .surreal import from_ordinal, from_rational, invert, negate
 
 # -- founded-set terms ------------------------------------------------------
@@ -335,27 +335,23 @@ class Skand(Record):
 
 
 def make_skand(start, segments) -> Skand:
-    return Skand(_ord(start), TransfiniteMap.from_segments(segments))
+    return Skand(_coerce(start), TransfiniteMap.from_segments(segments))
 
 
 def make_coskand(start, segments) -> Skand:
-    return Skand(_ord(start), TransfiniteMap.from_segments(segments), True)
+    return Skand(_coerce(start), TransfiniteMap.from_segments(segments), True)
 
 
 def constant_skand(value, length, start=0) -> Skand:
-    return make_skand(start, [(_ord(length), (value,))])
+    return make_skand(start, [(_coerce(length), (value,))])
 
 
 def cycle_skand(values, length, start=0) -> Skand:
-    return make_skand(start, [(_ord(length), tuple(values))])
-
-
-def _ord(x) -> Ordinal:
-    return x if isinstance(x, Ordinal) else Ordinal.from_int(x)
+    return make_skand(start, [(_coerce(length), tuple(values))])
 
 
 def value_at(s, pos) -> object:
-    pos = _ord(pos)
+    pos = _coerce(pos)
     if pos.cmp(s.start) < 0 or pos.cmp(s.end) >= 0:
         raise OutOfClutchRegion("%s outside [%s, %s)" % (pos, s.start, s.end))
     return s.mapping.value_at(pos.sub_left(s.start))
@@ -363,7 +359,7 @@ def value_at(s, pos) -> object:
 
 def restrict(s, from_pos):
     """The remainder on [from_pos, end)."""
-    from_pos = _ord(from_pos)
+    from_pos = _coerce(from_pos)
     if from_pos.cmp(s.start) < 0 or from_pos.cmp(s.end) >= 0:
         raise OutOfClutchRegion("%s outside [%s, %s)" % (from_pos, s.start,
                                                          s.end))
@@ -435,7 +431,7 @@ def is_weakly_periodic(s: Skand, tau) -> bool:
     only on its position's finite part mod |p|, and P + d and
     (P (+) tau) + d have the same finite part when d is infinite, and ones
     that differ by f when d is finite."""
-    tau = _ord(tau)
+    tau = _coerce(tau)
     if not tau:
         raise InvalidPeriod("period must be a nonzero ordinal")
     length, p = _first_segment(s.mapping)
@@ -475,7 +471,7 @@ def is_periodic(s: Skand, tau) -> bool:
 def _periodic_segment_count(s: Skand, tau) -> int:
     """The number of canonical segments of s when s is periodic with period
     tau (see is_periodic), else 0."""
-    tau = _ord(tau)
+    tau = _coerce(tau)
     if not tau:
         raise InvalidPeriod("period must be a nonzero ordinal")
     exp1 = tau.leading_exp + 1

@@ -1,9 +1,10 @@
 """Test oracles that share no code with the library: exhaustive day-by-day
 enumeration of the numbers born by a given day, the recursive {L|R}
-comparison on explicit game forms, and ordinal arithmetic below epsilon_0
-on nested tuples of exponents."""
+comparison on explicit game forms, and ordinal arithmetic and JSON below
+epsilon_0 on nested tuples of exponents."""
 
 from fractions import Fraction
+from itertools import groupby
 
 
 def numbers_born_by(day: int):
@@ -101,3 +102,9 @@ def ord_divmod_omega_pow(a, k) -> tuple:
     """(q, r) with a = w^k * q + r and r < w^k."""
     return (tuple(ord_minus_left(e, k) for e in a if ord_compare(e, k) >= 0),
             tuple(e for e in a if ord_compare(e, k) < 0))
+
+
+def ord_json(a) -> list:
+    """The [[exponent, coefficient], ...] JSON terms of a: a run of equal
+    exponents is one term, and 0 is []."""
+    return [[ord_json(e), len(list(run))] for e, run in groupby(a)]

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from omegacalc import (OMEGA, Ordinal, classify_ordinal, divmod_omega_pow,
                        ord_add, ord_cmp, ord_mul, ord_nat_add, ord_nat_mul,
-                       ord_sub_left, ordinal_from_json, ordinal_to_json,
-                       parse_ordinal, render_ordinal)
+                       ord_sub_left, ordinal_to_json, parse_ordinal,
+                       render_ordinal)
 from omegacalc.errors import PrefixTooLarge
 from omegacalc.surreal import Number
 
@@ -109,6 +109,19 @@ def test_divmod_omega_pow_examples():
     assert divmod_omega_pow(o("w^(w+2)*3 + w"), OMEGA) == (o("w^2*3"), o("w"))
     assert divmod_omega_pow(o("w^(w+2)*3 + w"), 1) == \
         (o("w^(w+2)*3 + 1"), o("0"))
+
+
+def test_every_ordinal_is_above_a_negative_int():
+    # as in the surreals: a negative int equals no ordinal and is below all
+    for x in (o("0"), o("3"), OMEGA):
+        assert not x == -1 and x != -1 and -1 != x
+        assert x > -1 and x >= -1 and -1 < x and not x < -1 and not x <= -1
+        assert x.cmp(-1) == ord_cmp(x, -3) == -ord_cmp(-3, x) == 1
+    assert o("0") == 0 and o("3") == 3 and o("3") != 2
+    # arithmetic still takes only ordinals
+    for op in (ord_add, ord_mul, ord_nat_add, ord_nat_mul, ord_sub_left):
+        with pytest.raises(ValueError, match="non-negative"):
+            op(o("3"), -1)
 
 
 def test_nat_add_examples():
@@ -313,7 +326,7 @@ def test_constructors_and_codecs_store_finite_exponents_as_ints(m):
     x = ordinal_of(m)
     agrees(x, m)
     agrees(parse_ordinal(render_ordinal(x)), m)
-    agrees(ordinal_from_json(ordinal_to_json(x)), m)
+    assert ordinal_to_json(x) == oracles.ord_json(m)
     # w^x from the Ordinal x, finite or not, and from the int of a finite x
     agrees(Ordinal.omega_pow(x, 2), (m, m))
     if _finite(m):
