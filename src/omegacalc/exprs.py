@@ -30,9 +30,10 @@ One set-term grammar (_setterm) reads const(...) and cycle(...) values and
 the nested-brace form, whose layers it collects as it goes; with a finite
 length n, braces past the n-th layer are elements of that layer.
 
-A text is scanned once, by one findall over the token table _TOKENS, and
-kinds are read off the token texts.  Only a Unicode alias runs the
-positional scan, built from the same table, over the whole text; an error
+A text is scanned once, by one findall over the token table _TOKENS, into
+its token texts, which every reader compares itself; a skand reader calls
+a _Parser helper only on the way to a ParseError.  Only a Unicode alias runs
+the positional scan, built from the same table, over the whole text; an error
 runs it only up to the failing token.  Both expression grammars are read
 by one precedence-climbing loop, _infix, over an (outer, inner) pair of
 operator tables per sort (_ORDINAL, _NUMBER): one Python frame reads both
@@ -64,12 +65,11 @@ from .errors import (InsufficientPrecision, OutputTooLarge, ParseError,
                      PrefixTooLarge)
 from .ordinals import OMEGA, ONE, Ordinal
 from .ordinals import ZERO as OZERO
-from .surreal import (OMEGA as NOMEGA, Dyadic, EpsilonAtom, Number,
-                      TruncatedNumber, _higher, _known, _rational, add,
-                      divide, epsilon, exp_cmp, exp_sum, exp_times,
-                      from_rational, from_terms, known_negate, known_product,
-                      known_sum, mul, negate, omega_pow,
-                      simplest_dyadic_game)
+from .surreal import (OMEGA as NOMEGA, EpsilonAtom, Number, TruncatedNumber,
+                      _higher, _known, _rational, add, divide, epsilon,
+                      exp_cmp, exp_sum, exp_times, from_rational, from_terms,
+                      known_negate, known_product, known_sum, mul, negate,
+                      omega_pow, simplest_dyadic_game)
 from . import explog
 from . import skands as sk
 
@@ -83,7 +83,8 @@ _TOKEN = re.compile("|".join("(?P<%s>%s)" % kp for kp in _TOKENS)
                     + "|(?P<bad>.)", re.DOTALL)
 _TEXTS = re.compile("|".join(pattern for kind, pattern in _TOKENS
                              if kind != "ws"))
-_is_atom = re.compile(r"\w").match   # a name or an integer
+# every token text but a name's and an integer's, the end's "" included
+_SYMBOLS = frozenset("()[]{}|,;:@^*/+-") | {"...", "(+)", "(*)", ""}
 
 # the ASCII tokens each alias stands for, all at the alias's own position
 _ALIASES = {"ω": (("name", "w"),), "ε": (("name", "eps"),),
@@ -166,22 +167,6 @@ class _Parser:
                       % (value, self.tokens[self.i] or "end"))
         self.i += 1
 
-    # _infix, which tests several operators per token, reads it once itself
-    def at(self, value):
-        return self.tokens[self.i] == value
-
-    def accept(self, value):
-        if self.tokens[self.i] == value:
-            self.i += 1
-            return True
-        return False
-
-    def whole(self, value):
-        """`value`, once no input trails it."""
-        if self.tokens[self.i]:
-            self.fail("trailing input")
-        return value
-
     def run(self, parse, *args):
         """parse(self, *args) over the whole text.  int() refuses a digit
         token longer than sys.get_int_max_str_digits(), and every reader
@@ -189,12 +174,16 @@ class _Parser:
         a ParseError at the current token.  The readers call int() inline:
         a helper call per digit token would cost a frame each."""
         try:
-            return self.whole(parse(self, *args))
+            value = parse(self, *args)
         except ValueError:
             text = self.tokens[self.i]
             limit = sys.get_int_max_str_digits()
             if not (text.isdigit() and limit and len(text) > limit):
                 raise
+        else:
+            if self.tokens[self.i]:
+                self.fail("trailing input")
+            return value
         self.fail("integer literal has more than %d digits" % limit)
 
     def fail(self, msg, at=None):
@@ -261,6 +250,8 @@ _ORDINAL = ({"+": lambda p, a, b: _plus(a, b),
              "(+)": lambda p, a, b: a.nat_add(b)},
             {"*": lambda p, a, b: a * b,
              "(*)": lambda p, a, b: a.nat_mul(b)})
+_POWERS = [Ordinal(((n, 1),)) for n in range(10)]   # w^n for n < 10
+_FINITE = [OZERO] + [Ordinal(((0, n),)) for n in range(1, 10)]   # n < 10
 
 
 def parse_ordinal(text) -> Ordinal:
@@ -271,29 +262,33 @@ def _ofact(p) -> Ordinal:
     text = p.tokens[p.i]
     if text == "w":
         p.i += 1
-        if p.accept("^"):
-            n = p.tokens[p.i]
-            if p.accept("("):
-                e = _infix(p, _ORDINAL, _ofact)
+        if p.tokens[p.i] != "^":
+            return OMEGA
+        p.i += 1
+        n = p.tokens[p.i]
+        if n.isdigit():
+            e = int(n)
+            p.i += 1
+            return _POWERS[e] if e < 10 else Ordinal(((e, 1),))
+        if n == "(":
+            p.i += 1
+            e = _infix(p, _ORDINAL, _ofact)
+            if p.tokens[p.i] != ")":
                 p.expect(")")
-            elif n.isdigit():
-                e = int(n)
-                p.i += 1
-                return Ordinal(((e, 1),))
-            elif n == "w":
-                if p.nest > MAX_DEPTH:
-                    p.fail(_TOO_DEEP)
-                p.nest += 1
-                e = _ofact(p)
-                p.nest -= 1
-            else:
-                p.fail("expected an ordinal exponent")
-            return Ordinal.omega_pow(e)
-        return OMEGA
+            p.i += 1
+        elif n == "w":
+            if p.nest > MAX_DEPTH:
+                p.fail(_TOO_DEEP)
+            p.nest += 1
+            e = _ofact(p)
+            p.nest -= 1
+        else:
+            p.fail("expected an ordinal exponent")
+        return Ordinal.omega_pow(e)
     if text.isdigit():
         n = int(text)
         p.i += 1
-        return Ordinal(((0, n),)) if n else OZERO
+        return _FINITE[n] if n < 10 else Ordinal(((0, n),))
     p.fail("expected an ordinal")
 
 
@@ -422,7 +417,8 @@ def _nfact(p) -> Number:
         while p.tokens[p.i] == "-":
             p.i += 1
             neg = not neg
-        if p.accept("("):
+        if p.tokens[p.i] == "(":
+            p.i += 1
             value = _infix(p, _NUMBER, _nfact)
             p.expect(")")
         else:
@@ -432,15 +428,18 @@ def _nfact(p) -> Number:
         return known_negate(value)
     if text == "w":
         p.i += 1
-        if not p.accept("^"):
+        if p.tokens[p.i] != "^":
             return NOMEGA
-        if p.accept("("):
+        p.i += 1
+        if p.tokens[p.i] == "(":
+            p.i += 1
             e = _infix(p, _NUMBER, _nfact)
             p.expect(")")
             if e.__class__ is not Number:
                 p.fail("exponent must be exact", i + 2)
             return omega_pow(e)
-        neg = p.accept("-")
+        neg = p.tokens[p.i] == "-"
+        p.i += neg
         n = p.tokens[p.i]
         if not n.isdigit():
             p.fail("expected an exponent")
@@ -480,21 +479,19 @@ def _nfact(p) -> Number:
 
 def _game_side(p, stop):
     side = []
-    if p.at(stop):
+    if p.tokens[p.i] == stop:
         return side
     while True:
         q = _infix(p, _NUMBER, _nfact)
         if q.__class__ is not Number:
             p.fail("game members must be exact")
         r = _rational(q) if q else 0
-        try:
-            if r is None:
-                raise ValueError("not rational")
-            side.append(Dyadic(r))
-        except ValueError:
+        if r is None or r.denominator & (r.denominator - 1):
             p.fail("game members must be dyadic rationals")
-        if not p.accept(","):
+        side.append(r)
+        if p.tokens[p.i] != ",":
             return side
+        p.i += 1
 
 
 def render_number(x: Number) -> str:
@@ -590,8 +587,7 @@ def render_setterm(t) -> str:
 
 def parse_setterm(text):
     """Parse one set term: IDENT, INT or '{' [st (',' st)*] '}'."""
-    p = _Parser(text)
-    return p.whole(_setterm(p))
+    return _Parser(text).run(_setterm)
 
 
 def setterm_to_json(t):
@@ -608,32 +604,36 @@ def _setterm(p, layers=None):
     list with (None, SEGS or None) and stands for no set term, so it must
     be the last element of its brace."""
     text = p.tokens[p.i]
-    if _is_atom(text):
+    if text not in _SYMBOLS:   # a name or an integer
         p.i += 1
         return text
     if text != "{":
         p.fail("expected a set term" if layers is None
                else "expected a set term or nested brace")
     p.i += 1
-    if layers is not None and p.accept("..."):
-        segs = _segments(p) if p.at("const") or p.at("cycle") else None
-        p.expect("}")
-        layers.append((None, segs))
-        return None
     elems, inner = [], None
-    if not p.at("}"):
+    if layers is not None and p.tokens[p.i] == "...":
+        p.i += 1
+        layers.append((None, _segments(p) if p.tokens[p.i] in
+                       ("const", "cycle") else None))
+    elif p.tokens[p.i] != "}":
+        if p.nest >= MAX_DEPTH:   # a set term is in no expression
+            p.fail(_TOO_DEEP)
+        p.nest += 1
         while True:
             inner = None if layers is None else []
-            if p.nest >= MAX_DEPTH:   # a set term is in no expression
-                p.fail(_TOO_DEEP)
-            p.nest += 1
             elems.append(_setterm(p, inner))
-            p.nest -= 1
-            if not p.accept(","):
+            if p.tokens[p.i] != ",":
                 break
+            p.i += 1
             if inner and inner[-1][0] is None:
                 p.fail("'...' cannot appear inside a set term")
-    p.expect("}")
+        p.nest -= 1
+    if p.tokens[p.i] != "}":
+        p.expect("}")
+    p.i += 1
+    if layers:   # '{...}'; any other brace fills its list below
+        return None
     t = sk.Fset(elems)
     if inner:
         layers.append((sk.Fset(elems[:-1]), t))
@@ -660,54 +660,69 @@ def render_segments(m: sk.TransfiniteMap) -> str:
 
 def _segments(p):
     """Parsed as (explicit length or None, pattern) pairs."""
-    segs = []
+    tokens, segs = p.tokens, []
     while True:
-        if p.accept("const"):
-            p.expect("(")
-            pat = (_setterm(p),)
-        elif p.accept("cycle"):
-            p.expect("(")
-            vals = [_setterm(p)]
-            while p.accept(","):
-                vals.append(_setterm(p))
-            pat = tuple(vals)
-        else:
+        head = tokens[p.i]
+        if head != "const" and head != "cycle":
             p.fail("expected const(...) or cycle(...)")
-        p.expect(")")
-        length = _infix(p, _ORDINAL, _ofact) if p.accept(":") else None
-        segs.append((length, pat))
-        if not p.accept(";"):
+        p.i += 1
+        if tokens[p.i] != "(":
+            p.expect("(")
+        p.i += 1
+        vals = [_setterm(p)]
+        if head == "cycle":
+            while tokens[p.i] == ",":
+                p.i += 1
+                vals.append(_setterm(p))
+        if tokens[p.i] != ")":
+            p.expect(")")
+        p.i += 1
+        colon = tokens[p.i] == ":"
+        p.i += colon
+        length = _infix(p, _ORDINAL, _ofact) if colon else None
+        segs.append((length, tuple(vals)))
+        if tokens[p.i] != ";":
             return segs
+        p.i += 1
 
 
 def _interval(p):
-    """The clutch region '@ [start, end)' as (start, end - start)."""
-    p.expect("@")
-    p.expect("[")
+    """The clutch region '@ [start, end)', which ends the text, as (start,
+    end - start)."""
+    if p.tokens[p.i] != "@" or p.tokens[p.i + 1] != "[":
+        p.expect("@")
+        p.expect("[")
+    p.i += 2
     start = _infix(p, _ORDINAL, _ofact)
-    p.expect(",")
+    if p.tokens[p.i] != ",":
+        p.expect(",")
+    p.i += 1
     end = _infix(p, _ORDINAL, _ofact)
-    p.expect(")")
+    if p.tokens[p.i] != ")":
+        p.expect(")")
+    p.i += 1
     try:
         total = end.sub_left(start)
     except PrefixTooLarge:
         total = OZERO
-    if not total:
+    if not total.terms:
         p.fail("empty clutch region")
+    if p.tokens[p.i]:
+        p.fail("trailing input")
     return start, total
 
 
 def _resolve_lengths(segs, total, p):
-    """Check that the lengths of the (length, pattern) pairs fill `total`;
-    only the last length may be None, and it is set to the rest.  The
-    lengths are summed once and the sum is compared with the total once:
-    partial sums only grow, so no prefix exceeds the total unless the whole
-    sum does."""
+    """The map of the (length, pattern) pairs, once their lengths fill
+    `total`; only the last length may be None, and it is set to the rest.
+    The lengths are summed once and the sum is compared with the total
+    once: partial sums only grow, so no prefix exceeds the total unless the
+    whole sum does."""
     used = OZERO
     for i, (length, pat) in enumerate(segs):
         if length is None:
             break
-        used = _plus(used, length)
+        used = _plus(used, length) if used.terms else length
     try:
         left = total.sub_left(used)
     except PrefixTooLarge:
@@ -716,9 +731,9 @@ def _resolve_lengths(segs, total, p):
         if i + 1 != len(segs):
             p.fail("only the last segment may omit its length")
         segs[-1] = (left, pat)
-    elif left:
+    elif left.terms:
         p.fail("segment lengths do not fill the clutch region")
-    return segs
+    return sk.TransfiniteMap.from_segments(segs, total)
 
 
 def parse_skand(text) -> object:
@@ -727,12 +742,12 @@ def parse_skand(text) -> object:
 
 
 def _skand(p):
-    asc = p.accept("asc")
-    if asc or not p.at("{"):
+    asc = p.tokens[p.i] == "asc"
+    p.i += asc
+    if asc or p.tokens[p.i] != "{":
         segs = _segments(p)
-        start, total = p.whole(_interval(p))
-        return sk.Skand(start, sk.TransfiniteMap.from_segments(
-            _resolve_lengths(segs, total, p), total), asc)
+        start, total = _interval(p)
+        return sk.Skand(start, _resolve_lengths(segs, total, p), asc)
     layers = []
     _setterm(p, layers)
     tail = layers.pop()[1] if layers[-1][0] is None else False
@@ -740,9 +755,9 @@ def _skand(p):
         # bare braces: a finite coskand, innermost layer first (greedy)
         if tail is not False:
             p.fail("a bare-brace coskand cannot contain '...'")
-        return sk.make_coskand(0, [(ONE, (c,))
-                                   for c, _ in reversed(layers)])
-    start, total = p.whole(_interval(p))
+        return sk.Skand(OZERO, sk.TransfiniteMap.from_segments(
+            [(ONE, (c,)) for c, _ in reversed(layers)]), True)
+    start, total = _interval(p)
     if total.is_finite() and len(layers) + (tail is not False) > \
             total.as_int():
         # braces past the finite length are elements of the last layer
@@ -757,8 +772,7 @@ def _skand(p):
         segs.append((None, segs[-1][1]))
     elif tail is not False:
         segs += tail
-    return sk.Skand(start, sk.TransfiniteMap.from_segments(
-        _resolve_lengths(segs, total, p), total))
+    return sk.Skand(start, _resolve_lengths(segs, total, p))
 
 
 def brace_render(s, depth: int = 4) -> str:
@@ -790,8 +804,6 @@ def brace_render(s, depth: int = 4) -> str:
 
 
 def _layer_text(component, inner):
-    if not isinstance(component, frozenset):
-        raise ValueError("brace rendering needs set-valued components")
     elems = render_setterm(component)[1:-1]  # the text inside its braces
     if inner is None:
         return "{%s}" % elems

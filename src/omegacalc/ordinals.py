@@ -241,7 +241,7 @@ class Ordinal:
             i += 1
         if i < len(prefix.terms):
             raise PrefixTooLarge("%s > %s" % (prefix, self))
-        return Ordinal(self.terms[i:])
+        return Ordinal(self.terms[i:]) if i else self
 
     # -- natural (Hessenberg) arithmetic --------------------------------
 

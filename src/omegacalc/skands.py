@@ -111,11 +111,12 @@ def _primitive(values: tuple) -> tuple:
 
 
 class TransfiniteMap:
-    """(length, pattern) segments in order.  `total`, the sum of the
-    lengths, is stored: a constructor that knows it passes it, and it is
-    summed once otherwise.  == is pointwise (equal written segments, else
-    map_equal), hash reads the canonical segments, and repr the written
-    ones."""
+    """(length, pattern) segments in order, each length an Ordinal and each
+    pattern primitive: the builders from_segments and normalize_map store
+    them so, and the canonical pass relies on it.  `total`, the sum of the
+    lengths, is stored, or summed once when not given.  == is pointwise
+    (equal written segments, else map_equal), hash reads the canonical
+    segments, and repr the written ones."""
     __slots__ = ("segments", "total")
 
     def __init__(self, segments: tuple = (), total: Ordinal = None):
@@ -141,9 +142,7 @@ class TransfiniteMap:
     def from_segments(segs, total=None) -> "TransfiniteMap":
         out = []
         for length, pat in segs:
-            if not isinstance(length, Ordinal):
-                length = Ordinal.from_int(length)
-            if not length:
+            if not length.terms:
                 continue
             pat = _primitive(pat)
             if out and len(pat) == 1 and out[-1][1] == pat:
@@ -234,16 +233,14 @@ def _canonical_pieces(m: TransfiniteMap):
     its shortest prefix, and a rotated p covers only the first w positions,
     because the segment's later blocks restart p at their limits."""
     head = []
-    for length, pat in m.segments:
-        values = _primitive(pat)
-        n = len(values)
+    for length, values in m.segments:
         if length.is_finite():
             _extend_runs(head, values, length.as_int())
             continue
         period = values
         while head and head[-1][0] == period[-1]:
             # a constant absorbs the whole run, a cycle one value per turn
-            head[-1][1] = head[-1][1] - 1 if n > 1 else 0
+            head[-1][1] = head[-1][1] - 1 if len(values) > 1 else 0
             if not head[-1][1]:
                 head.pop()
             period = period[-1:] + period[:-1]
@@ -269,7 +266,7 @@ def canonical_segments(m: TransfiniteMap):
     for length, pat in _canonical_pieces(m):
         if last and last[1] == pat:
             last = (last[0] + length, pat)
-        elif length:
+        elif length.terms:
             if last:
                 yield last
             last = (length, pat)
@@ -314,7 +311,7 @@ class Skand(Record):
 
     def __init__(self, start: Ordinal, mapping: TransfiniteMap,
                  ascending: bool = False):
-        if not mapping.total:
+        if not mapping.total.terms:
             raise ValueError("a skand has length >= 1")
         self.start = start
         self.mapping = mapping
@@ -335,19 +332,20 @@ class Skand(Record):
 
 
 def make_skand(start, segments) -> Skand:
-    return Skand(_coerce(start), TransfiniteMap.from_segments(segments))
+    return Skand(_coerce(start), TransfiniteMap.from_segments(
+        [(_coerce(n), pat) for n, pat in segments]))
 
 
 def make_coskand(start, segments) -> Skand:
-    return Skand(_coerce(start), TransfiniteMap.from_segments(segments), True)
+    return Skand(_coerce(start), make_skand(0, segments).mapping, True)
 
 
 def constant_skand(value, length, start=0) -> Skand:
-    return make_skand(start, [(_coerce(length), (value,))])
+    return make_skand(start, [(length, (value,))])
 
 
 def cycle_skand(values, length, start=0) -> Skand:
-    return make_skand(start, [(_coerce(length), tuple(values))])
+    return make_skand(start, [(length, tuple(values))])
 
 
 def value_at(s, pos) -> object:

@@ -752,7 +752,11 @@ def divide(a, b, max_terms: int = 8) -> TruncatedNumber:
 
 def _parts(x):
     """(value, order) of a Number or a TruncatedNumber."""
-    return (x, None) if x.__class__ is Number else (x.value, x.order)
+    if x.__class__ is Number:
+        return x, None
+    if x.__class__ is TruncatedNumber:
+        return x.value, x.order
+    raise TypeError("%r is not a Number or a TruncatedNumber" % (x,))
 
 
 def _lead(value: Number, order):

@@ -87,7 +87,7 @@ _PIECES = (list("()[]{}|,;:@^*/+-") + [
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
 def test_scan_and_tokenize_split_every_text_alike(text):
-    from omegacalc.exprs import _scan, tokenize
+    from omegacalc.exprs import _SYMBOLS, _scan, tokenize
     try:
         tokens = tokenize(text)
     except ParseError as exc:
@@ -97,6 +97,9 @@ def test_scan_and_tokenize_split_every_text_alike(text):
             (str(exc), exc.position)
     else:
         assert _scan(text) == [t for _, t, _ in tokens]
+        # the set-term reader takes a token outside _SYMBOLS as an atom
+        assert all((t in _SYMBOLS) == (k not in ("name", "int"))
+                   for k, t, _ in tokens)
 
 
 def test_positions_after_an_alias_index_the_input():
@@ -260,6 +263,74 @@ def test_skand_literals():
         parse_skand("const({a}):w @ [0,w*2)")   # lengths do not fill
     with pytest.raises(ParseError):
         parse_skand("const({a}) @ [5,5)")
+
+
+# One malformed literal per row, each a distinct error of the skand reader,
+# with its message and the position in the CLI line.
+SKAND_ERRORS = (
+    ("skand render const a", "expected '(', found 'a'", 19),
+    ("skand render cycle(a b) @ [0,w)", "expected ')', found 'b'", 21),
+    ("skand render const(a,b) @ [0,w)", "expected ')', found ','", 20),
+    ("skand render foo(a) @ [0,w)", "expected const(...) or cycle(...)", 13),
+    ("skand render const() @ [0,w)", "expected a set term", 19),
+    ("skand render cycle(a,) @ [0,w)", "expected a set term", 21),
+    ("skand render const(a):;const(b) @ [0,w)", "expected an ordinal", 22),
+    ("skand render const(a):w^x @ [0,w)", "expected an ordinal exponent",
+     24),
+    ("skand render const(a):w^(w @ [0,w)", "expected ')', found '@'", 27),
+    ("skand render const(a) [0,w)", "expected '@', found '['", 22),
+    ("skand render const(a) @ 0,w)", "expected '[', found '0'", 24),
+    ("skand render const(a) @ [0 w)", "expected ',', found 'w'", 27),
+    ("skand render const(a) @ [0,w", "expected ')', found 'end'", 28),
+    ("skand render const(a) @ [w,w)", "empty clutch region", 29),
+    ("skand render const(a):w*2 @ [0,w)",
+     "segment lengths exceed the clutch region", 33),
+    ("skand render const(a):w @ [0,w*2)",
+     "segment lengths do not fill the clutch region", 33),
+    ("skand render const(a);const(b):w @ [0,w*2)",
+     "only the last segment may omit its length", 42),
+    ("skand render {a,{...},b} @ [0,w)",
+     "'...' cannot appear inside a set term", 22),
+    ("skand render {a,{b,{...}}} @ [0,1)",
+     "'...' cannot appear inside a set term", 34),
+    ("skand render {...} @ [0,w)",
+     "'...' needs a preceding component to continue", 26),
+    ("skand render {a,{...b}} @ [0,w)", "expected '}', found 'b'", 20),
+    ("skand render {a,{b,}} @ [0,w)",
+     "expected a set term or nested brace", 19),
+    ("coskand render {a,{...}}",
+     "a bare-brace coskand cannot contain '...'", 24),
+    ("skand render asc const(a) @ [0,w)", "expected a skand literal", 13),
+    ("skand render {a,{b} @ [0,w)", "expected '}', found '@'", 20),
+    ("skand render {a,{b}} x", "expected '@', found 'x'", 21),
+    ("skand render const(a) @ [0,w) x", "trailing input", 30),
+)
+
+
+@pytest.mark.parametrize("line, message, position", SKAND_ERRORS)
+def test_a_malformed_skand_literal_is_reported_exactly(line, message,
+                                                       position):
+    import contextlib
+    import io
+    import json
+    from omegacalc import cli
+    text = "%s (at position %d)" % (message, position)
+    for as_json in (False, True):
+        options = cli.Options(json=as_json)
+        with pytest.raises(ParseError) as info:
+            cli.run_line(line, options)
+        assert (info.value.detail, info.value.position, str(info.value)) \
+            == (message, position, text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli._answer(line, options, "", err) == 2
+        if as_json:
+            assert (json.loads(out.getvalue()), err.getvalue()) == (
+                {"error": {"kind": "ParseError", "message": text,
+                           "position": position}}, "")
+        else:
+            assert (out.getvalue(), err.getvalue()) == \
+                ("", "parse error: %s\n" % text)
 
 
 def test_skand_brace_text():

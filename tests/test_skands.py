@@ -1039,3 +1039,39 @@ def test_transfinite_verdicts_depend_only_on_the_leading_exponent(segs, k, j):
         tau = lead * k + j
         assert is_periodic(s, tau) == is_periodic(s, lead)
         assert is_strictly_periodic(s, tau) == is_strictly_periodic(s, lead)
+
+
+# -- stored patterns are primitive ---------------------------------------------
+# The canonical pass reads every stored pattern as its own primitive root, so
+# each way of building a map must store it so.  Cycles over two values, up to
+# four long, are often powers: (a,a), (a,b,a,b).
+
+POWERS = st.tuples(
+    st.sampled_from(LENGTHS).map(o),
+    st.lists(st.sampled_from([A, SA]), min_size=1, max_size=4).map(tuple))
+CUTS = ["1", "2", "3", "w", "w+1", "w*2+1", "w^2+3"]
+
+
+def _stored_primitive(m):
+    return all(skands._primitive(pat) == pat for _, pat in m.segments)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(POWERS, min_size=1, max_size=4), st.sampled_from(CUTS),
+       st.sampled_from(VALUES))
+def test_every_builder_stores_primitive_patterns(segs, cut, component):
+    from omegacalc.exprs import render_ordinal, render_setterm
+    m = TransfiniteMap.from_segments(segs)
+    # the same description written out, powers and all
+    text = ";".join("cycle(%s):%s" % (",".join(map(render_setterm, pat)),
+                                      render_ordinal(length))
+                    for length, pat in segs)
+    parsed = parse_skand("%s @ [w,w + %s)"
+                         % (text, render_ordinal(m.total))).mapping
+    assert map_equal(parsed, m)
+    built = [m, normalize_map(m), parsed,
+             prepend_component(Skand(o("0"), m), component).mapping]
+    if o(cut).cmp(m.total) < 0:
+        built.append(m.slice_from(o(cut)))
+    for x in built:
+        assert _stored_primitive(x), x

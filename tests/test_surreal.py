@@ -237,6 +237,21 @@ def test_equality_with_ordinals_is_transitive():
     assert from_rational(Fraction(1, 2)) != Ordinal.from_int(1)
 
 
+def test_the_cut_value_rules_refuse_an_ordinal_operand():
+    # an Ordinal took the TruncatedNumber branch of _parts and leaked
+    # AttributeError: 'Ordinal' object has no attribute 'value'
+    w, one = parse_ordinal("w"), n("1")
+    for call in (lambda: divide(one, w), lambda: divide(w, n("2")),
+                 lambda: divide(w, W), lambda: surreal.known_sum(one, w),
+                 lambda: surreal.known_sum(w, one),
+                 lambda: surreal.known_product(one, w)):
+        with pytest.raises(TypeError, match="^Ordinal<w> is not a Number "
+                                            "or a TruncatedNumber$"):
+            call()
+    # a Number and a TruncatedNumber still pass
+    assert surreal.known_sum(one, divide(one, W + one)).order is not None
+
+
 # -- canonical-form properties ------------------------------------------------
 # Numbers are built by a naive quadratic merge that compares every incoming
 # exponent with every kept one by value (exp_cmp).  It never relies on
